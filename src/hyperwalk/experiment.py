@@ -350,10 +350,8 @@ def cross_validate(
             p = projection.transition(train_g, allow_isolated=True)
             rows_by_k = localwalk.walk_matrix_rows_multi(p, needed, grid)
             for gi, k in enumerate(grid):
-                rows = rows_by_k[k]
-                js_cache: dict = {}
                 for kind in walk:
-                    vals = scoring.score_edges_from_rows(kind, fold_edges, rows, js_cache)
+                    vals = scoring.score_edges_from_rows(kind, fold_edges, rows_by_k[k])
                     totals[kind][gi] += auroc(vals, labels)
         else:
             a = projection.adjacency(train_g).astype(np.float64)
@@ -368,7 +366,7 @@ def cross_validate(
                 except KatzDivergenceError:
                     valid[HKATZ][gi] = False
                     continue
-                vals = [scoring.score_hkatz(e, table) for e in fold_edges]
+                vals = scoring.score_hkatz(fold_edges, table)
                 totals[HKATZ][gi] += auroc(vals, labels)
     if used_folds == 0:
         raise TrialDegenerateError("cross-validation had no usable folds")

@@ -5,10 +5,16 @@ Row i is the stop distribution of a walker that starts at vertex i, picks a
 length uniformly from 1..K, and takes that many steps.  Rows are computed
 only for requested source vertices, by propagating one-hot rows through P,
 so nothing of size n x n is ever materialized.
+
+One propagation sweep serves every requested K.  Each K snapshot is kept
+as a single CSR matrix, one row per source (:class:`WalkRows`); the batched
+scorers and divergence kernels read it directly, and indexing it by a
+source vertex yields a :class:`WalkDistribution` view of that row.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,27 +60,87 @@ def from_dense(values, source: int = -1, max_step: int = 0) -> WalkDistribution:
     return WalkDistribution(source, idx, arr[idx], len(arr), max_step)
 
 
+def stack(dists) -> sparse.csr_matrix:
+    """CSR matrix whose row r holds the r-th distribution.
+
+    Accepts :class:`WalkDistribution` rows and dense probability vectors;
+    the column count is the largest universe among them.
+    """
+    ds = [d if isinstance(d, WalkDistribution) else from_dense(d) for d in dists]
+    indptr = np.concatenate(([0], np.cumsum([len(d.indices) for d in ds])))
+    return sparse.csr_matrix(
+        (np.concatenate([d.values for d in ds]), np.concatenate([d.indices for d in ds]), indptr),
+        shape=(len(ds), max(d.n for d in ds)),
+    )
+
+
+class WalkRows(Mapping):
+    """Walk rows of one K: ``matrix`` row r is the row of ``sources[r]``.
+
+    ``matrix`` is a canonical CSR matrix (sorted indices, no duplicates)
+    and ``sources`` ascends.  As a mapping it yields one
+    :class:`WalkDistribution` view per source vertex.
+    """
+
+    def __init__(self, matrix: sparse.csr_matrix, sources, max_step: int):
+        self.matrix = matrix
+        self.sources = np.asarray(sources, dtype=np.int64)
+        self.max_step = max_step
+
+    @classmethod
+    def from_rows(cls, rows) -> "WalkRows":
+        """Stack a {source: WalkDistribution or dense vector} mapping."""
+        if isinstance(rows, cls):
+            return rows
+        sources = sorted(rows)
+        return cls(stack([rows[s] for s in sources]), sources, 0)
+
+    def positions(self, vertices) -> np.ndarray:
+        """Matrix row of each vertex; a vertex without a row is a contract violation."""
+        v = np.asarray(vertices, dtype=np.int64)
+        pos = np.searchsorted(self.sources, v)
+        found = pos < len(self.sources)
+        found[found] = self.sources[pos[found]] == v[found]
+        if not found.all():
+            raise ContractViolation(f"missing walk row for vertex {int(v[~found][0])}")
+        return pos
+
+    def __getitem__(self, source: int) -> WalkDistribution:
+        r = int(np.searchsorted(self.sources, source))
+        if r == len(self.sources) or self.sources[r] != source:
+            raise KeyError(source)
+        lo, hi = self.matrix.indptr[r], self.matrix.indptr[r + 1]
+        return WalkDistribution(
+            int(source), self.matrix.indices[lo:hi], self.matrix.data[lo:hi],
+            self.matrix.shape[1], self.max_step,
+        )
+
+    def __iter__(self):
+        return iter(self.sources.tolist())
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+
 def _extract_rows(
     mat: sparse.csr_matrix,
     sources: list[int],
     scale: float,
-    n: int,
     max_step: int,
     drop_tol: float,
     renorm_tol: float,
-) -> dict[int, WalkDistribution]:
-    """Scale, prune, renormalize and slice a whole snapshot at once.
+) -> WalkRows:
+    """Scale, prune and renormalize a whole snapshot at once.
 
-    All numeric work is vectorized over the full matrix; each row then
-    becomes a pair of array views, so the per-row cost is independent of
-    support size.
+    All numeric work is vectorized over the full matrix, and the result
+    stays one CSR matrix; no per-row objects are built.
     """
     mat.sort_indices()
     vals = mat.data * scale
     keep = vals > drop_tol
     counts = np.diff(mat.indptr)
     row_of = np.repeat(np.arange(len(sources)), counts)[keep]
-    idx = mat.indices[keep].astype(np.int64)
+    idx = mat.indices[keep]
     vals = vals[keep]
     sums = np.bincount(row_of, weights=vals, minlength=len(sources))
     needs_fix = np.abs(sums - 1.0) > renorm_tol
@@ -82,10 +148,7 @@ def _extract_rows(
         factor = np.where(needs_fix & (sums > 0), 1.0 / np.where(sums > 0, sums, 1.0), 1.0)
         vals = vals * factor[row_of]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=len(sources)))))
-    return {
-        s: WalkDistribution(s, idx[indptr[r] : indptr[r + 1]], vals[indptr[r] : indptr[r + 1]], n, max_step)
-        for r, s in enumerate(sources)
-    }
+    return WalkRows(sparse.csr_matrix((vals, idx, indptr), shape=mat.shape), sources, max_step)
 
 
 def walk_matrix_rows(
@@ -94,7 +157,7 @@ def walk_matrix_rows(
     K: int,
     drop_tol: float = DROP_TOL,
     renorm_tol: float = RENORM_TOL,
-) -> dict[int, WalkDistribution]:
+) -> WalkRows:
     """Rows of (1/K) * (P + P^2 + ... + P^K) for the given source vertices."""
     return walk_matrix_rows_multi(P, sources, [K], drop_tol, renorm_tol)[K]
 
@@ -105,12 +168,12 @@ def walk_matrix_rows_multi(
     ks,
     drop_tol: float = DROP_TOL,
     renorm_tol: float = RENORM_TOL,
-) -> dict[int, dict[int, WalkDistribution]]:
+) -> dict[int, WalkRows]:
     """Walk rows for several maximum lengths in one propagation pass.
 
-    Returns ``{K: {source: row}}`` for each K in ``ks``.  The running sum of
-    propagated rows is snapshotted at every requested K, so the cost is a
-    single sweep up to max(ks).
+    Returns ``{K: rows}`` for each K in ``ks``, where ``rows`` maps each
+    source to its row.  The running sum of propagated rows is snapshotted
+    at every requested K, so the cost is a single sweep up to max(ks).
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
@@ -123,9 +186,9 @@ def walk_matrix_rows_multi(
     for s in src:
         if row_sums[s] == 0.0:
             raise ContractViolation(f"vertex {s} has no outgoing transitions")
-    out: dict[int, dict[int, WalkDistribution]] = {k: {} for k in ks}
     if not src:
-        return out
+        return {k: WalkRows(sparse.csr_matrix((0, n)), [], k) for k in ks}
+    out: dict[int, WalkRows] = {}
     one = np.ones(len(src))
     x = sparse.csr_matrix(
         (one, (np.arange(len(src)), np.array(src))), shape=(len(src), n)
@@ -136,7 +199,5 @@ def walk_matrix_rows_multi(
         x = x @ P
         acc = acc + x
         if k in want:
-            out[k] = _extract_rows(acc.tocsr(), src, 1.0 / k, n, k, drop_tol, renorm_tol)
+            out[k] = _extract_rows(acc.tocsr(), src, 1.0 / k, k, drop_tol, renorm_tol)
     return out
-
-

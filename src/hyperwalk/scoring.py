@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -33,6 +33,8 @@ ALL_KINDS = (HCN, HKATZ, HPRA, LRW, LRW_JS, LRW_GJS)
 
 # Above this size, closed-form Katz solves give way to a truncated series.
 KATZ_CLOSED_MAX_N = 20_000
+# Walk scores within this distance of [0, 1] are rounding and get clipped.
+SCORE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,81 +87,116 @@ class ScoredEdge:
     method: MethodSpec
 
 
-def _pair_mean(edge: Edge, pair_score) -> float:
-    verts = sorted(edge)
-    t = len(verts)
-    total = 0.0
-    for i, j in combinations(verts, 2):
-        total += pair_score(i, j)
-    return total * 2.0 / (t * (t - 1))
+class _Pairs(NamedTuple):
+    """Vertex pairs of a batch of candidates.
+
+    Pair p of candidate c is ``(i[slots[c, p]], j[slots[c, p]])``, with
+    i < j and pairs listed in ``combinations`` order; ``slots`` is -1 past
+    a candidate's last pair.  ``sizes`` holds the candidates' cardinalities.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    slots: np.ndarray
+    sizes: np.ndarray
 
 
-def _clamp01(x: float) -> float:
-    return min(1.0, max(0.0, x))
+def _by_size(edges) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(t, candidate indices, sorted vertex matrix) for each cardinality t."""
+    sizes = np.array([len(e) for e in edges], dtype=np.int64)
+    if len(sizes) and sizes.min() < 2:
+        raise CandidateError("every candidate needs at least two vertices")
+    out = []
+    for t in np.unique(sizes).tolist():
+        idx = np.flatnonzero(sizes == t)
+        verts = np.sort(np.array([edges[k] for k in idx], dtype=np.int64).reshape(len(idx), t))
+        out.append((t, idx, verts))
+    return out
 
 
-def score_lrw(edge: Edge, rows) -> float:
-    """Mean symmetrized walk mass s_ij + s_ji over the edge's vertex pairs."""
-    try:
-        return _pair_mean(edge, lambda i, j: rows[i].mass_at(j) + rows[j].mass_at(i))
-    except KeyError as exc:
-        raise ContractViolation(f"missing walk row for vertex {exc.args[0]}") from None
+def _candidate_pairs(edges) -> _Pairs:
+    blocks = _by_size(edges)
+    sizes = np.zeros(len(edges), dtype=np.int64)
+    width = max((t * (t - 1) // 2 for t, _, _ in blocks), default=0)
+    slots = np.full((len(edges), width), -1, dtype=np.int64)
+    first, second = [], []
+    base = 0
+    for t, idx, verts in blocks:
+        iu, ju = np.triu_indices(t, 1)
+        first.append(verts[:, iu].ravel())
+        second.append(verts[:, ju].ravel())
+        slots[idx, : len(iu)] = base + np.arange(len(idx) * len(iu)).reshape(len(idx), len(iu))
+        sizes[idx] = t
+        base += len(idx) * len(iu)
+    empty = np.zeros(0, dtype=np.int64)
+    return _Pairs(np.concatenate(first or [empty]), np.concatenate(second or [empty]), slots, sizes)
 
 
-def score_lrw_js(edge: Edge, rows, js_cache: dict | None = None) -> float:
-    """1 minus the mean pairwise Jensen-Shannon divergence of the walk rows."""
-    cache = js_cache if js_cache is not None else {}
+def _pair_means(pairs: _Pairs, values: np.ndarray) -> np.ndarray:
+    """Mean of per-pair ``values`` over each candidate's pairs.
 
-    def pair_js(i: int, j: int) -> float:
-        if (i, j) not in cache:
-            cache[(i, j)] = divergence.js(rows[i], rows[j])
-        return cache[(i, j)]
-
-    try:
-        val = 1.0 - _pair_mean(edge, pair_js)
-    except KeyError as exc:
-        raise ContractViolation(f"missing walk row for vertex {exc.args[0]}") from None
-    return _clamp01(val)
+    Pair terms are added slot by slot, left to right, then scaled by
+    2 / (t(t - 1)), so each mean is the same float as summing the
+    candidate's pairs one by one in ``combinations`` order.
+    """
+    padded = np.append(np.asarray(values, dtype=np.float64), 0.0)  # slot -1 reads 0.0
+    total = np.zeros(len(pairs.slots))
+    for col in pairs.slots.T:
+        total += padded[col]
+    return total * 2.0 / (pairs.sizes * (pairs.sizes - 1))
 
 
-def score_lrw_gjs(edge: Edge, rows) -> float:
-    """1 minus the uniform-weight generalized divergence, normalized by log2 t."""
-    verts = sorted(edge)
-    try:
-        dists = [rows[v] for v in verts]
-    except KeyError as exc:
-        raise ContractViolation(f"missing walk row for vertex {exc.args[0]}") from None
-    return _clamp01(1.0 - divergence.js_generalized(dists) / math.log2(len(verts)))
+def _unit_interval(scores: np.ndarray, edges) -> np.ndarray:
+    """Clip rounding excursions of at most SCORE_TOL back into [0, 1].
+
+    A score farther outside (or NaN) means the walk rows were not
+    probability distributions, and is a contract violation.
+    """
+    bad = ~((scores >= -SCORE_TOL) & (scores <= 1.0 + SCORE_TOL))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ContractViolation(
+            f"candidate {tuple(edges[k])} scored {scores[k]!r}, outside [0, 1]: "
+            "its walk rows are not probability distributions"
+        )
+    return np.clip(scores, 0.0, 1.0)
 
 
-def score_edges_from_rows(kind: str, edges, rows, js_cache: dict | None = None) -> list[float]:
+def _gather(mat: sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Stored entries mat[rows[k], cols[k]] (0.0 where nothing is stored)."""
+    return np.asarray(mat[rows, cols]).ravel()
+
+
+def score_edges_from_rows(kind: str, edges, rows) -> np.ndarray:
     """Score many edges under one walk method from precomputed walk rows.
 
-    ``js_cache`` memoizes pairwise divergences across edges that share
-    vertex pairs.
+    ``rows`` is a :class:`~hyperwalk.localwalk.WalkRows` or any mapping
+    from vertex to walk row.  lrw averages the symmetrized walk mass
+    s_ij + s_ji, read by exact gathers; lrw-js evaluates the divergence of
+    each distinct vertex pair once, in one batched kernel call; lrw-gjs
+    passes every candidate's rows as one group, normalized by log2 t.
     """
-    if kind == LRW:
-        return [score_lrw(e, rows) for e in edges]
-    if kind == LRW_JS:
-        cache = js_cache if js_cache is not None else {}
-        return [score_lrw_js(e, rows, cache) for e in edges]
+    if kind not in WALK_KINDS:
+        raise ParameterError(f"{kind!r} is not a walk method")
+    edges = list(edges)
+    if not edges:
+        return np.zeros(0)
+    rows = localwalk.WalkRows.from_rows(rows)
+    mat = rows.matrix
     if kind == LRW_GJS:
-        return [score_lrw_gjs(e, rows) for e in edges]
-    raise ParameterError(f"{kind!r} is not a walk method")
-
-
-def score_hcn(edge: Edge, neighbor_sets) -> float:
-    """Mean number of common clique-expansion neighbors over vertex pairs."""
-    return _pair_mean(edge, lambda i, j: float(len(neighbor_sets[i] & neighbor_sets[j])))
-
-
-def neighbor_sets(g: Hypergraph, vertices=None) -> dict[int, frozenset[int]]:
-    """Clique-expansion neighborhoods, for the given vertices (default all)."""
-    a = projection.adjacency(g)
-    verts = range(g.n) if vertices is None else sorted(set(vertices))
-    return {
-        v: frozenset(a.indices[a.indptr[v] : a.indptr[v + 1]].tolist()) for v in verts
-    }
+        scores = np.empty(len(edges))
+        for t, idx, verts in _by_size(edges):
+            groups = rows.positions(verts.ravel()).reshape(verts.shape)
+            scores[idx] = 1.0 - divergence.divergences(mat, groups) / math.log2(t)
+        return _unit_interval(scores, edges)
+    pairs = _candidate_pairs(edges)
+    pi, pj = rows.positions(pairs.i), rows.positions(pairs.j)
+    if kind == LRW:
+        return _pair_means(pairs, _gather(mat, pi, pairs.j) + _gather(mat, pj, pairs.i))
+    keys, inverse = np.unique(pi * len(rows) + pj, return_inverse=True)
+    unique_pairs = np.stack([keys // len(rows), keys % len(rows)], axis=1)
+    values = divergence.divergences(mat, unique_pairs)[inverse.ravel()]
+    return _unit_interval(1.0 - _pair_means(pairs, values), edges)
 
 
 def spectral_radius(a: sparse.csr_matrix) -> float:
@@ -222,30 +259,41 @@ def katz_pair_table(
     return {v: dense[r] for r, v in enumerate(verts)}
 
 
-def score_hkatz(edge: Edge, katz_cols) -> float:
-    """Mean pairwise Katz similarity over the edge's vertex pairs."""
-    return _pair_mean(edge, lambda i, j: float(katz_cols[j][i]))
+def _katz_values(katz_cols, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Katz similarities katz_cols[j][i] for vertex-pair arrays i, j."""
+    out = np.empty(len(i))
+    order = np.argsort(j, kind="stable")
+    col_of, starts = np.unique(j[order], return_index=True)
+    for v, sel in zip(col_of.tolist(), np.split(order, starts[1:])):
+        out[sel] = katz_cols[v][i[sel]]
+    return out
 
 
-def hpra_pair_table(g: Hypergraph, vertices) -> dict[int, np.ndarray]:
-    """Resource-allocation similarity rows (W + W D^-1 W)[j, :] per vertex."""
+def score_hkatz(edges, katz_cols) -> np.ndarray:
+    """Mean pairwise Katz similarity over each edge's vertex pairs."""
+    pairs = _candidate_pairs(list(edges))
+    return _pair_means(pairs, _katz_values(katz_cols, pairs.i, pairs.j))
+
+
+def _common_neighbors(g: Hypergraph, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """|N(i) & N(j)| per pair, from row products of the binary adjacency."""
+    a = projection.adjacency(g)
+    a.data[:] = 1.0
+    return np.asarray(a[i].multiply(a[j]).sum(axis=1)).ravel()
+
+
+def _resource_allocation(g: Hypergraph, needed: list[int], i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """(W + W D^-1 W)[j, i] per pair, gathered from the rows of the needed vertices."""
     w = projection.weighted_projection(g)
     dinv = np.zeros(g.n)
     nz = g.degrees > 0
     dinv[nz] = 1.0 / g.degrees[nz]
-    verts = sorted(set(int(v) for v in vertices))
     x = sparse.csr_matrix(
-        (np.ones(len(verts)), (np.arange(len(verts)), np.array(verts))), shape=(len(verts), g.n)
+        (np.ones(len(needed)), (np.arange(len(needed)), np.array(needed))), shape=(len(needed), g.n)
     )
     xw = x @ w
-    rows = xw + (xw @ sparse.diags(dinv)) @ w
-    dense = np.asarray(rows.todense())
-    return {v: dense[r] for r, v in enumerate(verts)}
-
-
-def score_hpra(edge: Edge, hpra_rows) -> float:
-    """Mean pairwise resource-allocation similarity over vertex pairs."""
-    return _pair_mean(edge, lambda i, j: float(hpra_rows[j][i]))
+    ra = xw + (xw @ sparse.diags(dinv)) @ w
+    return _gather(ra.tocsr(), np.searchsorted(needed, j), i)
 
 
 def _normalize_candidates(g: Hypergraph, candidates) -> list[Edge]:
@@ -281,11 +329,7 @@ def score_candidates(method: MethodSpec, g: Hypergraph, candidates) -> list[Scor
         p = projection.transition(g, allow_isolated=True)
         rows = localwalk.walk_matrix_rows(p, needed, method.k)
         vals = score_edges_from_rows(method.kind, edges, rows)
-        return [ScoredEdge(e, v, method) for e, v in zip(edges, vals)]
-    if method.kind == HCN:
-        nbrs = neighbor_sets(g, needed)
-        return [ScoredEdge(e, score_hcn(e, nbrs), method) for e in edges]
-    if method.kind == HKATZ:
+    elif method.kind == HKATZ:
         if method.beta is None:
             raise ParameterError("hkatz requires the damping factor beta")
         table = katz_pair_table(
@@ -295,8 +339,12 @@ def score_candidates(method: MethodSpec, g: Hypergraph, candidates) -> list[Scor
             method.katz_mode,
             method.katz_lmax,
         )
-        return [ScoredEdge(e, score_hkatz(e, table), method) for e in edges]
-    if method.kind == HPRA:
-        table = hpra_pair_table(g, needed)
-        return [ScoredEdge(e, score_hpra(e, table), method) for e in edges]
-    raise ParameterError(f"unknown method kind {method.kind!r}")
+        vals = score_hkatz(edges, table)
+    else:
+        pairs = _candidate_pairs(edges)
+        if method.kind == HCN:
+            values = _common_neighbors(g, pairs.i, pairs.j)
+        else:
+            values = _resource_allocation(g, needed, pairs.i, pairs.j)
+        vals = _pair_means(pairs, values)
+    return [ScoredEdge(e, float(v), method) for e, v in zip(edges, vals)]

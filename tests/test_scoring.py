@@ -20,18 +20,21 @@ from hyperwalk.scoring import (
     LRW_JS,
     MethodSpec,
     katz_pair_table,
-    neighbor_sets,
     score_candidates,
-    score_hcn,
+    score_edges_from_rows,
     score_hkatz,
-    score_hpra,
-    score_lrw,
-    score_lrw_gjs,
-    score_lrw_js,
     spectral_radius,
 )
 
 from conftest import hypergraphs
+
+
+def score(kind, edge, rows) -> float:
+    return float(score_edges_from_rows(kind, [edge], rows)[0])
+
+
+def candidate_scores(kind, g, candidates) -> list[float]:
+    return [s.score for s in score_candidates(MethodSpec(kind), g, candidates)]
 
 
 @pytest.fixture
@@ -41,40 +44,40 @@ def t1_rows_k1(t1):
 
 def test_lrw_adjacent_pair(t1_rows_k1):
     # s_12 + s_21 = 1/2 + 1/2
-    assert score_lrw((0, 1), t1_rows_k1) == pytest.approx(1.0)
+    assert score(LRW, (0, 1), t1_rows_k1) == pytest.approx(1.0)
 
 
 def test_lrw_disconnected_pair(t1_rows_k1):
-    assert score_lrw((0, 3), t1_rows_k1) == 0.0
+    assert score(LRW, (0, 3), t1_rows_k1) == 0.0
 
 
 def test_lrw_pair_is_plain_sum(t1_rows_k1):
     rows = t1_rows_k1
     expected = rows[0].mass_at(2) + rows[2].mass_at(0)
-    assert score_lrw((0, 2), rows) == pytest.approx(expected)
+    assert score(LRW, (0, 2), rows) == pytest.approx(expected)
 
 
 def test_lrw_js_identical_rows_score_one():
     d = from_dense([0.25, 0.25, 0.5])
     rows = {0: d, 1: d}
-    assert score_lrw_js((0, 1), rows) == 1.0
+    assert score(LRW_JS, (0, 1), rows) == 1.0
 
 
 def test_lrw_js_disjoint_rows_score_zero():
     rows = {0: from_dense([1.0, 0.0]), 1: from_dense([0.0, 1.0])}
-    assert score_lrw_js((0, 1), rows) == pytest.approx(0.0, abs=1e-15)
+    assert score(LRW_JS, (0, 1), rows) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_lrw_js_toy_pair(t1_rows_k1):
     # rows (0,1/2,1/2,0) and (1/2,0,1/2,0) have divergence exactly 1/2
-    assert score_lrw_js((0, 1), t1_rows_k1) == pytest.approx(0.5, abs=1e-14)
+    assert score(LRW_JS, (0, 1), t1_rows_k1) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_lrw_gjs_identical_and_disjoint():
     d = from_dense([0.5, 0.5, 0.0])
-    assert score_lrw_gjs((0, 1, 2), {0: d, 1: d, 2: d}) == pytest.approx(1.0, abs=1e-14)
+    assert score(LRW_GJS, (0, 1, 2), {0: d, 1: d, 2: d}) == pytest.approx(1.0, abs=1e-14)
     rows = {i: from_dense(np.eye(3)[i]) for i in range(3)}
-    assert score_lrw_gjs((0, 1, 2), rows) == pytest.approx(0.0, abs=1e-14)
+    assert score(LRW_GJS, (0, 1, 2), rows) == pytest.approx(0.0, abs=1e-14)
 
 
 @given(g=hypergraphs(connected=True))
@@ -83,36 +86,36 @@ def test_size2_reduction_identity(g):
     rows = walk_matrix_rows(transition(g), range(g.n), 3)
     for i in range(min(g.n, 4)):
         for j in range(i + 1, min(g.n, 5)):
-            assert abs(score_lrw_js((i, j), rows) - score_lrw_gjs((i, j), rows)) <= 1e-12
+            assert abs(score(LRW_JS, (i, j), rows) - score(LRW_GJS, (i, j), rows)) <= 1e-12
 
 
 def test_hcn_toy(t1):
-    nbrs = neighbor_sets(t1)
-    assert score_hcn((0, 3), nbrs) == 1.0  # N(1)={2,3}, N(4)={3}
-    assert score_hcn((0, 1, 2), nbrs) == pytest.approx(1.0)
+    hcn = candidate_scores(HCN, t1, [(0, 3), (0, 1, 2)])
+    assert hcn[0] == 1.0  # N(1)={2,3}, N(4)={3}
+    assert hcn[1] == pytest.approx(1.0)
     g2 = from_label_edges([[1, 2], [3, 4], [2, 3]])
-    assert score_hcn((0, 3), neighbor_sets(g2)) == 0.0
+    assert candidate_scores(HCN, g2, [(0, 3)]) == [0.0]
 
 
 def test_hkatz_truncated_toy(t1):
     a = adjacency(t1).astype(float)
     table = katz_pair_table(a, 0.1, [0, 3], mode="truncated", l_max=2)
     # beta*a_14 + beta^2*(A^2)_14 = 0 + 0.01*1
-    assert score_hkatz((0, 3), table) == pytest.approx(0.01, abs=1e-15)
+    assert score_hkatz([(0, 3)], table)[0] == pytest.approx(0.01, abs=1e-15)
 
 
 def test_hkatz_leading_term_is_adjacency(t1):
     a = adjacency(t1).astype(float)
     beta = 1e-8
     table = katz_pair_table(a, beta, [0, 1, 2], mode="closed")
-    assert score_hkatz((0, 1), table) / beta == pytest.approx(1.0, abs=1e-5)
+    assert score_hkatz([(0, 1)], table)[0] / beta == pytest.approx(1.0, abs=1e-5)
 
 
 def test_hkatz_disconnected_pair_zero_closed_form():
     g = from_label_edges([[1, 2], [3, 4]])
     a = adjacency(g).astype(float)
     table = katz_pair_table(a, 0.2, [0, 2], mode="closed")
-    assert abs(score_hkatz((0, 2), table)) <= 1e-15
+    assert abs(score_hkatz([(0, 2)], table)[0]) <= 1e-15
 
 
 def test_hkatz_closed_rejects_divergent_beta(t1):
@@ -129,12 +132,12 @@ def test_hkatz_truncated_converges_monotonically_to_closed():
         g = from_label_edges(edges)
         a = adjacency(g).astype(float)
         pair = (0, min(1, g.n - 1))
-        closed = score_hkatz(pair, katz_pair_table(a, 0.01, pair, mode="closed"))
+        closed = score_hkatz([pair], katz_pair_table(a, 0.01, pair, mode="closed"))[0]
         previous = -np.inf
         for l_max in (1, 2, 4, 8, 16):
             trunc = score_hkatz(
-                pair, katz_pair_table(a, 0.01, pair, mode="truncated", l_max=l_max)
-            )
+                [pair], katz_pair_table(a, 0.01, pair, mode="truncated", l_max=l_max)
+            )[0]
             assert trunc >= previous - 1e-15
             assert trunc <= closed + 1e-12
             previous = trunc
@@ -142,22 +145,15 @@ def test_hkatz_truncated_converges_monotonically_to_closed():
 
 
 def test_hpra_toy(t1):
-    from hyperwalk.scoring import hpra_pair_table
-
-    table = hpra_pair_table(t1, [0, 1, 3])
     # single two-step path 1 -> 3 -> 4 with w=1/2, w=1, d_3=2
-    assert score_hpra((0, 3), table) == pytest.approx(0.25)
+    assert candidate_scores(HPRA, t1, [(0, 3)])[0] == pytest.approx(0.25)
     single = from_label_edges([[1, 2]])
-    table2 = hpra_pair_table(single, [0, 1])
-    assert score_hpra((0, 1), table2) == pytest.approx(1.0)
+    assert candidate_scores(HPRA, single, [(0, 1)])[0] == pytest.approx(1.0)
 
 
 def test_hpra_distance_beyond_two_is_zero():
     g = from_label_edges([[1, 2], [2, 3], [3, 4], [4, 5]])
-    from hyperwalk.scoring import hpra_pair_table
-
-    table = hpra_pair_table(g, [0, 4])
-    assert score_hpra((0, 4), table) == 0.0
+    assert candidate_scores(HPRA, g, [(0, 4)]) == [0.0]
 
 
 def test_all_scorers_permutation_invariant(t1):
@@ -195,7 +191,7 @@ def test_score_candidates_rejects_isolated_vertex(t1):
 def test_missing_walk_row_is_contract_violation(t1):
     rows = walk_matrix_rows(transition(t1), [0], 1)
     with pytest.raises(ContractViolation):
-        score_lrw((0, 1), rows)
+        score(LRW, (0, 1), rows)
 
 
 def test_walk_methods_require_k(t1):
