@@ -17,7 +17,7 @@ from .experiment import (
     split,
 )
 from .hypergraph import Hypergraph, largest_component, load, loads, save, stats
-from .localwalk import WalkDistribution, walk_matrix_rows
+from .localwalk import WalkDistribution, WalkRows, walk_matrix_rows
 from .projection import adjacency, transition, weighted_projection
 from .scoring import MethodSpec, ScoredEdge, score_candidates
 
@@ -33,6 +33,7 @@ __all__ = [
     "ScoredEdge",
     "SplitSpec",
     "WalkDistribution",
+    "WalkRows",
     "adjacency",
     "auroc",
     "cross_validate",

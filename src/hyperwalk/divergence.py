@@ -8,7 +8,8 @@ includes that distribution with positive weight.
 
 One batched kernel, :func:`divergences`, evaluates many groups of rows of a
 CSR matrix R at once.  With C the group-by-row matrix of mixture weights,
-the mixtures are the sparse product C·R; each member row's terms
+the mixtures are the sparse product C·R, accumulated over the members'
+stored entries into (group, column) cells.  Each member row's terms
 p * log2(p / mix) are taken on that row's own support only and summed per
 row, then weighted per group.  Cost therefore scales with the members'
 support sizes, never with the size of the vertex universe.  Groups are
@@ -33,16 +34,22 @@ CHUNK_ENTRIES = 1 << 14
 
 def _divergence_chunk(rows: sparse.csr_matrix, groups: np.ndarray, w: np.ndarray) -> np.ndarray:
     g, t = groups.shape
-    weights = sparse.csr_matrix(
-        (np.tile(w, g), groups.ravel(), np.arange(0, g * t + 1, t)), shape=(g, rows.shape[0])
-    )
-    mix = weights @ rows
-    mix.sort_indices()
-    members = rows[groups.ravel()]
-    seg = np.repeat(np.arange(g * t), np.diff(members.indptr))
-    p = members.data
-    mix_on_support = np.asarray(mix[seg // t, members.indices]).ravel()
-    rel = np.bincount(seg, weights=p * np.log2(p / mix_on_support), minlength=g * t)
+    starts = rows.indptr[groups.ravel()]
+    lens = rows.indptr[groups.ravel() + 1] - starts
+    member = np.repeat(np.arange(g * t), lens)  # member slot of every stored entry
+    entry = np.arange(len(member)) + np.repeat(starts - np.cumsum(lens) + lens, lens)
+    p = rows.data[entry]
+    # Number the (group, column) cells of the mixtures.  Keys arrive as
+    # sorted runs, one per member, which the stable sort merges cheaply.
+    key = (member // t) * rows.shape[1] + rows.indices[entry]
+    order = np.argsort(key, kind="stable")
+    starts_cell = np.ones(len(key), dtype=bool)
+    starts_cell[1:] = key[order[1:]] != key[order[:-1]]
+    cell = np.empty(len(key), dtype=np.int64)
+    cell[order] = np.cumsum(starts_cell) - 1
+    # mix = C·R: bincount adds each cell's terms in entry order, i.e. member by member.
+    mix = np.bincount(cell, weights=w[member % t] * p)
+    rel = np.bincount(member, weights=p * np.log2(p / mix[cell]), minlength=g * t)
     rel = rel.reshape(g, t)
     total = np.zeros(g)
     for r in range(t):

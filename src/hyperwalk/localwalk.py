@@ -89,7 +89,8 @@ class WalkRows(Mapping):
 
     @classmethod
     def from_rows(cls, rows) -> "WalkRows":
-        """Stack a {source: WalkDistribution or dense vector} mapping."""
+        """Stack a {source: WalkDistribution or dense vector} mapping;
+        a WalkRows passes through unchanged."""
         if isinstance(rows, cls):
             return rows
         sources = sorted(rows)

@@ -5,6 +5,19 @@ resource allocation) are averaged over all unordered vertex pairs of a
 candidate edge; the generalized-divergence index scores the edge's vertex
 set directly.  Every scorer sorts the candidate's vertices first, so scores
 are identical under any reordering of the input edge.
+
+Scoring is batched.  A batch of candidates expands to its vertex pairs in
+``combinations`` order, one ``triu_indices`` block per cardinality.  Each
+method computes all pair values at once: exact gathers from the walk-row
+CSR matrix (lrw), from the sparse resource-allocation product (hpra) or
+from the Katz columns (hkatz); row products of the binary adjacency (hcn);
+or one batched divergence kernel call over the distinct pairs (lrw-js).
+lrw-gjs passes each candidate's rows to the kernel as one group.  One
+helper, :func:`_pair_means`, then averages the pair values of every
+candidate, adding them slot by slot in pair order so each mean is the same
+float as a one-pair-at-a-time loop.  The divergence kernel bounds its
+temporaries with a fixed per-chunk entry budget (see
+:mod:`hyperwalk.divergence`).
 """
 
 from __future__ import annotations
@@ -275,25 +288,26 @@ def score_hkatz(edges, katz_cols) -> np.ndarray:
     return _pair_means(pairs, _katz_values(katz_cols, pairs.i, pairs.j))
 
 
-def _common_neighbors(g: Hypergraph, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """|N(i) & N(j)| per pair, from row products of the binary adjacency."""
+def neighbor_sets(g: Hypergraph) -> sparse.csr_matrix:
+    """Clique-expansion neighborhoods as a 0/1 matrix: row v marks v's neighbors."""
     a = projection.adjacency(g)
     a.data[:] = 1.0
-    return np.asarray(a[i].multiply(a[j]).sum(axis=1)).ravel()
+    return a
 
 
-def _resource_allocation(g: Hypergraph, needed: list[int], i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """(W + W D^-1 W)[j, i] per pair, gathered from the rows of the needed vertices."""
+def hpra_pair_table(g: Hypergraph, vertices) -> sparse.csr_matrix:
+    """Resource-allocation rows (W + W D^-1 W)[v, :], one sparse row per
+    vertex of ``vertices`` in ascending order."""
     w = projection.weighted_projection(g)
     dinv = np.zeros(g.n)
     nz = g.degrees > 0
     dinv[nz] = 1.0 / g.degrees[nz]
+    verts = sorted(set(int(v) for v in vertices))
     x = sparse.csr_matrix(
-        (np.ones(len(needed)), (np.arange(len(needed)), np.array(needed))), shape=(len(needed), g.n)
+        (np.ones(len(verts)), (np.arange(len(verts)), np.array(verts))), shape=(len(verts), g.n)
     )
     xw = x @ w
-    ra = xw + (xw @ sparse.diags(dinv)) @ w
-    return _gather(ra.tocsr(), np.searchsorted(needed, j), i)
+    return (xw + (xw @ sparse.diags(dinv)) @ w).tocsr()
 
 
 def _normalize_candidates(g: Hypergraph, candidates) -> list[Edge]:
@@ -315,8 +329,9 @@ def _normalize_candidates(g: Hypergraph, candidates) -> list[Edge]:
 def score_candidates(method: MethodSpec, g: Hypergraph, candidates) -> list[ScoredEdge]:
     """Score every candidate edge; output order matches input order.
 
-    Walk rows and pairwise similarity tables are computed once, for the
-    union of all candidate vertices, and reused across candidates.
+    Walk rows, Katz columns and resource-allocation rows are computed
+    once, for the union of all candidate vertices; every candidate's pairs
+    are then scored in one batch.
     """
     edges = _normalize_candidates(g, candidates)
     if not edges:
@@ -343,8 +358,10 @@ def score_candidates(method: MethodSpec, g: Hypergraph, candidates) -> list[Scor
     else:
         pairs = _candidate_pairs(edges)
         if method.kind == HCN:
-            values = _common_neighbors(g, pairs.i, pairs.j)
+            nbrs = neighbor_sets(g)
+            values = np.asarray(nbrs[pairs.i].multiply(nbrs[pairs.j]).sum(axis=1)).ravel()
         else:
-            values = _resource_allocation(g, needed, pairs.i, pairs.j)
+            table = hpra_pair_table(g, needed)
+            values = _gather(table, np.searchsorted(needed, pairs.j), pairs.i)
         vals = _pair_means(pairs, values)
     return [ScoredEdge(e, float(v), method) for e, v in zip(edges, vals)]

@@ -92,6 +92,19 @@ def js_scalar_oracle(p, q) -> float:
     return total
 
 
+def gjs_scalar_oracle(dists, weights=None) -> float:
+    """Direct scalar evaluation of the base-2 generalized divergence."""
+    t = len(dists)
+    w = [1.0 / t] * t if weights is None else list(weights)
+    total = 0.0
+    for column in zip(*dists):
+        mix = sum(wi * pi for wi, pi in zip(w, column))
+        for wi, pi in zip(w, column):
+            if wi > 0 and pi > 0:
+                total += wi * pi * math.log2(pi / mix)
+    return total
+
+
 def auroc_pairs_oracle(scores, labels) -> float:
     """All positive-negative pairs; wins count 1, ties 0.5."""
     pos = [s for s, l in zip(scores, labels) if l == 1]
