@@ -43,14 +43,14 @@ def _divergence_chunk(rows: sparse.csr_matrix, groups: np.ndarray, w: np.ndarray
     # sorted runs, one per member, which the stable sort merges cheaply.
     key = (member // t) * rows.shape[1] + rows.indices[entry]
     order = np.argsort(key, kind="stable")
-    starts_cell = np.ones(len(key), dtype=bool)
-    starts_cell[1:] = key[order[1:]] != key[order[:-1]]
+    opens_cell = np.ones(len(key), dtype=bool)
+    opens_cell[1:] = key[order[1:]] != key[order[:-1]]
     cell = np.empty(len(key), dtype=np.int64)
-    cell[order] = np.cumsum(starts_cell) - 1
+    cell[order] = np.cumsum(opens_cell) - 1
     # mix = C·R: bincount adds each cell's terms in entry order, i.e. member by member.
     mix = np.bincount(cell, weights=w[member % t] * p)
-    rel = np.bincount(member, weights=p * np.log2(p / mix[cell]), minlength=g * t)
-    rel = rel.reshape(g, t)
+    terms = p * np.log2(p / mix[cell])
+    rel = np.bincount(member, weights=terms, minlength=g * t).reshape(g, t)
     total = np.zeros(g)
     for r in range(t):
         total += w[r] * rel[:, r]

@@ -19,6 +19,7 @@ from hyperwalk.scoring import (
     LRW_GJS,
     LRW_JS,
     MethodSpec,
+    hpra_pair_table,
     score_candidates,
     score_edges_from_rows,
 )
@@ -88,22 +89,21 @@ def test_batched_pair_scores_equal_pair_enumeration(case):
     for e, s in zip(cands, hcn):
         assert s == pair_enumeration(e, lambda i, j: float(np.sum(a[i] & a[j])))
 
-    # resource allocation (W + W D^-1 W)[j, i], intermediate vertices ascending
+    # resource allocation: exact against per-pair reads of (W + W D^-1 W)[j, i],
+    # and that matrix within rounding of a scalar two-step evaluation
+    ra = hpra_pair_table(g, range(g.n)).toarray()
+    hpra = [s.score for s in score_candidates(MethodSpec(HPRA), g, cands)]
+    for e, s in zip(cands, hpra):
+        assert s == pair_enumeration(e, lambda i, j: ra[j, i])
     w = np.zeros((g.n, g.n))
     for edge in g.edges:
         for i, j in combinations(edge, 2):
             w[i, j] += 1.0 / (len(edge) - 1)
             w[j, i] += 1.0 / (len(edge) - 1)
-
-    def ra(i, j):
-        two_step = 0.0
-        for v in np.flatnonzero(w[j]):
-            two_step += w[j, v] * (1.0 / g.degrees[v]) * w[v, i]
-        return w[j, i] + two_step
-
-    hpra = [s.score for s in score_candidates(MethodSpec(HPRA), g, cands)]
-    for e, s in zip(cands, hpra):
-        assert s == pair_enumeration(e, ra)
+    for i in range(g.n):
+        for j in range(g.n):
+            two_step = sum(w[j, v] * w[v, i] / g.degrees[v] for v in range(g.n))
+            assert ra[j, i] == pytest.approx(w[j, i] + two_step, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", [LRW, LRW_JS, LRW_GJS])
