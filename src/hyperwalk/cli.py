@@ -82,6 +82,22 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _run_experiment(
+    g: hypergraph.Hypergraph, cfg: RunConfig, rho: float, alpha: float
+) -> experiment.ExperimentResult:
+    """All trials of one (rho, alpha) point under the config's other settings."""
+    return experiment.run_experiment(
+        g,
+        experiment.SplitSpec(rho, cfg.trials, cfg.seed),
+        experiment.SamplingSpec(alpha, cfg.fakes_per_missing),
+        list(cfg.methods),
+        folds=cfg.folds,
+        k_grid=cfg.k_grid,
+        beta_grid=cfg.beta_grid,
+        threads=cfg.threads,
+    )
+
+
 def cmd_run(cfg: RunConfig) -> int:
     cfg.validate()
     if len(cfg.rho) != 1:
@@ -94,16 +110,7 @@ def cmd_run(cfg: RunConfig) -> int:
     for path in cfg.dataset:
         g = _prepare(path, cfg)
         for alpha in cfg.alpha:
-            result = experiment.run_experiment(
-                g,
-                experiment.SplitSpec(cfg.rho[0], cfg.trials, cfg.seed),
-                experiment.SamplingSpec(alpha, cfg.fakes_per_missing),
-                list(cfg.methods),
-                folds=cfg.folds,
-                k_grid=cfg.k_grid,
-                beta_grid=cfg.beta_grid,
-                threads=cfg.threads,
-            )
+            result = _run_experiment(g, cfg, cfg.rho[0], alpha)
             runs.append({"dataset": _dataset_name(path), **result.to_json_dict()})
             for kind in result.method_kinds:
                 mode = result.param_mode(kind)
@@ -150,16 +157,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     g = _prepare(cfg.dataset[0], cfg)
     rows = []
     for rho in sorted(cfg.rho):
-        result = experiment.run_experiment(
-            g,
-            experiment.SplitSpec(rho, cfg.trials, cfg.seed),
-            experiment.SamplingSpec(cfg.alpha[0], cfg.fakes_per_missing),
-            list(cfg.methods),
-            folds=cfg.folds,
-            k_grid=cfg.k_grid,
-            beta_grid=cfg.beta_grid,
-            threads=cfg.threads,
-        )
+        result = _run_experiment(g, cfg, rho, cfg.alpha[0])
         for kind in result.method_kinds:
             rows.append([_fmt(rho), kind, "auroc", _fmt(result.mean_auroc(kind))])
             rows.append([_fmt(rho), kind, "f1", _fmt(result.mean_f1(kind))])

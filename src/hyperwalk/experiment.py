@@ -29,7 +29,7 @@ from .errors import (
     SamplingError,
     TrialDegenerateError,
 )
-from .hypergraph import Edge, Hypergraph
+from .hypergraph import Edge, Hypergraph, components
 from .scoring import HKATZ, WALK_KINDS, MethodSpec, ScoredEdge
 
 logger = logging.getLogger(__name__)
@@ -90,32 +90,6 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _observed_degrees(n: int, edges: Sequence[Edge]) -> np.ndarray:
-    deg = np.zeros(n, dtype=np.int64)
-    for e in edges:
-        deg[list(e)] += 1
-    return deg
-
-
-def _connected_components(n: int, edges: Sequence[Edge]) -> int:
-    """Components of the clique expansion, ignoring isolated vertices."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    touched = set()
-    for e in edges:
-        touched.update(e)
-        r = find(e[0])
-        for v in e[1:]:
-            parent[find(v)] = r
-    return len({find(v) for v in touched})
-
-
 def split(g: Hypergraph, spec: SplitSpec, trial: int) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
     """Partition hyperedges into ceil(rho*m) observed plus the pruned rest.
 
@@ -133,18 +107,19 @@ def split(g: Hypergraph, spec: SplitSpec, trial: int) -> tuple[tuple[Edge, ...],
         perm = rng.permutation(g.m)
         observed = tuple(g.edges[i] for i in sorted(perm[:n_obs]))
         missing = tuple(g.edges[i] for i in sorted(perm[n_obs:]))
-        deg = _observed_degrees(g.n, observed)
+        observed_g = g.with_edges(observed)
+        deg = observed_g.degrees
         pruned = tuple(e for e in missing if all(deg[v] > 0 for v in e))
         if pruned:
             if attempt:
                 logger.info("trial %d: split usable after %d retries", trial, attempt)
-            parts = _connected_components(g.n, observed)
+            parts = len(np.unique(components(observed_g)[deg > 0]))
             if parts > 1:
                 logger.warning(
                     "trial %d: observed hypergraph splits into %d components", trial, parts
                 )
             return observed, pruned
-    raise TrialDegenerateError(f"trial {trial}: no usable split in 100 attempts")
+    raise TrialDegenerateError("no usable split in 100 attempts")
 
 
 def _round_half_up(x: float) -> int:
@@ -176,7 +151,7 @@ def sample_negatives(
     if forbidden is None:
         forbidden = set(observed)
     if observed_degrees is None:
-        observed_degrees = _observed_degrees(g.n, observed)
+        observed_degrees = g.with_edges(observed).degrees
     size = len(edge)
     r = replacement_count(size, spec.alpha)
     in_edge = np.zeros(g.n, dtype=bool)
@@ -215,7 +190,7 @@ def build_candidates(
 ) -> CandidateSet:
     """Candidate set: the missing edges plus fakes_per_missing fakes each."""
     forbidden: set[Edge] = set(observed) | set(missing)
-    deg = _observed_degrees(g.n, observed)
+    deg = g.with_edges(observed).degrees
     negatives: list[Edge] = []
     collisions = 0
     for e in missing:
@@ -311,31 +286,27 @@ def cross_validate(
 
     totals = {k: np.zeros(len(grid)) for k in kinds}
     valid = {k: np.ones(len(grid), dtype=bool) for k in kinds}
-    if not walk:
+    if not walk and scoring.katz_closed_form(g.n):
         # The chosen beta must also converge when scoring on the full
         # observed structure; fold training graphs have entrywise-smaller
         # adjacency, hence no larger spectral radius, so this one check
         # covers the folds too.
-        spec0 = methods[0]
-        mode = spec0.katz_mode
-        if mode == "auto":
-            mode = "closed" if g.n <= scoring.KATZ_CLOSED_MAX_N else "truncated"
-        if mode == "closed":
-            rho = scoring.spectral_radius(projection.adjacency(g.with_edges(observed)).astype(np.float64))
-            for gi, beta in enumerate(grid):
-                if beta * rho >= 1.0:
-                    valid[HKATZ][gi] = False
-            if not valid[HKATZ].any():
-                raise KatzDivergenceError(
-                    f"no damping factor in {grid} converges on the observed structure "
-                    f"(spectral radius {rho:.3g})"
-                )
+        rho = scoring.spectral_radius(projection.adjacency(g.with_edges(observed)).astype(np.float64))
+        for gi, beta in enumerate(grid):
+            if beta * rho >= 1.0:
+                valid[HKATZ][gi] = False
+        if not valid[HKATZ].any():
+            raise KatzDivergenceError(
+                f"no damping factor in {grid} converges on the observed structure "
+                f"(spectral radius {rho:.3g})"
+            )
     used_folds = 0
     observed = list(observed)
     for part in _fold_parts(len(observed), folds, rng):
         part_set = set(part.tolist())
         train = [e for i, e in enumerate(observed) if i not in part_set]
-        deg = _observed_degrees(g.n, train)
+        train_g = g.with_edges(train)
+        deg = train_g.degrees
         val_pos = [observed[i] for i in sorted(part_set) if all(deg[v] > 0 for v in observed[i])]
         val_neg = [e for e in candidates if all(deg[v] > 0 for v in e)]
         if not val_pos or not val_neg:
@@ -344,7 +315,6 @@ def cross_validate(
         used_folds += 1
         fold_edges = val_pos + val_neg
         labels = np.concatenate([np.ones(len(val_pos)), np.zeros(len(val_neg))])
-        train_g = g.with_edges(train)
         needed = sorted({v for e in fold_edges for v in e})
         if walk:
             p = projection.transition(train_g, allow_isolated=True)
@@ -358,11 +328,8 @@ def cross_validate(
             for gi, beta in enumerate(grid):
                 if not valid[HKATZ][gi]:
                     continue
-                spec = methods[0].with_param(beta)
                 try:
-                    table = scoring.katz_pair_table(
-                        a, beta, needed, spec.katz_mode, spec.katz_lmax
-                    )
+                    table = scoring.katz_pair_table(a, beta, needed)
                 except KatzDivergenceError:
                     valid[HKATZ][gi] = False
                     continue
@@ -531,10 +498,8 @@ def run_trial(
 ) -> TrialRecord:
     """One full trial: split, sample, cross-validate, score, measure."""
     methods = _resolve_methods(methods)
-    observed, missing = split(g, split_spec, trial)  # raises with trial context
     try:
-        rng_neg = _rng(split_spec.seed, _NEGATIVES, trial)
-        cand = build_candidates(g, observed, missing, sampling_spec, rng_neg)
+        observed, cand = trial_candidates(g, split_spec, sampling_spec, trial)
         observed_g = g.with_edges(observed)
         chosen = select_parameters(
             g, observed, cand.edges, methods, split_spec.seed, trial, folds, k_grid, beta_grid

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -47,12 +48,14 @@ class Hypergraph:
         return len(self.edges)
 
     @cached_property
+    def members(self) -> np.ndarray:
+        """Vertex ids of all hyperedges, concatenated edge by edge."""
+        return np.fromiter(chain.from_iterable(self.edges), dtype=np.int64)
+
+    @cached_property
     def degrees(self) -> np.ndarray:
         """Number of incident hyperedges per vertex (hyperdegree)."""
-        d = np.zeros(self.n, dtype=np.int64)
-        for e in self.edges:
-            d[list(e)] += 1
-        return d
+        return np.bincount(self.members, minlength=self.n)
 
     @cached_property
     def cardinalities(self) -> np.ndarray:
@@ -64,10 +67,9 @@ class Hypergraph:
 
     def incidence(self) -> sparse.csr_matrix:
         """0/1 incidence matrix, one row per vertex, one column per edge."""
-        rows = np.fromiter((v for e in self.edges for v in e), dtype=np.int64)
         cols = np.repeat(np.arange(self.m, dtype=np.int64), self.cardinalities)
-        data = np.ones(len(rows))
-        return sparse.csr_matrix((data, (rows, cols)), shape=(self.n, self.m))
+        data = np.ones(len(cols))
+        return sparse.csr_matrix((data, (self.members, cols)), shape=(self.n, self.m))
 
     def with_edges(self, edges: Iterable[Edge]) -> "Hypergraph":
         """Same vertex universe and labels, different edge list."""
@@ -157,15 +159,13 @@ def save(g: Hypergraph, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def largest_component(g: Hypergraph) -> Hypergraph:
-    """Sub-hypergraph induced by the largest clique-expansion component.
+def components(g: Hypergraph) -> np.ndarray:
+    """Clique-expansion component of every vertex, named by its smallest vertex id.
 
-    Every hyperedge lies entirely inside one component, so induced edges are
-    exactly those whose vertices belong to the winning component.  Ties in
-    component size are broken toward the smallest minimum original label.
+    An isolated vertex is a component of its own.  Union-find over the
+    hyperedges, always keeping the smaller root, so each root is its
+    component's smallest vertex.
     """
-    if g.m == 0:
-        raise EmptyHypergraphError("cannot take a component of an empty hypergraph")
     parent = list(range(g.n))
 
     def find(x: int) -> int:
@@ -177,19 +177,32 @@ def largest_component(g: Hypergraph) -> Hypergraph:
     for e in g.edges:
         r = find(e[0])
         for v in e[1:]:
-            parent[find(v)] = r
+            s = find(v)
+            if s < r:
+                parent[r] = s
+                r = s
+            elif s > r:
+                parent[s] = r
+    return np.array([find(v) for v in range(g.n)], dtype=np.int64)
 
-    members: dict[int, list[int]] = {}
-    for v in range(g.n):
-        members.setdefault(find(v), []).append(v)
-    # Min label works as tie-break because ids are assigned in label order.
-    best = max(members.values(), key=lambda vs: (len(vs), -min(vs)))
-    keep = set(best)
-    vertices = sorted(keep)
+
+def largest_component(g: Hypergraph) -> Hypergraph:
+    """Sub-hypergraph induced by the largest clique-expansion component.
+
+    Every hyperedge lies entirely inside one component, so induced edges are
+    exactly those whose first vertex belongs to the winning component.  Ties
+    in component size are broken toward the smallest minimum original label.
+    """
+    if g.m == 0:
+        raise EmptyHypergraphError("cannot take a component of an empty hypergraph")
+    labels = components(g)
+    # argmax takes the first largest component, i.e. the one with the
+    # smallest vertex id; ids are assigned in label order, so that is also
+    # the smallest minimum label.
+    keep = labels == int(np.argmax(np.bincount(labels, minlength=g.n)))
+    vertices = np.flatnonzero(keep).tolist()
     remap = {v: i for i, v in enumerate(vertices)}
-    edges = sorted(
-        tuple(remap[v] for v in e) for e in g.edges if keep.issuperset(e)
-    )
+    edges = sorted(tuple(remap[v] for v in e) for e in g.edges if e[0] in remap)
     return Hypergraph(len(vertices), edges, [g.labels[v] for v in vertices])
 
 

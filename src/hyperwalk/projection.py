@@ -15,8 +15,6 @@ cardinalities) and converting to CSR.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 from scipy import sparse
 
@@ -33,7 +31,7 @@ def _pair_triplets(g: Hypergraph, row_scale: np.ndarray | None):
     masked out.
     """
     sizes = g.cardinalities
-    flat = np.fromiter((v for e in g.edges for v in e), dtype=np.int64)
+    flat = g.members
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     blocks = sizes * sizes
     total = int(blocks.sum())
@@ -92,9 +90,3 @@ def transition(g: Hypergraph, allow_isolated: bool = False) -> sparse.csr_matrix
     p.sort_indices()
     return p
 
-
-def dump_coo(matrix: sparse.spmatrix, path) -> None:
-    """Debug dump: one 'row col value' line per stored entry."""
-    coo = matrix.tocoo()
-    lines = [f"{r} {c} {float(v)!r}" for r, c, v in zip(coo.row, coo.col, coo.data)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

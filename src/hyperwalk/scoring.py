@@ -46,6 +46,8 @@ ALL_KINDS = (HCN, HKATZ, HPRA, LRW, LRW_JS, LRW_GJS)
 
 # Above this size, closed-form Katz solves give way to a truncated series.
 KATZ_CLOSED_MAX_N = 20_000
+# Powers of the adjacency summed by the truncated Katz series.
+KATZ_LMAX = 8
 # Walk scores within this distance of [0, 1] are rounding and get clipped.
 SCORE_TOL = 1e-12
 
@@ -55,16 +57,13 @@ class MethodSpec:
     """A scoring method plus its hyperparameters.
 
     ``k`` is the maximum walk length for the three walk methods; ``beta``
-    the Katz damping factor.  ``katz_mode`` is "auto" (closed form up to
-    KATZ_CLOSED_MAX_N vertices, truncated beyond), "closed", or
-    "truncated"; ``katz_lmax`` bounds the truncated series.
+    the Katz damping factor.  How Katz similarities are computed follows
+    from the graph size alone (see :func:`katz_pair_table`).
     """
 
     kind: str
     k: int | None = None
     beta: float | None = None
-    katz_mode: str = "auto"
-    katz_lmax: int = 8
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
@@ -73,8 +72,6 @@ class MethodSpec:
             raise ParameterError("walk length k must be >= 1")
         if self.beta is not None and self.beta <= 0:
             raise ParameterError("katz damping beta must be positive")
-        if self.katz_mode not in ("auto", "closed", "truncated"):
-            raise ParameterError(f"unknown katz_mode {self.katz_mode!r}")
 
     def with_param(self, value) -> "MethodSpec":
         """Copy with the method's tunable parameter set."""
@@ -222,44 +219,59 @@ def spectral_radius(a: sparse.csr_matrix) -> float:
     return float(vals[0])
 
 
-def katz_pair_table(
-    a: sparse.csr_matrix,
-    beta: float,
-    vertices,
-    mode: str = "auto",
-    l_max: int = 8,
-) -> dict[int, np.ndarray]:
+def katz_closed_form(n: int) -> bool:
+    """Whether Katz similarities on n vertices come from the closed form
+    (up to KATZ_CLOSED_MAX_N vertices) rather than the truncated series."""
+    return n <= KATZ_CLOSED_MAX_N
+
+
+def katz_pair_table(a: sparse.csr_matrix, beta: float, vertices) -> dict[int, np.ndarray]:
     """Katz similarity columns sum_{l>=1} beta^l (A^l)[:, j] for each j.
 
-    Closed form solves (I - beta A) x = e_j and subtracts e_j; it requires
-    beta below the reciprocal spectral radius.  The truncated form sums the
-    first ``l_max`` powers.
+    Uses :func:`katz_closed_columns`, which rejects a divergent beta, on
+    graphs where :func:`katz_closed_form` holds, and
+    :func:`katz_truncated_columns` with KATZ_LMAX powers beyond.
+    """
+    if katz_closed_form(a.shape[0]):
+        return katz_closed_columns(a, beta, vertices)
+    return katz_truncated_columns(a, beta, vertices)
+
+
+def katz_closed_columns(a: sparse.csr_matrix, beta: float, vertices) -> dict[int, np.ndarray]:
+    """Closed-form Katz columns: solve (I - beta A) x = e_j and subtract e_j.
+
+    Requires beta below the reciprocal spectral radius.
     """
     n = a.shape[0]
     verts = sorted(set(int(v) for v in vertices))
-    if mode == "auto":
-        mode = "closed" if n <= KATZ_CLOSED_MAX_N else "truncated"
-    if mode == "closed":
-        rho = spectral_radius(a)
-        if beta * rho >= 1.0:
-            raise KatzDivergenceError(
-                f"beta={beta} >= 1/spectral_radius={1.0 / rho if rho else math.inf:.6g}; "
-                "Katz series diverges in closed form"
-            )
-        system = sparse.identity(n, format="csc") - beta * a.tocsc()
-        factor = splu(system)
-        cols: dict[int, np.ndarray] = {}
-        for start in range(0, len(verts), 256):
-            block = verts[start : start + 256]
-            rhs = np.zeros((n, len(block)))
-            rhs[block, np.arange(len(block))] = 1.0
-            sol = factor.solve(rhs)
-            sol[block, np.arange(len(block))] -= 1.0
-            for c, v in enumerate(block):
-                cols[v] = sol[:, c].copy()
-        return cols
+    rho = spectral_radius(a)
+    if beta * rho >= 1.0:
+        raise KatzDivergenceError(
+            f"beta={beta} >= 1/spectral_radius={1.0 / rho if rho else math.inf:.6g}; "
+            "Katz series diverges in closed form"
+        )
+    system = sparse.identity(n, format="csc") - beta * a.tocsc()
+    factor = splu(system)
+    cols: dict[int, np.ndarray] = {}
+    for start in range(0, len(verts), 256):
+        block = verts[start : start + 256]
+        rhs = np.zeros((n, len(block)))
+        rhs[block, np.arange(len(block))] = 1.0
+        sol = factor.solve(rhs)
+        sol[block, np.arange(len(block))] -= 1.0
+        for c, v in enumerate(block):
+            cols[v] = sol[:, c].copy()
+    return cols
+
+
+def katz_truncated_columns(
+    a: sparse.csr_matrix, beta: float, vertices, l_max: int = KATZ_LMAX
+) -> dict[int, np.ndarray]:
+    """Katz columns summed over the first ``l_max`` powers of A only."""
     if l_max < 1:
         raise ParameterError("truncated Katz needs l_max >= 1")
+    n = a.shape[0]
+    verts = sorted(set(int(v) for v in vertices))
     damped = (beta * a).tocsr()
     x = sparse.csr_matrix(
         (np.ones(len(verts)), (np.arange(len(verts)), np.array(verts))), shape=(len(verts), n)
@@ -347,13 +359,7 @@ def score_candidates(method: MethodSpec, g: Hypergraph, candidates) -> list[Scor
     elif method.kind == HKATZ:
         if method.beta is None:
             raise ParameterError("hkatz requires the damping factor beta")
-        table = katz_pair_table(
-            projection.adjacency(g).astype(np.float64),
-            method.beta,
-            needed,
-            method.katz_mode,
-            method.katz_lmax,
-        )
+        table = katz_pair_table(projection.adjacency(g).astype(np.float64), method.beta, needed)
         vals = score_hkatz(edges, table)
     else:
         pairs = _candidate_pairs(edges)

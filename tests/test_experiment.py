@@ -164,6 +164,23 @@ def test_candidates_never_touch_isolated_vertices(g):
     assert all(deg[v] > 0 for e in cand.edges for v in e)
 
 
+@pytest.mark.parametrize(
+    "edges, rho, error",
+    [
+        ([[1, 2], [2, 3], [1, 3]], 0.9, TrialDegenerateError),  # no missing edges
+        ([[1, 2], [3, 4]], 0.5, TrialDegenerateError),  # no usable split
+        ([[1, 2, 3], [1, 2], [2, 3], [1, 3]], 0.75, SamplingError),  # triangle edge missing
+    ],
+)
+def test_trial_errors_name_their_trial_once(edges, rho, error):
+    g = from_label_edges(edges)
+    with pytest.raises(error) as info:
+        run_experiment(g, SplitSpec(rho, 1, 0), SamplingSpec(0.5, 1), ["hcn"])
+    message = str(info.value)
+    assert message.startswith("trial 0: ")
+    assert message.count("trial 0: ") == 1
+
+
 # ----------------------------------------------------------------- metrics
 
 
@@ -301,7 +318,7 @@ def test_hkatz_cv_excludes_divergent_betas():
     # closed form; selection must avoid it and final scoring must not crash
     from hyperwalk.errors import KatzDivergenceError
     from hyperwalk.projection import adjacency
-    from hyperwalk.scoring import katz_pair_table, spectral_radius
+    from hyperwalk.scoring import katz_closed_columns, spectral_radius
 
     edges = [[i, j] for i in range(1, 21) for j in range(i + 1, 21)]
     g = from_label_edges(edges)
@@ -317,7 +334,7 @@ def test_hkatz_cv_excludes_divergent_betas():
         assert rho > 10.0  # 0.1 really is divergent on this trial
         assert record.outcomes[0].param * rho < 1.0
         with pytest.raises(KatzDivergenceError):
-            katz_pair_table(a_obs, 0.1, [0, 1], mode="closed")
+            katz_closed_columns(a_obs, 0.1, [0, 1])
 
 
 def test_cv_rejects_mixed_families(medium):

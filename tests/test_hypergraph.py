@@ -1,8 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.sparse.csgraph import connected_components
 
 from hyperwalk.errors import EmptyHypergraphError, ParseError
 from hyperwalk.hypergraph import (
+    components,
     from_label_edges,
     largest_component,
     load,
@@ -10,6 +13,8 @@ from hyperwalk.hypergraph import (
     save,
     stats,
 )
+
+from hyperwalk.projection import adjacency
 
 from conftest import hypergraphs
 
@@ -110,6 +115,32 @@ def test_stats_single_edge():
 @given(hypergraphs())
 def test_incidence_double_counting(g):
     assert g.degrees.sum() == g.cardinalities.sum()
+
+
+@given(hypergraphs())
+@settings(max_examples=60)
+def test_components_and_degrees_match_independent_oracles(g):
+    # every other edge dropped: the same vertex universe with isolated vertices
+    for h in (g, g.with_edges(g.edges[::2])):
+        parts, oracle = connected_components(adjacency(h), directed=False)
+        smallest = np.full(parts, h.n)
+        np.minimum.at(smallest, oracle, np.arange(h.n))
+        assert components(h).tolist() == smallest[oracle].tolist()
+
+        sizes = np.bincount(oracle)
+        best = min(np.flatnonzero(sizes == sizes.max()), key=lambda c: smallest[c])
+        kept = np.flatnonzero(oracle == best).tolist()
+        largest = largest_component(h)
+        assert largest.labels == tuple(h.labels[v] for v in kept)
+        assert largest.m == sum(1 for e in h.edges if set(e) <= set(kept))
+
+        counts = [0] * h.n
+        for e in h.edges:
+            for v in e:
+                counts[v] += 1
+        assert h.degrees.dtype == np.int64
+        assert h.degrees.tolist() == counts
+        assert h.degrees.tolist() == h.incidence().sum(axis=1).A1.tolist()
 
 
 @given(hypergraphs())

@@ -5,7 +5,7 @@ from scipy import sparse
 
 from hyperwalk.errors import ContractViolation
 from hyperwalk.hypergraph import from_label_edges, largest_component
-from hyperwalk.projection import adjacency, dump_coo, transition, weighted_projection
+from hyperwalk.projection import adjacency, transition, weighted_projection
 
 from conftest import adjacency_oracle, hypergraphs, transition_oracle
 
@@ -115,12 +115,3 @@ def test_stationary_distribution_reached():
         pk = np.linalg.matrix_power(p, 64)
         assert np.abs(pk - target[None, :]).max() < 1e-6
 
-
-def test_dump_coo(tmp_path, t1):
-    path = tmp_path / "w.txt"
-    dump_coo(weighted_projection(t1), path)
-    lines = path.read_text().strip().splitlines()
-    w = weighted_projection(t1)
-    assert len(lines) == w.nnz
-    r, c, v = lines[0].split()
-    assert w.toarray()[int(r), int(c)] == float(v)

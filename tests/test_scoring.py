@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from hyperwalk import scoring
 from hyperwalk.errors import (
     CandidateError,
     ContractViolation,
@@ -19,7 +20,9 @@ from hyperwalk.scoring import (
     LRW_GJS,
     LRW_JS,
     MethodSpec,
+    katz_closed_columns,
     katz_pair_table,
+    katz_truncated_columns,
     score_candidates,
     score_edges_from_rows,
     score_hkatz,
@@ -99,7 +102,7 @@ def test_hcn_toy(t1):
 
 def test_hkatz_truncated_toy(t1):
     a = adjacency(t1).astype(float)
-    table = katz_pair_table(a, 0.1, [0, 3], mode="truncated", l_max=2)
+    table = katz_truncated_columns(a, 0.1, [0, 3], l_max=2)
     # beta*a_14 + beta^2*(A^2)_14 = 0 + 0.01*1
     assert score_hkatz([(0, 3)], table)[0] == pytest.approx(0.01, abs=1e-15)
 
@@ -107,14 +110,14 @@ def test_hkatz_truncated_toy(t1):
 def test_hkatz_leading_term_is_adjacency(t1):
     a = adjacency(t1).astype(float)
     beta = 1e-8
-    table = katz_pair_table(a, beta, [0, 1, 2], mode="closed")
+    table = katz_closed_columns(a, beta, [0, 1, 2])
     assert score_hkatz([(0, 1)], table)[0] / beta == pytest.approx(1.0, abs=1e-5)
 
 
 def test_hkatz_disconnected_pair_zero_closed_form():
     g = from_label_edges([[1, 2], [3, 4]])
     a = adjacency(g).astype(float)
-    table = katz_pair_table(a, 0.2, [0, 2], mode="closed")
+    table = katz_closed_columns(a, 0.2, [0, 2])
     assert abs(score_hkatz([(0, 2)], table)[0]) <= 1e-15
 
 
@@ -122,7 +125,7 @@ def test_hkatz_closed_rejects_divergent_beta(t1):
     a = adjacency(t1).astype(float)
     rho = spectral_radius(a)
     with pytest.raises(KatzDivergenceError):
-        katz_pair_table(a, 1.01 / rho, [0], mode="closed")
+        katz_closed_columns(a, 1.01 / rho, [0])
 
 
 def test_hkatz_truncated_converges_monotonically_to_closed():
@@ -132,16 +135,26 @@ def test_hkatz_truncated_converges_monotonically_to_closed():
         g = from_label_edges(edges)
         a = adjacency(g).astype(float)
         pair = (0, min(1, g.n - 1))
-        closed = score_hkatz([pair], katz_pair_table(a, 0.01, pair, mode="closed"))[0]
+        closed = score_hkatz([pair], katz_closed_columns(a, 0.01, pair))[0]
         previous = -np.inf
         for l_max in (1, 2, 4, 8, 16):
-            trunc = score_hkatz(
-                [pair], katz_pair_table(a, 0.01, pair, mode="truncated", l_max=l_max)
-            )[0]
-            assert trunc >= previous - 1e-15
+            trunc = score_hkatz([pair], katz_truncated_columns(a, 0.01, pair, l_max))[0]
+            assert trunc >= previous
             assert trunc <= closed + 1e-12
             previous = trunc
-        assert closed == pytest.approx(previous, abs=1e-10)
+        assert previous == pytest.approx(closed, rel=1e-12, abs=0.0)
+
+
+def test_katz_pair_table_picks_form_by_graph_size(t1, monkeypatch):
+    a = adjacency(t1).astype(float)
+    beta = 1.01 / spectral_radius(a)  # diverges in closed form
+    with pytest.raises(KatzDivergenceError):
+        katz_pair_table(a, beta, [0, 3])
+    monkeypatch.setattr(scoring, "KATZ_CLOSED_MAX_N", t1.n - 1)
+    table = katz_pair_table(a, beta, [0, 3])
+    expected = katz_truncated_columns(a, beta, [0, 3])
+    assert table.keys() == expected.keys()
+    assert all(np.array_equal(table[v], expected[v]) for v in table)
 
 
 def test_hpra_toy(t1):
