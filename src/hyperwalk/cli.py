@@ -182,11 +182,12 @@ def cmd_cv(cfg: RunConfig) -> int:
             sampling = experiment.SamplingSpec(alpha, cfg.fakes_per_missing)
             specs = [MethodSpec(k) for k in tunable]
             for trial in range(cfg.trials):
-                observed, cand = experiment.trial_candidates(g, split_spec, sampling, trial)
-                chosen = experiment.select_parameters(
-                    g, observed, cand.edges, specs, cfg.seed, trial,
-                    cfg.folds, cfg.k_grid, cfg.beta_grid,
-                )
+                with experiment.naming_trial(trial):
+                    observed_g, cand = experiment.trial_candidates(g, split_spec, sampling, trial)
+                    chosen = experiment.select_parameters(
+                        observed_g, cand.edges, specs, cfg.seed, trial,
+                        cfg.folds, cfg.k_grid, cfg.beta_grid,
+                    )
                 for kind in tunable:
                     rows.append(
                         [_dataset_name(path), f"{alpha:g}", str(trial), kind, f"{chosen[kind]:g}"]

@@ -14,6 +14,7 @@ import logging
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -95,7 +96,8 @@ def split(g: Hypergraph, spec: SplitSpec, trial: int) -> tuple[tuple[Edge, ...],
 
     Missing edges touching a vertex with zero observed degree are dropped.
     A split whose missing set prunes to nothing is retried with a fresh
-    derived seed, up to 100 attempts.
+    derived seed, up to 100 attempts.  Both edge tuples keep the order of
+    ``g.edges``.
     """
     n_obs = math.ceil(spec.observed_fraction * g.m - 1e-9)
     if n_obs >= g.m:
@@ -107,17 +109,14 @@ def split(g: Hypergraph, spec: SplitSpec, trial: int) -> tuple[tuple[Edge, ...],
         perm = rng.permutation(g.m)
         observed = tuple(g.edges[i] for i in sorted(perm[:n_obs]))
         missing = tuple(g.edges[i] for i in sorted(perm[n_obs:]))
-        observed_g = g.with_edges(observed)
-        deg = observed_g.degrees
-        pruned = tuple(e for e in missing if all(deg[v] > 0 for v in e))
+        in_observed = np.zeros(g.m, dtype=bool)
+        in_observed[perm[:n_obs]] = True
+        covered = np.zeros(g.n, dtype=bool)
+        covered[g.members[np.repeat(in_observed, g.cardinalities)]] = True
+        pruned = tuple(e for e in missing if covered[list(e)].all())
         if pruned:
             if attempt:
                 logger.info("trial %d: split usable after %d retries", trial, attempt)
-            parts = len(np.unique(components(observed_g)[deg > 0]))
-            if parts > 1:
-                logger.warning(
-                    "trial %d: observed hypergraph splits into %d components", trial, parts
-                )
             return observed, pruned
     raise TrialDegenerateError("no usable split in 100 attempts")
 
@@ -182,19 +181,19 @@ def sample_negatives(
 
 
 def build_candidates(
-    g: Hypergraph,
-    observed: Sequence[Edge],
+    observed_g: Hypergraph,
     missing: Sequence[Edge],
     spec: SamplingSpec,
     rng: np.random.Generator,
 ) -> CandidateSet:
-    """Candidate set: the missing edges plus fakes_per_missing fakes each."""
-    forbidden: set[Edge] = set(observed) | set(missing)
-    deg = g.with_edges(observed).degrees
+    """Candidate set: the missing edges plus fakes_per_missing fakes each,
+    sampled against the observed hypergraph."""
+    forbidden: set[Edge] = set(observed_g.edges) | set(missing)
+    deg = observed_g.degrees
     negatives: list[Edge] = []
     collisions = 0
     for e in missing:
-        fakes, c = sample_negatives(e, g, observed, spec, rng, forbidden, deg)
+        fakes, c = sample_negatives(e, observed_g, observed_g.edges, spec, rng, forbidden, deg)
         negatives.extend(fakes)
         collisions += c
     return CandidateSet(tuple(missing), tuple(negatives), collisions)
@@ -255,21 +254,23 @@ def _fold_parts(n_items: int, folds: int, rng: np.random.Generator) -> list[np.n
 def cross_validate(
     methods: Sequence[MethodSpec],
     g: Hypergraph,
-    observed: Sequence[Edge],
     candidates: Sequence[Edge],
     folds: int,
     grid: Sequence,
     rng: np.random.Generator,
 ) -> dict[str, object]:
-    """Pick each method's parameter by k-fold CV on the observed edges.
+    """Pick each method's parameter by k-fold CV on the edges of the
+    observed hypergraph ``g``.
 
     Each fold once serves as the validation missing set; the full candidate
     set acts as negatives in every fold.  Candidates or validation edges
     touching a vertex isolated in a fold's training edges are excluded from
     that fold.  Returns the grid value with the highest mean validation
     AUROC per method; ties go to the smaller value.  Walk methods share one
-    propagation sweep per fold across the whole grid.
+    propagation sweep per fold across the whole grid, and hkatz one Katz
+    table (see :func:`~hyperwalk.scoring.katz_pair_table`).
     """
+    observed = g.edges
     if folds < 2:
         raise ParameterError("cross-validation needs at least 2 folds")
     if len(observed) < folds:
@@ -291,7 +292,7 @@ def cross_validate(
         # observed structure; fold training graphs have entrywise-smaller
         # adjacency, hence no larger spectral radius, so this one check
         # covers the folds too.
-        rho = scoring.spectral_radius(projection.adjacency(g.with_edges(observed)).astype(np.float64))
+        rho = scoring.spectral_radius(projection.adjacency(g).astype(np.float64))
         for gi, beta in enumerate(grid):
             if beta * rho >= 1.0:
                 valid[HKATZ][gi] = False
@@ -301,7 +302,6 @@ def cross_validate(
                 f"(spectral radius {rho:.3g})"
             )
     used_folds = 0
-    observed = list(observed)
     for part in _fold_parts(len(observed), folds, rng):
         part_set = set(part.tolist())
         train = [e for i, e in enumerate(observed) if i not in part_set]
@@ -324,16 +324,16 @@ def cross_validate(
                     vals = scoring.score_edges_from_rows(kind, fold_edges, rows_by_k[k])
                     totals[kind][gi] += auroc(vals, labels)
         else:
-            a = projection.adjacency(train_g).astype(np.float64)
+            table = scoring.katz_pair_table(projection.adjacency(train_g).astype(np.float64), needed)
             for gi, beta in enumerate(grid):
-                if not valid[HKATZ][gi]:
-                    continue
-                try:
-                    table = scoring.katz_pair_table(a, beta, needed)
-                except KatzDivergenceError:
-                    valid[HKATZ][gi] = False
-                    continue
-                vals = scoring.score_hkatz(fold_edges, table)
+                if valid[HKATZ][gi]:
+                    try:
+                        table.check(beta)
+                    except KatzDivergenceError:
+                        valid[HKATZ][gi] = False
+            todo = np.flatnonzero(valid[HKATZ])
+            scores = scoring.score_hkatz(fold_edges, table, [grid[gi] for gi in todo])
+            for gi, vals in zip(todo, scores):
                 totals[HKATZ][gi] += auroc(vals, labels)
     if used_folds == 0:
         raise TrialDegenerateError("cross-validation had no usable folds")
@@ -447,16 +447,33 @@ def _resolve_methods(methods) -> list[MethodSpec]:
 
 def trial_candidates(
     g: Hypergraph, split_spec: SplitSpec, sampling_spec: SamplingSpec, trial: int
-) -> tuple[tuple[Edge, ...], CandidateSet]:
-    """Observed edges and candidate set for one trial (derived seeds)."""
+) -> tuple[Hypergraph, CandidateSet]:
+    """Observed hypergraph and candidate set for one trial (derived seeds).
+
+    The observed hypergraph is built once here; every later step of the
+    trial reads it.
+    """
     observed, missing = split(g, split_spec, trial)
+    observed_g = g.with_edges(observed)
+    parts = len(np.unique(components(observed_g)[observed_g.degrees > 0]))
+    if parts > 1:
+        logger.warning("trial %d: observed hypergraph splits into %d components", trial, parts)
     rng_neg = _rng(split_spec.seed, _NEGATIVES, trial)
-    return observed, build_candidates(g, observed, missing, sampling_spec, rng_neg)
+    return observed_g, build_candidates(observed_g, missing, sampling_spec, rng_neg)
+
+
+@contextmanager
+def naming_trial(trial: int):
+    """Prefix ``trial N: `` to the message of a library error raised inside."""
+    try:
+        yield
+    except HyperwalkError as exc:
+        exc.args = (f"trial {trial}: {exc}",) + exc.args[1:]
+        raise
 
 
 def select_parameters(
     g: Hypergraph,
-    observed: Sequence[Edge],
     candidates: Sequence[Edge],
     methods: Sequence[MethodSpec],
     seed: int,
@@ -465,13 +482,14 @@ def select_parameters(
     k_grid: Sequence[int] = DEFAULT_K_GRID,
     beta_grid: Sequence[float] = DEFAULT_BETA_GRID,
 ) -> dict[str, object]:
-    """Cross-validated parameter per method that still needs one."""
+    """Cross-validated parameter per method that still needs one, on the
+    observed hypergraph ``g``."""
     chosen: dict[str, object] = {}
     walk_todo = [m for m in methods if m.kind in WALK_KINDS and m.k is None]
     if walk_todo:
         chosen.update(
             cross_validate(
-                walk_todo, g, observed, candidates, folds, k_grid,
+                walk_todo, g, candidates, folds, k_grid,
                 _rng(seed, _CV_WALK, trial),
             )
         )
@@ -479,7 +497,7 @@ def select_parameters(
     if katz_todo:
         chosen.update(
             cross_validate(
-                katz_todo, g, observed, candidates, folds, beta_grid,
+                katz_todo, g, candidates, folds, beta_grid,
                 _rng(seed, _CV_KATZ, trial),
             )
         )
@@ -498,11 +516,10 @@ def run_trial(
 ) -> TrialRecord:
     """One full trial: split, sample, cross-validate, score, measure."""
     methods = _resolve_methods(methods)
-    try:
-        observed, cand = trial_candidates(g, split_spec, sampling_spec, trial)
-        observed_g = g.with_edges(observed)
+    with naming_trial(trial):
+        observed_g, cand = trial_candidates(g, split_spec, sampling_spec, trial)
         chosen = select_parameters(
-            g, observed, cand.edges, methods, split_spec.seed, trial, folds, k_grid, beta_grid
+            observed_g, cand.edges, methods, split_spec.seed, trial, folds, k_grid, beta_grid
         )
 
         outcomes = []
@@ -516,12 +533,9 @@ def run_trial(
             outcomes.append(
                 MethodOutcome(m.kind, spec_m.param, res_auroc, res_f1, time.perf_counter() - t0)
             )
-    except HyperwalkError as exc:
-        exc.args = (f"trial {trial}: {exc}",) + exc.args[1:]
-        raise
     return TrialRecord(
         trial=trial,
-        n_observed=len(observed),
+        n_observed=observed_g.m,
         n_missing=len(cand.positives),
         n_negatives=len(cand.negatives),
         collisions=cand.collisions,

@@ -10,7 +10,7 @@ Scoring is batched.  A batch of candidates expands to its vertex pairs in
 ``combinations`` order, one ``triu_indices`` block per cardinality.  Each
 method computes all pair values at once: exact gathers from the walk-row
 CSR matrix (lrw), from the sparse resource-allocation product (hpra) or
-from the Katz columns (hkatz); row products of the binary adjacency (hcn);
+from the Katz table (hkatz); row products of the binary adjacency (hcn);
 or one batched divergence kernel call over the distinct pairs (lrw-js).
 lrw-gjs passes each candidate's rows to the kernel as one group.  One
 helper, :func:`_pair_means`, then averages the pair values of every
@@ -18,6 +18,14 @@ candidate, adding them slot by slot in pair order so each mean is the same
 float as a one-pair-at-a-time loop.  The divergence kernel bounds its
 temporaries with a fixed per-chunk entry budget (see
 :mod:`hyperwalk.divergence`).
+
+The closed-form Katz table decomposes the adjacency once per connected
+component (a dense symmetric eigendecomposition), so one table serves
+every damping factor of a grid: each factor only reweights the spectrum.
+Only the eigenvector rows of the table's vertices are kept; a pair's
+similarity is one dot product of its two rows, and pairs in different
+components read exactly 0.0 without any arithmetic.  Above
+KATZ_CLOSED_MAX_N vertices the truncated series takes over.
 """
 
 from __future__ import annotations
@@ -27,8 +35,9 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import eigsh, splu
+from scipy import linalg, sparse
+from scipy.sparse import csgraph
+from scipy.sparse.linalg import eigsh
 
 from . import divergence, localwalk, projection
 from .errors import CandidateError, ContractViolation, KatzDivergenceError, ParameterError
@@ -48,6 +57,8 @@ ALL_KINDS = (HCN, HKATZ, HPRA, LRW, LRW_JS, LRW_GJS)
 KATZ_CLOSED_MAX_N = 20_000
 # Powers of the adjacency summed by the truncated Katz series.
 KATZ_LMAX = 8
+# Eigenvector-row entries multiplied at a time for closed-form Katz pairs.
+KATZ_CHUNK_ENTRIES = 2**16
 # Walk scores within this distance of [0, 1] are rounding and get clipped.
 SCORE_TOL = 1e-12
 
@@ -225,79 +236,138 @@ def katz_closed_form(n: int) -> bool:
     return n <= KATZ_CLOSED_MAX_N
 
 
-def katz_pair_table(a: sparse.csr_matrix, beta: float, vertices) -> dict[int, np.ndarray]:
-    """Katz similarity columns sum_{l>=1} beta^l (A^l)[:, j] for each j.
+def katz_pair_table(a: sparse.csr_matrix, vertices) -> KatzSpectra | KatzSeries:
+    """Katz similarities K_beta = sum_{l>=1} beta^l A^l among ``vertices``,
+    for any damping factor beta.
 
-    Uses :func:`katz_closed_columns`, which rejects a divergent beta, on
-    graphs where :func:`katz_closed_form` holds, and
-    :func:`katz_truncated_columns` with KATZ_LMAX powers beyond.
+    Where :func:`katz_closed_form` holds this is a :class:`KatzSpectra`:
+    one dense eigendecomposition per connected component of A serves a
+    whole beta grid, and pairs in different components read exactly 0.0.
+    Beyond, it is a :class:`KatzSeries`, which sums KATZ_LMAX powers of A
+    for each beta asked for.
     """
     if katz_closed_form(a.shape[0]):
-        return katz_closed_columns(a, beta, vertices)
-    return katz_truncated_columns(a, beta, vertices)
+        return KatzSpectra(a, vertices)
+    return KatzSeries(a, vertices, KATZ_LMAX)
 
 
-def katz_closed_columns(a: sparse.csr_matrix, beta: float, vertices) -> dict[int, np.ndarray]:
-    """Closed-form Katz columns: solve (I - beta A) x = e_j and subtract e_j.
+def _vertex_array(vertices) -> np.ndarray:
+    return np.unique(np.fromiter((int(v) for v in vertices), dtype=np.int64))
 
-    Requires beta below the reciprocal spectral radius.
+
+class KatzSpectra:
+    """Closed-form Katz similarities from the spectrum of each component.
+
+    For a component with adjacency A_c = U diag(lam) U^T,
+    K_beta[i, j] = sum_k U[i, k] U[j, k] beta lam_k / (1 - beta lam_k).
+    Only the rows of U at the table's vertices are kept, and K_beta is
+    never formed: each asked-for pair is one dot product of two rows,
+    taken KATZ_CHUNK_ENTRIES row entries at a time.  Components without
+    a table vertex contribute only their largest eigenvalue, to
+    ``lambda_max``; isolated vertices contribute nothing.
     """
+
+    def __init__(self, a: sparse.csr_matrix, vertices):
+        n = a.shape[0]
+        wanted = np.zeros(n, dtype=bool)
+        wanted[_vertex_array(vertices)] = True
+        self.lambda_max = 0.0
+        self._spectra: list[tuple[np.ndarray, np.ndarray]] = []
+        self._part = np.full(n, -1, dtype=np.int64)  # spectrum of each table vertex
+        self._row = np.zeros(n, dtype=np.int64)  # its row of that spectrum's U
+        _, comp = csgraph.connected_components(a, directed=False)
+        order = np.argsort(comp, kind="stable")
+        for members in np.split(order, np.flatnonzero(np.diff(comp[order])) + 1):
+            if len(members) == 1:
+                continue
+            dense = a[members][:, members].toarray()
+            mask = wanted[members]
+            keep = members[mask]
+            if len(keep):
+                # divide and conquer, as numpy's eigh; overwriting the dense
+                # copy spares LAPACK a second n_c x n_c buffer
+                lam, u = linalg.eigh(dense, overwrite_a=True, check_finite=False, driver="evd")
+                self._part[keep] = len(self._spectra)
+                self._row[keep] = np.arange(len(keep))
+                self._spectra.append((lam, u[mask]))
+            else:
+                lam = np.linalg.eigvalsh(dense)
+            self.lambda_max = max(self.lambda_max, float(lam[-1]))
+
+    def check(self, beta: float) -> None:
+        """Raise KatzDivergenceError unless beta * lambda_max < 1."""
+        rho = self.lambda_max
+        if beta * rho >= 1.0:
+            raise KatzDivergenceError(
+                f"beta={beta} >= 1/spectral_radius={1.0 / rho if rho else math.inf:.6g}; "
+                "Katz series diverges in closed form"
+            )
+
+    def values(self, beta: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """K_beta[i[k], j[k]] for pairs of table vertices."""
+        self.check(beta)
+        out = np.zeros(len(i))  # pairs across components keep this 0.0
+        part = self._part[i]
+        same = np.flatnonzero((part == self._part[j]) & (part >= 0))
+        same = same[np.argsort(part[same], kind="stable")]
+        groups = np.split(same, np.searchsorted(part[same], np.arange(1, len(self._spectra))))
+        for (lam, u), sel in zip(self._spectra, groups):
+            damped = beta * lam
+            scaled = u * (damped / (1.0 - damped))
+            step = max(1, KATZ_CHUNK_ENTRIES // u.shape[1])
+            for lo in range(0, len(sel), step):
+                k = sel[lo : lo + step]
+                out[k] = np.einsum("pk,pk->p", scaled[self._row[i[k]]], u[self._row[j[k]]])
+        return out
+
+
+class KatzSeries:
+    """Katz similarities summed over the first ``l_max`` powers of A,
+    recomputed for each damping factor (see :func:`katz_truncated_columns`)."""
+
+    def __init__(self, a: sparse.csr_matrix, vertices, l_max: int = KATZ_LMAX):
+        self.a, self.verts, self.l_max = a, _vertex_array(vertices), l_max
+
+    def check(self, beta: float) -> None:
+        """Nothing to check: a finite sum converges for every beta."""
+
+    def values(self, beta: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Truncated K_beta[i[k], j[k]], with every j[k] a table vertex."""
+        rows = _katz_series_rows(self.a, beta, self.verts, self.l_max)
+        return rows[np.searchsorted(self.verts, j), i]
+
+
+def _katz_series_rows(a: sparse.csr_matrix, beta: float, verts, l_max: int) -> np.ndarray:
+    """Dense rows sum_{l<=l_max} beta^l (A^l)[v, :], one per vertex of ``verts``."""
+    if l_max < 1:
+        raise ParameterError("truncated Katz needs l_max >= 1")
     n = a.shape[0]
-    verts = sorted(set(int(v) for v in vertices))
-    rho = spectral_radius(a)
-    if beta * rho >= 1.0:
-        raise KatzDivergenceError(
-            f"beta={beta} >= 1/spectral_radius={1.0 / rho if rho else math.inf:.6g}; "
-            "Katz series diverges in closed form"
-        )
-    system = sparse.identity(n, format="csc") - beta * a.tocsc()
-    factor = splu(system)
-    cols: dict[int, np.ndarray] = {}
-    for start in range(0, len(verts), 256):
-        block = verts[start : start + 256]
-        rhs = np.zeros((n, len(block)))
-        rhs[block, np.arange(len(block))] = 1.0
-        sol = factor.solve(rhs)
-        sol[block, np.arange(len(block))] -= 1.0
-        for c, v in enumerate(block):
-            cols[v] = sol[:, c].copy()
-    return cols
+    damped = (beta * a).tocsr()
+    x = sparse.csr_matrix(
+        (np.ones(len(verts)), (np.arange(len(verts)), verts)), shape=(len(verts), n)
+    )
+    acc = sparse.csr_matrix((len(verts), n))
+    for _ in range(l_max):
+        x = x @ damped
+        acc = acc + x
+    return np.asarray(acc.todense())
 
 
 def katz_truncated_columns(
     a: sparse.csr_matrix, beta: float, vertices, l_max: int = KATZ_LMAX
 ) -> dict[int, np.ndarray]:
     """Katz columns summed over the first ``l_max`` powers of A only."""
-    if l_max < 1:
-        raise ParameterError("truncated Katz needs l_max >= 1")
-    n = a.shape[0]
-    verts = sorted(set(int(v) for v in vertices))
-    damped = (beta * a).tocsr()
-    x = sparse.csr_matrix(
-        (np.ones(len(verts)), (np.arange(len(verts)), np.array(verts))), shape=(len(verts), n)
-    )
-    acc = sparse.csr_matrix((len(verts), n))
-    for _ in range(l_max):
-        x = x @ damped
-        acc = acc + x
-    dense = np.asarray(acc.todense())
-    return {v: dense[r] for r, v in enumerate(verts)}
+    verts = _vertex_array(vertices)
+    rows = _katz_series_rows(a, beta, verts, l_max)
+    return {v: rows[r] for r, v in enumerate(verts.tolist())}
 
 
-def _katz_values(katz_cols, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Katz similarities katz_cols[j][i] for vertex-pair arrays i, j."""
-    out = np.empty(len(i))
-    order = np.argsort(j, kind="stable")
-    col_of, starts = np.unique(j[order], return_index=True)
-    for v, sel in zip(col_of.tolist(), np.split(order, starts[1:])):
-        out[sel] = katz_cols[v][i[sel]]
-    return out
-
-
-def score_hkatz(edges, katz_cols) -> np.ndarray:
-    """Mean pairwise Katz similarity over each edge's vertex pairs."""
+def score_hkatz(edges, table, betas) -> list[np.ndarray]:
+    """Mean pairwise Katz similarity over each edge's vertex pairs, one
+    score array per damping factor of ``betas``, from one
+    :func:`katz_pair_table`.  The edges expand to pairs once."""
     pairs = _candidate_pairs(list(edges))
-    return _pair_means(pairs, _katz_values(katz_cols, pairs.i, pairs.j))
+    return [_pair_means(pairs, table.values(beta, pairs.i, pairs.j)) for beta in betas]
 
 
 def neighbor_sets(g: Hypergraph) -> sparse.csr_matrix:
@@ -341,7 +411,7 @@ def _normalize_candidates(g: Hypergraph, candidates) -> list[Edge]:
 def score_candidates(method: MethodSpec, g: Hypergraph, candidates) -> list[ScoredEdge]:
     """Score every candidate edge; output order matches input order.
 
-    Walk rows, Katz columns and resource-allocation rows are computed
+    Walk rows, the Katz table and resource-allocation rows are computed
     once, for the union of all candidate vertices; every candidate's pairs
     are then scored in one batch.
     """
@@ -359,8 +429,8 @@ def score_candidates(method: MethodSpec, g: Hypergraph, candidates) -> list[Scor
     elif method.kind == HKATZ:
         if method.beta is None:
             raise ParameterError("hkatz requires the damping factor beta")
-        table = katz_pair_table(projection.adjacency(g).astype(np.float64), method.beta, needed)
-        vals = score_hkatz(edges, table)
+        table = katz_pair_table(projection.adjacency(g).astype(np.float64), needed)
+        vals = score_hkatz(edges, table, [method.beta])[0]
     else:
         pairs = _candidate_pairs(edges)
         if method.kind == HCN:

@@ -80,6 +80,13 @@ def adjacency_oracle(g: Hypergraph) -> np.ndarray:
     return a
 
 
+def katz_dense_oracle(a: np.ndarray, beta: float) -> np.ndarray:
+    """Closed-form Katz matrix sum_{l>=1} beta^l A^l = (I - beta A)^-1 - I,
+    by a dense linear solve (no eigendecomposition)."""
+    eye = np.eye(a.shape[0])
+    return np.linalg.solve(eye - beta * a, eye) - eye
+
+
 def js_scalar_oracle(p, q) -> float:
     """Direct scalar evaluation of the base-2 pairwise divergence."""
     total = 0.0

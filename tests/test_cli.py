@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +122,19 @@ def test_cv_reports_choices(toy_file, capsys):
     assert out.count("\n") >= 3  # header + one row per trial
 
 
+@pytest.mark.parametrize("command", ["run", "cv"])
+def test_trial_errors_name_their_trial(command, tmp_path, capsys):
+    golden = Path(__file__).parent / "data" / "golden" / "golden.txt"
+    out = ["--out", tmp_path / "res"] if command == "run" else []
+    assert run_cli(
+        command, "--dataset", golden, "--alpha", "0.5", "--trials", "1", "--methods", "hkatz",
+        "--beta-grid", "0.5,1.0", "--threads", "1", *out,
+    ) == 1
+    err = capsys.readouterr().err
+    assert "KatzDivergenceError: trial 0: no damping factor" in err
+    assert err.count("trial 0: ") == 1
+
+
 def test_config_file_with_flag_override(toy_file, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -141,7 +155,6 @@ def test_missing_dataset_file(tmp_path, capsys):
 
 def test_results_json_matches_shipped_schema(toy_file, tmp_path):
     jsonschema = pytest.importorskip("jsonschema")
-    from pathlib import Path
 
     out = tmp_path / "res"
     assert run_cli(

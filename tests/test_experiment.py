@@ -138,7 +138,7 @@ def test_collision_acceptance_on_saturated_graph():
 def test_build_candidates_counts_and_cleanliness(medium):
     observed, missing = split(medium, SplitSpec(0.8, 1, seed=4), 0)
     rng = np.random.default_rng(1)
-    cand = build_candidates(medium, observed, missing, SamplingSpec(0.5, 3), rng)
+    cand = build_candidates(medium.with_edges(observed), missing, SamplingSpec(0.5, 3), rng)
     assert cand.positives == missing
     assert len(cand.negatives) == 3 * len(missing)
     assert len(cand.labels) == len(cand.edges)
@@ -155,11 +155,11 @@ def test_build_candidates_counts_and_cleanliness(medium):
 @settings(max_examples=25, deadline=None)
 def test_candidates_never_touch_isolated_vertices(g):
     try:
-        observed, cand = trial_candidates(g, SplitSpec(0.7, 1, 9), SamplingSpec(0.5, 2), 0)
+        observed_g, cand = trial_candidates(g, SplitSpec(0.7, 1, 9), SamplingSpec(0.5, 2), 0)
     except (TrialDegenerateError, SamplingError):
         return
     deg = np.zeros(g.n)
-    for e in observed:
+    for e in observed_g.edges:
         deg[list(e)] += 1
     assert all(deg[v] > 0 for e in cand.edges for v in e)
 
@@ -276,7 +276,7 @@ def test_f1_cutoff_bounds():
 def test_cv_grid_of_one_short_circuits(medium):
     rng = np.random.default_rng(0)
     chosen = cross_validate(
-        [MethodSpec(LRW)], medium, medium.edges, [], folds=5, grid=[3], rng=rng
+        [MethodSpec(LRW)], medium, [], folds=5, grid=[3], rng=rng
     )
     assert chosen == {LRW: 3}
 
@@ -284,9 +284,9 @@ def test_cv_grid_of_one_short_circuits(medium):
 def test_cv_requires_enough_folds(medium):
     rng = np.random.default_rng(0)
     with pytest.raises(ParameterError):
-        cross_validate([MethodSpec(LRW)], medium, medium.edges, [], 1, [2, 3], rng)
+        cross_validate([MethodSpec(LRW)], medium, [], 1, [2, 3], rng)
     with pytest.raises(ParameterError):
-        cross_validate([MethodSpec(LRW)], medium, medium.edges[:3], [], 5, [2, 3], rng)
+        cross_validate([MethodSpec(LRW)], medium.with_edges(medium.edges[:3]), [], 5, [2, 3], rng)
 
 
 def test_cv_tie_breaks_to_smaller_k():
@@ -297,16 +297,16 @@ def test_cv_tie_breaks_to_smaller_k():
     candidates = g.edges[8:]
     rng = np.random.default_rng(0)
     chosen = cross_validate(
-        [MethodSpec(LRW_JS)], g, observed, candidates, 2, [2, 3, 4], rng
+        [MethodSpec(LRW_JS)], g.with_edges(observed), candidates, 2, [2, 3, 4], rng
     )
     assert chosen[LRW_JS] == 2
 
 
 def test_cv_returns_grid_values(medium):
-    observed, cand = trial_candidates(medium, SplitSpec(0.8, 1, 3), SamplingSpec(0.5, 2), 0)
+    observed_g, cand = trial_candidates(medium, SplitSpec(0.8, 1, 3), SamplingSpec(0.5, 2), 0)
     chosen = cross_validate(
         [MethodSpec(k) for k in (LRW, LRW_JS, LRW_GJS)],
-        medium, observed, cand.edges, 3, [2, 3], np.random.default_rng(1),
+        observed_g, cand.edges, 3, [2, 3], np.random.default_rng(1),
     )
     assert set(chosen) == {LRW, LRW_JS, LRW_GJS}
     assert all(v in (2, 3) for v in chosen.values())
@@ -318,7 +318,7 @@ def test_hkatz_cv_excludes_divergent_betas():
     # closed form; selection must avoid it and final scoring must not crash
     from hyperwalk.errors import KatzDivergenceError
     from hyperwalk.projection import adjacency
-    from hyperwalk.scoring import katz_closed_columns, spectral_radius
+    from hyperwalk.scoring import KatzSpectra, spectral_radius
 
     edges = [[i, j] for i in range(1, 21) for j in range(i + 1, 21)]
     g = from_label_edges(edges)
@@ -334,14 +334,14 @@ def test_hkatz_cv_excludes_divergent_betas():
         assert rho > 10.0  # 0.1 really is divergent on this trial
         assert record.outcomes[0].param * rho < 1.0
         with pytest.raises(KatzDivergenceError):
-            katz_closed_columns(a_obs, 0.1, [0, 1])
+            KatzSpectra(a_obs, [0, 1]).check(0.1)
 
 
 def test_cv_rejects_mixed_families(medium):
     with pytest.raises(ParameterError):
         cross_validate(
             [MethodSpec(LRW), MethodSpec("hkatz")],
-            medium, medium.edges, [], 2, [2, 3], np.random.default_rng(0),
+            medium, [], 2, [2, 3], np.random.default_rng(0),
         )
 
 

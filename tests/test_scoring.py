@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperwalk import scoring
 from hyperwalk.errors import (
@@ -9,7 +12,7 @@ from hyperwalk.errors import (
     KatzDivergenceError,
     ParameterError,
 )
-from hyperwalk.hypergraph import from_label_edges
+from hyperwalk.hypergraph import Hypergraph, components, from_label_edges
 from hyperwalk.localwalk import from_dense, walk_matrix_rows
 from hyperwalk.projection import adjacency, transition
 from hyperwalk.scoring import (
@@ -19,8 +22,9 @@ from hyperwalk.scoring import (
     LRW,
     LRW_GJS,
     LRW_JS,
+    KatzSeries,
+    KatzSpectra,
     MethodSpec,
-    katz_closed_columns,
     katz_pair_table,
     katz_truncated_columns,
     score_candidates,
@@ -29,7 +33,7 @@ from hyperwalk.scoring import (
     spectral_radius,
 )
 
-from conftest import hypergraphs
+from conftest import hypergraphs, katz_dense_oracle
 
 
 def score(kind, edge, rows) -> float:
@@ -102,30 +106,30 @@ def test_hcn_toy(t1):
 
 def test_hkatz_truncated_toy(t1):
     a = adjacency(t1).astype(float)
-    table = katz_truncated_columns(a, 0.1, [0, 3], l_max=2)
+    table = KatzSeries(a, [0, 3], l_max=2)
     # beta*a_14 + beta^2*(A^2)_14 = 0 + 0.01*1
-    assert score_hkatz([(0, 3)], table)[0] == pytest.approx(0.01, abs=1e-15)
+    assert score_hkatz([(0, 3)], table, [0.1])[0][0] == pytest.approx(0.01, abs=1e-15)
 
 
 def test_hkatz_leading_term_is_adjacency(t1):
     a = adjacency(t1).astype(float)
     beta = 1e-8
-    table = katz_closed_columns(a, beta, [0, 1, 2])
-    assert score_hkatz([(0, 1)], table)[0] / beta == pytest.approx(1.0, abs=1e-5)
+    table = KatzSpectra(a, [0, 1, 2])
+    assert score_hkatz([(0, 1)], table, [beta])[0][0] / beta == pytest.approx(1.0, abs=1e-5)
 
 
 def test_hkatz_disconnected_pair_zero_closed_form():
     g = from_label_edges([[1, 2], [3, 4]])
     a = adjacency(g).astype(float)
-    table = katz_closed_columns(a, 0.2, [0, 2])
-    assert abs(score_hkatz([(0, 2)], table)[0]) <= 1e-15
+    table = KatzSpectra(a, [0, 2])
+    assert score_hkatz([(0, 2)], table, [0.2])[0][0] == 0.0
 
 
 def test_hkatz_closed_rejects_divergent_beta(t1):
     a = adjacency(t1).astype(float)
     rho = spectral_radius(a)
     with pytest.raises(KatzDivergenceError):
-        katz_closed_columns(a, 1.01 / rho, [0])
+        KatzSpectra(a, [0]).check(1.01 / rho)
 
 
 def test_hkatz_truncated_converges_monotonically_to_closed():
@@ -135,10 +139,10 @@ def test_hkatz_truncated_converges_monotonically_to_closed():
         g = from_label_edges(edges)
         a = adjacency(g).astype(float)
         pair = (0, min(1, g.n - 1))
-        closed = score_hkatz([pair], katz_closed_columns(a, 0.01, pair))[0]
+        closed = score_hkatz([pair], KatzSpectra(a, pair), [0.01])[0][0]
         previous = -np.inf
         for l_max in (1, 2, 4, 8, 16):
-            trunc = score_hkatz([pair], katz_truncated_columns(a, 0.01, pair, l_max))[0]
+            trunc = score_hkatz([pair], KatzSeries(a, pair, l_max), [0.01])[0][0]
             assert trunc >= previous
             assert trunc <= closed + 1e-12
             previous = trunc
@@ -149,12 +153,57 @@ def test_katz_pair_table_picks_form_by_graph_size(t1, monkeypatch):
     a = adjacency(t1).astype(float)
     beta = 1.01 / spectral_radius(a)  # diverges in closed form
     with pytest.raises(KatzDivergenceError):
-        katz_pair_table(a, beta, [0, 3])
+        score_hkatz([(0, 3)], katz_pair_table(a, [0, 3]), [beta])
     monkeypatch.setattr(scoring, "KATZ_CLOSED_MAX_N", t1.n - 1)
-    table = katz_pair_table(a, beta, [0, 3])
+    table = katz_pair_table(a, [0, 3])
     expected = katz_truncated_columns(a, beta, [0, 3])
-    assert table.keys() == expected.keys()
-    assert all(np.array_equal(table[v], expected[v]) for v in table)
+    assert list(table.verts) == list(expected)
+    everyone = np.arange(t1.n)
+    assert all(
+        np.array_equal(table.values(beta, everyone, np.full(t1.n, v)), expected[v])
+        for v in expected
+    )
+
+
+@st.composite
+def shuffled_unions(draw):
+    """Disjoint union of two random hypergraphs and one isolated vertex,
+    vertex ids shuffled, so components interleave in id order."""
+    first, second = draw(hypergraphs(max_n=9, max_m=7)), draw(hypergraphs(max_n=9, max_m=7))
+    n = first.n + second.n + 1
+    perm = draw(st.permutations(range(n)))
+    edges = list(first.edges) + [tuple(v + first.n for v in e) for e in second.edges]
+    return Hypergraph(n, sorted({tuple(sorted(perm[v] for v in e)) for e in edges}))
+
+
+@given(g=shuffled_unions(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_katz_table_matches_dense_oracle(g, data):
+    a = adjacency(g).astype(float)
+    dense = a.toarray()
+    rho = float(np.linalg.eigvalsh(dense)[-1])
+    verts = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=2, max_size=g.n)))
+    edges = list(combinations(verts, 2)) + [tuple(verts)]
+    table = katz_pair_table(a, verts)
+    i, j = np.array(edges[:-1]).T
+    comp = components(g)
+    grid = [f / rho for f in (0.01, 0.25, 0.5, 0.9, 0.99)]
+    for beta in grid:
+        oracle = katz_dense_oracle(dense, beta)
+        got = table.values(beta, i, j)
+        assert np.abs(got - oracle[i, j]).max() <= 1e-12 * np.abs(oracle).max()
+        assert np.all(got[comp[i] != comp[j]] == 0.0)
+    assert table.lambda_max == pytest.approx(rho, rel=1e-12)
+    for beta in (1.001 / rho, 2.0 / rho):
+        with pytest.raises(KatzDivergenceError):
+            table.check(beta)
+        with pytest.raises(KatzDivergenceError):
+            score_hkatz(edges, table, [grid[0], beta])
+    together = score_hkatz(edges, table, grid)
+    for beta, scores in zip(grid, together):
+        alone = katz_pair_table(a, verts)
+        assert np.array_equal(alone.values(beta, i, j), table.values(beta, i, j))
+        assert np.array_equal(score_hkatz(edges, alone, [beta])[0], scores)
 
 
 def test_hpra_toy(t1):
