@@ -21,10 +21,9 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import rankdata
 
-from . import localwalk, projection, scoring
+from . import scoring
 from .errors import (
     HyperwalkError,
-    KatzDivergenceError,
     MetricUndefinedError,
     ParameterError,
     SamplingError,
@@ -262,13 +261,16 @@ def cross_validate(
     """Pick each method's parameter by k-fold CV on the edges of the
     observed hypergraph ``g``.
 
+    ``methods`` are walk methods, tuned over walk lengths, or hkatz alone,
+    tuned over damping factors; a Katz grid first loses the factors that
+    diverge on ``g`` (see :func:`~hyperwalk.scoring.converging_betas`).
     Each fold once serves as the validation missing set; the full candidate
     set acts as negatives in every fold.  Candidates or validation edges
     touching a vertex isolated in a fold's training edges are excluded from
-    that fold.  Returns the grid value with the highest mean validation
-    AUROC per method; ties go to the smaller value.  Walk methods share one
-    propagation sweep per fold across the whole grid, and hkatz one Katz
-    table (see :func:`~hyperwalk.scoring.katz_pair_table`).
+    that fold.  Each fold scores the whole grid with one
+    :func:`~hyperwalk.scoring.score_grid` call.  Returns the grid value
+    with the highest mean validation AUROC per method; ties go to the
+    smaller value.
     """
     observed = g.edges
     if folds < 2:
@@ -276,31 +278,15 @@ def cross_validate(
     if len(observed) < folds:
         raise ParameterError(f"{len(observed)} observed edges cannot fill {folds} folds")
     kinds = [m.kind for m in methods]
-    walk = [k for k in kinds if k in WALK_KINDS]
-    if walk and len(walk) != len(kinds):
-        raise ParameterError("cross_validate mixes walk methods with other kinds")
-    if not walk and kinds != [HKATZ]:
-        raise ParameterError(f"no tunable parameter for method kinds {kinds}")
+    if not (kinds and set(kinds) <= set(WALK_KINDS)) and kinds != [HKATZ]:
+        raise ParameterError(f"cannot tune method kinds {kinds} together")
     grid = sorted(set(grid))
     if len(grid) == 1:
         return {k: grid[0] for k in kinds}
+    if kinds == [HKATZ]:
+        grid = scoring.converging_betas(g, grid)
 
     totals = {k: np.zeros(len(grid)) for k in kinds}
-    valid = {k: np.ones(len(grid), dtype=bool) for k in kinds}
-    if not walk and scoring.katz_closed_form(g.n):
-        # The chosen beta must also converge when scoring on the full
-        # observed structure; fold training graphs have entrywise-smaller
-        # adjacency, hence no larger spectral radius, so this one check
-        # covers the folds too.
-        rho = scoring.spectral_radius(projection.adjacency(g).astype(np.float64))
-        for gi, beta in enumerate(grid):
-            if beta * rho >= 1.0:
-                valid[HKATZ][gi] = False
-        if not valid[HKATZ].any():
-            raise KatzDivergenceError(
-                f"no damping factor in {grid} converges on the observed structure "
-                f"(spectral radius {rho:.3g})"
-            )
     used_folds = 0
     for part in _fold_parts(len(observed), folds, rng):
         part_set = set(part.tolist())
@@ -313,39 +299,14 @@ def cross_validate(
             logger.warning("cross-validation fold skipped: no usable positives or negatives")
             continue
         used_folds += 1
-        fold_edges = val_pos + val_neg
         labels = np.concatenate([np.ones(len(val_pos)), np.zeros(len(val_neg))])
-        needed = sorted({v for e in fold_edges for v in e})
-        if walk:
-            p = projection.transition(train_g, allow_isolated=True)
-            rows_by_k = localwalk.walk_matrix_rows_multi(p, needed, grid)
-            for gi, k in enumerate(grid):
-                for kind in walk:
-                    vals = scoring.score_edges_from_rows(kind, fold_edges, rows_by_k[k])
-                    totals[kind][gi] += auroc(vals, labels)
-        else:
-            table = scoring.katz_pair_table(projection.adjacency(train_g).astype(np.float64), needed)
-            for gi, beta in enumerate(grid):
-                if valid[HKATZ][gi]:
-                    try:
-                        table.check(beta)
-                    except KatzDivergenceError:
-                        valid[HKATZ][gi] = False
-            todo = np.flatnonzero(valid[HKATZ])
-            scores = scoring.score_hkatz(fold_edges, table, [grid[gi] for gi in todo])
-            for gi, vals in zip(todo, scores):
-                totals[HKATZ][gi] += auroc(vals, labels)
+        scores = scoring.score_grid(kinds, train_g, val_pos + val_neg, grid)
+        for kind in kinds:
+            totals[kind] += [auroc(vals, labels) for vals in scores[kind]]
     if used_folds == 0:
         raise TrialDegenerateError("cross-validation had no usable folds")
-
-    chosen: dict[str, object] = {}
-    for kind in kinds:
-        ok = valid[kind]
-        if not ok.any():
-            raise KatzDivergenceError("no grid value converges on this training structure")
-        means = np.where(ok, totals[kind] / used_folds, -np.inf)
-        chosen[kind] = grid[int(np.argmax(means))]  # argmax takes first max: smaller value
-    return chosen
+    # argmax takes the first maximum: the smaller value
+    return {kind: grid[int(np.argmax(totals[kind] / used_folds))] for kind in kinds}
 
 
 @dataclass(frozen=True)
@@ -485,22 +446,10 @@ def select_parameters(
     """Cross-validated parameter per method that still needs one, on the
     observed hypergraph ``g``."""
     chosen: dict[str, object] = {}
-    walk_todo = [m for m in methods if m.kind in WALK_KINDS and m.k is None]
-    if walk_todo:
-        chosen.update(
-            cross_validate(
-                walk_todo, g, candidates, folds, k_grid,
-                _rng(seed, _CV_WALK, trial),
-            )
-        )
-    katz_todo = [m for m in methods if m.kind == HKATZ and m.beta is None]
-    if katz_todo:
-        chosen.update(
-            cross_validate(
-                katz_todo, g, candidates, folds, beta_grid,
-                _rng(seed, _CV_KATZ, trial),
-            )
-        )
+    for family, grid, key in ((WALK_KINDS, k_grid, _CV_WALK), ((HKATZ,), beta_grid, _CV_KATZ)):
+        todo = [m for m in methods if m.kind in family and m.param is None]
+        if todo:
+            chosen.update(cross_validate(todo, g, candidates, folds, grid, _rng(seed, key, trial)))
     return chosen
 
 

@@ -8,6 +8,7 @@ share across workers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -25,9 +26,9 @@ Edge = tuple[int, ...]
 class Hypergraph:
     """Vertex universe plus deduplicated hyperedges over dense 0-based ids.
 
-    ``labels[v]`` is the original label of vertex ``v``.  Edges are sorted
-    vertex tuples, stored in lexicographic order, so iteration order is
-    deterministic.  Construction does not forbid isolated vertices: split
+    ``labels[v]`` is the original label of vertex ``v``.  Edges are
+    strictly increasing vertex tuples (the constructor rejects any other),
+    stored in lexicographic order, so iteration order is deterministic.  Construction does not forbid isolated vertices: split
     hypergraphs used during evaluation keep the full vertex universe.
     """
 
@@ -40,7 +41,9 @@ class Hypergraph:
         for e in self.edges:
             if len(e) < 2:
                 raise ValueError(f"hyperedge {e} has fewer than two vertices")
-            if any(v < 0 or v >= n for v in e):
+            if not all(map(operator.lt, e, e[1:])):
+                raise ValueError(f"hyperedge {e} is not a strictly increasing vertex tuple")
+            if e[0] < 0 or e[-1] >= n:
                 raise ValueError(f"hyperedge {e} outside vertex range 0..{n - 1}")
 
     @property

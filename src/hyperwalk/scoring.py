@@ -6,6 +6,12 @@ candidate edge; the generalized-divergence index scores the edge's vertex
 set directly.  Every scorer sorts the candidate's vertices first, so scores
 are identical under any reordering of the input edge.
 
+:func:`score_grid` is the one place that turns a method family, a graph,
+candidate edges and parameter values into scores; cross-validation calls
+it with a whole grid per fold, and :func:`score_candidates` with the one
+chosen value.  :func:`converging_betas` is the one Katz convergence
+pre-check on an observed graph.
+
 Scoring is batched.  A batch of candidates expands to its vertex pairs in
 ``combinations`` order, one ``triu_indices`` block per cardinality.  Each
 method computes all pair values at once: exact gathers from the walk-row
@@ -236,6 +242,27 @@ def katz_closed_form(n: int) -> bool:
     return n <= KATZ_CLOSED_MAX_N
 
 
+def converging_betas(g: Hypergraph, betas) -> list:
+    """The damping factors of ``betas`` whose closed-form Katz series
+    converges on g's adjacency: beta * spectral radius < 1.
+
+    A subgraph of g has an entrywise-smaller adjacency, hence no larger
+    spectral radius, so a factor kept here also converges on every
+    cross-validation fold of g.  The truncated series converges for every
+    factor.  Raises KatzDivergenceError when none is left.
+    """
+    if not katz_closed_form(g.n):
+        return list(betas)
+    rho = spectral_radius(projection.adjacency(g).astype(np.float64))
+    kept = [beta for beta in betas if beta * rho < 1.0]
+    if not kept:
+        raise KatzDivergenceError(
+            f"no damping factor in {betas} converges on the observed structure "
+            f"(spectral radius {rho:.3g})"
+        )
+    return kept
+
+
 def katz_pair_table(a: sparse.csr_matrix, vertices) -> KatzSpectra | KatzSeries:
     """Katz similarities K_beta = sum_{l>=1} beta^l A^l among ``vertices``,
     for any damping factor beta.
@@ -323,43 +350,27 @@ class KatzSpectra:
 
 class KatzSeries:
     """Katz similarities summed over the first ``l_max`` powers of A,
-    recomputed for each damping factor (see :func:`katz_truncated_columns`)."""
+    recomputed for each damping factor."""
 
     def __init__(self, a: sparse.csr_matrix, vertices, l_max: int = KATZ_LMAX):
+        if l_max < 1:
+            raise ParameterError("truncated Katz needs l_max >= 1")
         self.a, self.verts, self.l_max = a, _vertex_array(vertices), l_max
 
-    def check(self, beta: float) -> None:
-        """Nothing to check: a finite sum converges for every beta."""
-
     def values(self, beta: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Truncated K_beta[i[k], j[k]], with every j[k] a table vertex."""
-        rows = _katz_series_rows(self.a, beta, self.verts, self.l_max)
-        return rows[np.searchsorted(self.verts, j), i]
-
-
-def _katz_series_rows(a: sparse.csr_matrix, beta: float, verts, l_max: int) -> np.ndarray:
-    """Dense rows sum_{l<=l_max} beta^l (A^l)[v, :], one per vertex of ``verts``."""
-    if l_max < 1:
-        raise ParameterError("truncated Katz needs l_max >= 1")
-    n = a.shape[0]
-    damped = (beta * a).tocsr()
-    x = sparse.csr_matrix(
-        (np.ones(len(verts)), (np.arange(len(verts)), verts)), shape=(len(verts), n)
-    )
-    acc = sparse.csr_matrix((len(verts), n))
-    for _ in range(l_max):
-        x = x @ damped
-        acc = acc + x
-    return np.asarray(acc.todense())
-
-
-def katz_truncated_columns(
-    a: sparse.csr_matrix, beta: float, vertices, l_max: int = KATZ_LMAX
-) -> dict[int, np.ndarray]:
-    """Katz columns summed over the first ``l_max`` powers of A only."""
-    verts = _vertex_array(vertices)
-    rows = _katz_series_rows(a, beta, verts, l_max)
-    return {v: rows[r] for r, v in enumerate(verts.tolist())}
+        """Truncated K_beta[i[k], j[k]], with every j[k] a table vertex,
+        read from the dense rows sum_{l<=l_max} beta^l (A^l)[v, :] of the
+        table's vertices."""
+        n, verts = self.a.shape[0], self.verts
+        damped = (beta * self.a).tocsr()
+        x = sparse.csr_matrix(
+            (np.ones(len(verts)), (np.arange(len(verts)), verts)), shape=(len(verts), n)
+        )
+        acc = sparse.csr_matrix((len(verts), n))
+        for _ in range(self.l_max):
+            x = x @ damped
+            acc = acc + x
+        return np.asarray(acc.todense())[np.searchsorted(verts, j), i]
 
 
 def score_hkatz(edges, table, betas) -> list[np.ndarray]:
@@ -408,36 +419,56 @@ def _normalize_candidates(g: Hypergraph, candidates) -> list[Edge]:
     return out
 
 
+def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]:
+    """Scores of canonical candidate ``edges`` on ``g`` under each method
+    of one family, one score array per value of ``grid``, in grid order.
+
+    A family is any set of walk methods, whose grid holds walk lengths K;
+    hkatz, whose grid holds damping factors; or hcn or hpra alone, whose
+    grid is ``[None]``.  Walk rows, the Katz table and resource-allocation
+    rows are computed once, for the union of the edges' vertices: the walk
+    methods share one propagation sweep up to the largest K, and hkatz one
+    table for every damping factor.
+    """
+    kinds, grid = list(kinds), list(grid)
+    if not kinds or (len(kinds) > 1 and not set(kinds) <= set(WALK_KINDS)):
+        raise ParameterError(f"method kinds {kinds} are not one family")
+    needed = sorted({v for e in edges for v in e})
+    if kinds[0] in WALK_KINDS:
+        p = projection.transition(g, allow_isolated=True)
+        rows_by_k = localwalk.walk_matrix_rows_multi(p, needed, grid)
+        return {
+            kind: [score_edges_from_rows(kind, edges, rows_by_k[k]) for k in grid]
+            for kind in kinds
+        }
+    (kind,) = kinds
+    if kind == HKATZ:
+        table = katz_pair_table(projection.adjacency(g).astype(np.float64), needed)
+        return {kind: score_hkatz(edges, table, grid)}
+    if grid != [None]:
+        raise ParameterError(f"{kind} has no parameter; its grid is [None], not {grid}")
+    pairs = _candidate_pairs(edges)
+    if kind == HCN:
+        nbrs = neighbor_sets(g)
+        values = np.asarray(nbrs[pairs.i].multiply(nbrs[pairs.j]).sum(axis=1)).ravel()
+    else:
+        table = hpra_pair_table(g, needed)
+        values = _gather(table, np.searchsorted(needed, pairs.j), pairs.i)
+    return {kind: [_pair_means(pairs, values)]}
+
+
 def score_candidates(method: MethodSpec, g: Hypergraph, candidates) -> list[ScoredEdge]:
     """Score every candidate edge; output order matches input order.
 
-    Walk rows, the Katz table and resource-allocation rows are computed
-    once, for the union of all candidate vertices; every candidate's pairs
-    are then scored in one batch.
+    The candidates are checked and put in canonical form, then scored in
+    one batch by :func:`score_grid` at the method's own parameter.
     """
     edges = _normalize_candidates(g, candidates)
     if not edges:
         return []
-    needed = sorted({v for e in edges for v in e})
-
-    if method.kind in WALK_KINDS:
-        if method.k is None:
-            raise ParameterError(f"{method.kind} requires the walk length k")
-        p = projection.transition(g, allow_isolated=True)
-        rows = localwalk.walk_matrix_rows(p, needed, method.k)
-        vals = score_edges_from_rows(method.kind, edges, rows)
-    elif method.kind == HKATZ:
-        if method.beta is None:
-            raise ParameterError("hkatz requires the damping factor beta")
-        table = katz_pair_table(projection.adjacency(g).astype(np.float64), needed)
-        vals = score_hkatz(edges, table, [method.beta])[0]
-    else:
-        pairs = _candidate_pairs(edges)
-        if method.kind == HCN:
-            nbrs = neighbor_sets(g)
-            values = np.asarray(nbrs[pairs.i].multiply(nbrs[pairs.j]).sum(axis=1)).ravel()
-        else:
-            table = hpra_pair_table(g, needed)
-            values = _gather(table, np.searchsorted(needed, pairs.j), pairs.i)
-        vals = _pair_means(pairs, values)
+    if method.kind in WALK_KINDS and method.k is None:
+        raise ParameterError(f"{method.kind} requires the walk length k")
+    if method.kind == HKATZ and method.beta is None:
+        raise ParameterError("hkatz requires the damping factor beta")
+    vals = score_grid([method.kind], g, edges, [method.param])[method.kind][0]
     return [ScoredEdge(e, float(v), method) for e, v in zip(edges, vals)]

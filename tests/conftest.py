@@ -87,6 +87,12 @@ def katz_dense_oracle(a: np.ndarray, beta: float) -> np.ndarray:
     return np.linalg.solve(eye - beta * a, eye) - eye
 
 
+def katz_series_oracle(a: np.ndarray, beta: float, l_max: int = 8) -> np.ndarray:
+    """Truncated Katz matrix sum_{l=1}^{l_max} beta^l A^l, from dense
+    matrix powers (no sparse products)."""
+    return sum(beta**l * np.linalg.matrix_power(a, l) for l in range(1, l_max + 1))
+
+
 def js_scalar_oracle(p, q) -> float:
     """Direct scalar evaluation of the base-2 pairwise divergence."""
     total = 0.0

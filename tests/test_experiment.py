@@ -337,6 +337,26 @@ def test_hkatz_cv_excludes_divergent_betas():
             KatzSpectra(a_obs, [0, 1]).check(0.1)
 
 
+def test_hkatz_cv_raises_when_a_fold_diverges(monkeypatch):
+    # With the observed-graph pre-check fooled by a tiny spectral radius,
+    # beta = 0.5 passes it but diverges on every fold of this complete
+    # graph; cross-validation raises instead of dropping it from the grid.
+    from hyperwalk import scoring
+    from hyperwalk.errors import KatzDivergenceError
+
+    g = from_label_edges([[i, j] for i in range(1, 21) for j in range(i + 1, 21)])
+    split_spec, sampling_spec = SplitSpec(0.8, 1, 1), SamplingSpec(0.5, 2)
+    observed_g, cand = trial_candidates(g, split_spec, sampling_spec, 0)
+    monkeypatch.setattr(scoring, "spectral_radius", lambda a: 1e-9)
+    with pytest.raises(KatzDivergenceError, match="^beta=0.5 "):
+        cross_validate(
+            [MethodSpec("hkatz")], observed_g, cand.edges, 3, [0.001, 0.5],
+            np.random.default_rng(0),
+        )
+    with pytest.raises(KatzDivergenceError, match="^trial 0: beta=0.5 "):
+        run_experiment(g, split_spec, sampling_spec, ["hkatz"], folds=3, beta_grid=(0.001, 0.5))
+
+
 def test_cv_rejects_mixed_families(medium):
     with pytest.raises(ParameterError):
         cross_validate(

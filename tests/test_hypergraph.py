@@ -5,6 +5,7 @@ from scipy.sparse.csgraph import connected_components
 
 from hyperwalk.errors import EmptyHypergraphError, ParseError
 from hyperwalk.hypergraph import (
+    Hypergraph,
     components,
     from_label_edges,
     largest_component,
@@ -67,6 +68,17 @@ def test_min_cardinality_filter():
     g = loads("1,2\n1,2,3\n4,5,6\n", min_cardinality=3)
     assert g.m == 2
     assert all(len(e) >= 3 for e in g.edges)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[(0, 1, 1), (1, 2)], [(1, 0), (1, 2)], [(0, 2, 1)], [(-1, 1)], [(0, 3)], [(2,)]],
+)
+def test_constructor_rejects_malformed_edges(edges):
+    # a repeated vertex would count twice in its degree; an unsorted edge
+    # would be missed by edge_set lookups of its canonical form
+    with pytest.raises(ValueError):
+        Hypergraph(3, edges)
 
 
 def test_degrees_and_cardinalities(t1):

@@ -19,21 +19,24 @@ from hyperwalk.scoring import (
     HCN,
     HKATZ,
     HPRA,
+    KATZ_LMAX,
     LRW,
     LRW_GJS,
     LRW_JS,
+    WALK_KINDS,
     KatzSeries,
     KatzSpectra,
     MethodSpec,
+    converging_betas,
     katz_pair_table,
-    katz_truncated_columns,
     score_candidates,
     score_edges_from_rows,
+    score_grid,
     score_hkatz,
     spectral_radius,
 )
 
-from conftest import hypergraphs, katz_dense_oracle
+from conftest import hypergraphs, katz_dense_oracle, katz_series_oracle
 
 
 def score(kind, edge, rows) -> float:
@@ -156,13 +159,15 @@ def test_katz_pair_table_picks_form_by_graph_size(t1, monkeypatch):
         score_hkatz([(0, 3)], katz_pair_table(a, [0, 3]), [beta])
     monkeypatch.setattr(scoring, "KATZ_CLOSED_MAX_N", t1.n - 1)
     table = katz_pair_table(a, [0, 3])
-    expected = katz_truncated_columns(a, beta, [0, 3])
-    assert list(table.verts) == list(expected)
+    expected = KatzSeries(a, [0, 3], KATZ_LMAX)
+    assert list(table.verts) == list(expected.verts) == [0, 3]
     everyone = np.arange(t1.n)
-    assert all(
-        np.array_equal(table.values(beta, everyone, np.full(t1.n, v)), expected[v])
-        for v in expected
-    )
+    oracle = katz_series_oracle(a.toarray(), beta, KATZ_LMAX)
+    for v in expected.verts:
+        column = np.full(t1.n, v)
+        got = table.values(beta, everyone, column)
+        assert np.array_equal(got, expected.values(beta, everyone, column))
+        assert np.abs(got - oracle[:, v]).max() <= 1e-12 * np.abs(oracle).max()
 
 
 @st.composite
@@ -204,6 +209,52 @@ def test_katz_table_matches_dense_oracle(g, data):
         alone = katz_pair_table(a, verts)
         assert np.array_equal(alone.values(beta, i, j), table.values(beta, i, j))
         assert np.array_equal(score_hkatz(edges, alone, [beta])[0], scores)
+
+
+def test_converging_betas_drops_divergent_factors(t1, monkeypatch):
+    rho = spectral_radius(adjacency(t1).astype(float))
+    betas = [0.1 / rho, 0.99 / rho, 1.0 / rho, 2.0 / rho]
+    assert converging_betas(t1, betas) == betas[:2]
+    with pytest.raises(KatzDivergenceError, match="no damping factor in"):
+        converging_betas(t1, betas[2:])
+    monkeypatch.setattr(scoring, "KATZ_CLOSED_MAX_N", t1.n - 1)
+    assert converging_betas(t1, betas) == betas  # the truncated series always converges
+
+
+@given(g=hypergraphs(), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_score_grid_matches_score_candidates(g, data):
+    present = np.flatnonzero(g.degrees > 0).tolist()
+    drawn = data.draw(
+        st.lists(st.sets(st.sampled_from(present), min_size=2, max_size=4), min_size=1, max_size=8)
+    )
+    edges = [tuple(sorted(e)) for e in drawn]
+    rho = spectral_radius(adjacency(g).astype(float))
+    families = [
+        (WALK_KINDS, [2, 3, 5]),
+        ([HKATZ], [f / rho for f in (0.05, 0.5, 0.95)]),
+        ([HCN], [None]),
+        ([HPRA], [None]),
+    ]
+    for kinds, grid in families:
+        got = score_grid(kinds, g, edges, grid)
+        assert sorted(got) == sorted(kinds)
+        for kind in kinds:
+            assert len(got[kind]) == len(grid)
+            for value, scores in zip(grid, got[kind]):
+                alone = score_candidates(MethodSpec(kind).with_param(value), g, edges)
+                assert np.array_equal(scores, [s.score for s in alone])
+
+
+def test_score_grid_rejects_mixed_families_and_grids(t1):
+    with pytest.raises(ParameterError):
+        score_grid([LRW, HKATZ], t1, [(0, 1)], [2])
+    with pytest.raises(ParameterError):
+        score_grid([HCN, HPRA], t1, [(0, 1)], [None])
+    with pytest.raises(ParameterError):
+        score_grid([HCN], t1, [(0, 1)], [2, 3])
+    with pytest.raises(ParameterError):
+        score_grid([], t1, [(0, 1)], [2])
 
 
 def test_hpra_toy(t1):
