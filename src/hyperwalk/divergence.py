@@ -11,12 +11,23 @@ CSR matrix R at once.  With C the group-by-row matrix of mixture weights,
 the mixtures are the sparse product C·R, accumulated over the members'
 stored entries into (group, column) cells.  Each member row's terms
 p * log2(p / mix) are taken on that row's own support only and summed per
-row, then weighted per group.  Cost therefore scales with the members'
-support sizes, never with the size of the vertex universe.  Groups are
-processed in chunks of about ``CHUNK_ENTRIES`` stored member entries, which
-bounds the temporaries; a group's value depends only on its own rows, so it
-is bit-identical whichever chunk or batch it lands in.  :func:`js` and
-:func:`js_generalized` are thin wrappers that score one group.
+row, then weighted per group.  Groups are processed in chunks of about
+``CHUNK_ENTRIES`` stored member entries, which bounds the temporaries; a
+group's value depends only on its own rows, so it is bit-identical
+whichever chunk or batch it lands in.
+
+A chunk of G groups over n columns numbers its cells in one of two ways.
+When its G·n possible cells are at most ``DIRECT_CELLS_PER_ENTRY`` times
+its stored member entries, as for walk rows that cover much of the vertex
+universe, a cell is numbered by its key group·n + column directly.
+Otherwise a stable sort of the keys numbers only the cells that occur.
+The sort stays because on sparse rows direct numbering would allocate and
+clear far more cells than there are entries; with it, cost scales with the
+members' support sizes, never with the size of the universe.  Either way
+``bincount`` adds each cell's terms in entry order, member by member, so
+both numberings give the same floats.
+
+:func:`js` and :func:`js_generalized` are thin wrappers that score one group.
 """
 
 from __future__ import annotations
@@ -30,6 +41,9 @@ from .localwalk import stack
 WEIGHT_TOL = 1e-12
 # Stored member-row entries evaluated per chunk of groups.
 CHUNK_ENTRIES = 1 << 14
+# Number cells directly while a chunk's G·n cells are at most this many
+# times its stored member entries; sort the keys above it.
+DIRECT_CELLS_PER_ENTRY = 4
 
 
 def _divergence_chunk(rows: sparse.csr_matrix, groups: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -39,16 +53,22 @@ def _divergence_chunk(rows: sparse.csr_matrix, groups: np.ndarray, w: np.ndarray
     member = np.repeat(np.arange(g * t), lens)  # member slot of every stored entry
     entry = np.arange(len(member)) + np.repeat(starts - np.cumsum(lens) + lens, lens)
     p = rows.data[entry]
-    # Number the (group, column) cells of the mixtures.  Keys arrive as
-    # sorted runs, one per member, which the stable sort merges cheaply.
+    # Number the (group, column) cells of the mixtures: by the key itself
+    # when the chunk's rows are dense enough, else by the rank of the key
+    # among the keys that occur.  Keys arrive as sorted runs, one per
+    # member, which the stable sort merges cheaply.
     key = (member // t) * rows.shape[1] + rows.indices[entry]
-    order = np.argsort(key, kind="stable")
-    opens_cell = np.ones(len(key), dtype=bool)
-    opens_cell[1:] = key[order[1:]] != key[order[:-1]]
-    cell = np.empty(len(key), dtype=np.int64)
-    cell[order] = np.cumsum(opens_cell) - 1
-    # mix = C·R: bincount adds each cell's terms in entry order, i.e. member by member.
-    mix = np.bincount(cell, weights=w[member % t] * p)
+    if g * rows.shape[1] <= DIRECT_CELLS_PER_ENTRY * len(key):
+        cell = key
+    else:
+        order = np.argsort(key, kind="stable")
+        opens_cell = np.ones(len(key), dtype=bool)
+        opens_cell[1:] = key[order[1:]] != key[order[:-1]]
+        cell = np.empty(len(key), dtype=np.int64)
+        cell[order] = np.cumsum(opens_cell) - 1
+    # mix = C·R: bincount adds each cell's terms in entry order, i.e. member
+    # by member, whichever numbering the cells have.
+    mix = np.bincount(cell, weights=np.repeat(np.tile(w, g), lens) * p)
     terms = p * np.log2(p / mix[cell])
     rel = np.bincount(member, weights=terms, minlength=g * t).reshape(g, t)
     total = np.zeros(g)
@@ -61,12 +81,12 @@ def divergences(rows: sparse.csr_matrix, groups, weights=None) -> np.ndarray:
     """Generalized divergence sum_r w_r KL(R[g_r] || sum_r w_r R[g_r]) per group.
 
     ``groups`` is a (G, t) array of row indices into ``rows``; ``weights``
-    (default uniform 1/t) applies to every group.  Zero-weight members are
-    left out of the mixture and of the sum.
+    (default uniform 1/t; nonnegative, summing to 1) applies to every group.
+    Zero-weight members are left out of the mixture and of the sum.
     """
     groups = np.asarray(groups, dtype=np.int64)
     t = groups.shape[1]
-    w = np.full(t, 1.0 / t) if weights is None else np.asarray(weights, dtype=np.float64)
+    w = np.full(t, 1.0 / t) if weights is None else validate_weights(weights, t)
     active = w > 0.0
     groups, w = groups[:, active], w[active]
     if len(groups) == 0:
@@ -103,5 +123,4 @@ def js_generalized(dists, weights=None) -> float:
     t = len(dists)
     if t < 2:
         raise ParameterError("generalized divergence needs at least two distributions")
-    w = None if weights is None else validate_weights(weights, t)
-    return float(divergences(stack(dists), [list(range(t))], w)[0])
+    return float(divergences(stack(dists), [list(range(t))], weights)[0])

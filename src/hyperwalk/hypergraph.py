@@ -27,9 +27,11 @@ class Hypergraph:
     """Vertex universe plus deduplicated hyperedges over dense 0-based ids.
 
     ``labels[v]`` is the original label of vertex ``v``.  Edges are
-    strictly increasing vertex tuples (the constructor rejects any other),
-    stored in lexicographic order, so iteration order is deterministic.  Construction does not forbid isolated vertices: split
-    hypergraphs used during evaluation keep the full vertex universe.
+    strictly increasing vertex tuples, given without duplicates in
+    lexicographic order (the constructor rejects anything else), so
+    iteration order is deterministic.  Construction does not forbid isolated
+    vertices: split hypergraphs used during evaluation keep the full vertex
+    universe.
     """
 
     def __init__(self, n: int, edges: Sequence[Edge], labels: Sequence | None = None):
@@ -45,6 +47,8 @@ class Hypergraph:
                 raise ValueError(f"hyperedge {e} is not a strictly increasing vertex tuple")
             if e[0] < 0 or e[-1] >= n:
                 raise ValueError(f"hyperedge {e} outside vertex range 0..{n - 1}")
+        if not all(map(operator.lt, self.edges, self.edges[1:])):
+            raise ValueError("hyperedges are not distinct and in lexicographic order")
 
     @property
     def m(self) -> int:

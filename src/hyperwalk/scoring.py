@@ -59,7 +59,8 @@ HPRA = "hpra"
 WALK_KINDS = (LRW, LRW_JS, LRW_GJS)
 ALL_KINDS = (HCN, HKATZ, HPRA, LRW, LRW_JS, LRW_GJS)
 
-# Above this size, closed-form Katz solves give way to a truncated series.
+# Above this size, the closed form (one eigendecomposition per connected
+# component) gives way to a truncated series.
 KATZ_CLOSED_MAX_N = 20_000
 # Powers of the adjacency summed by the truncated Katz series.
 KATZ_LMAX = 8

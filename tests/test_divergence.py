@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
-from hyperwalk.divergence import js, js_generalized, validate_weights
+from hyperwalk import divergence
+from hyperwalk.divergence import divergences, js, js_generalized, validate_weights
 from hyperwalk.errors import ParameterError
 from hyperwalk.localwalk import from_dense
 
@@ -91,3 +94,39 @@ def test_parameter_errors():
         js_generalized([[1.0, 0.0]] * 2, [1.2, -0.2])
     with pytest.raises(ParameterError):
         validate_weights([0.5], 2)
+    rows = sparse.csr_matrix(np.eye(2))
+    for weights in ([1.5, -0.5], [0.2, 0.2], [0.5, 0.25, 0.25]):
+        with pytest.raises(ParameterError):
+            divergences(rows, [[0, 1]], weights)
+
+
+@st.composite
+def grouped_rows(draw):
+    """Random CSR distributions, (G, t) groups of them and weights with a zero."""
+    n = draw(st.integers(1, 12))
+    data, indices, indptr = [], [], [0]
+    for _ in range(draw(st.integers(1, 8))):
+        support = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
+        raw = np.array([draw(st.floats(1e-3, 1.0)) for _ in support])
+        data.extend(raw / raw.sum())
+        indices.extend(support)
+        indptr.append(len(indices))
+    rows = sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, n))
+    t = draw(st.integers(2, 5))
+    member = st.integers(0, rows.shape[0] - 1)
+    groups = draw(st.lists(st.lists(member, min_size=t, max_size=t), min_size=1, max_size=20))
+    raw = np.array([draw(st.floats(1e-3, 1.0)) for _ in range(t)])
+    raw[draw(st.integers(0, t - 1))] = 0.0
+    return rows, groups, raw / raw.sum()
+
+
+@given(case=grouped_rows())
+@settings(max_examples=200)
+def test_cell_numberings_agree_bit_for_bit(case):
+    # Numbering cells by sort rank or by key must give the same floats.
+    results = []
+    for cells_per_entry in (0, 1 << 40):  # always sort the cell keys, always number directly
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(divergence, "DIRECT_CELLS_PER_ENTRY", cells_per_entry)
+            results.append(divergences(*case))
+    assert np.array_equal(results[0], results[1])

@@ -117,9 +117,15 @@ def test_score_is_independent_of_batch_and_chunking(kind, monkeypatch):
     rows = walk_matrix_rows(transition(g), range(g.n), 3)
     batch = score_edges_from_rows(kind, cands, rows)
     alone = [score_edges_from_rows(kind, [e], rows)[0] for e in cands]
+    numbered = []
+    for cells_per_entry in (0, 1 << 40):  # always sort the cell keys, always number directly
+        with monkeypatch.context() as patch:
+            patch.setattr(divergence, "DIRECT_CELLS_PER_ENTRY", cells_per_entry)
+            numbered.append(score_edges_from_rows(kind, cands, rows).tolist())
     monkeypatch.setattr(divergence, "CHUNK_ENTRIES", 1)
     one_per_chunk = score_edges_from_rows(kind, cands, rows)
     assert batch.tolist() == alone == one_per_chunk.tolist()
+    assert numbered == [batch.tolist()] * 2
 
 
 @pytest.mark.parametrize("kind", [LRW_JS, LRW_GJS])

@@ -72,11 +72,22 @@ def test_min_cardinality_filter():
 
 @pytest.mark.parametrize(
     "edges",
-    [[(0, 1, 1), (1, 2)], [(1, 0), (1, 2)], [(0, 2, 1)], [(-1, 1)], [(0, 3)], [(2,)]],
+    [
+        [(0, 1, 1), (1, 2)],
+        [(1, 0), (1, 2)],
+        [(0, 2, 1)],
+        [(-1, 1)],
+        [(0, 3)],
+        [(2,)],
+        [(0, 1), (0, 1)],
+        [(1, 2), (0, 1)],
+    ],
 )
 def test_constructor_rejects_malformed_edges(edges):
     # a repeated vertex would count twice in its degree; an unsorted edge
-    # would be missed by edge_set lookups of its canonical form
+    # would be missed by edge_set lookups of its canonical form; a repeated
+    # edge would count twice in m and the degrees but once in edge_set; an
+    # unsorted edge list would make iteration order depend on the caller
     with pytest.raises(ValueError):
         Hypergraph(3, edges)
 
