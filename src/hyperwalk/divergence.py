@@ -85,12 +85,14 @@ def divergences(rows: sparse.csr_matrix, groups, weights=None) -> np.ndarray:
     Zero-weight members are left out of the mixture and of the sum.
     """
     groups = np.asarray(groups, dtype=np.int64)
+    if len(groups) == 0:  # an empty list has no t: the weights give it
+        if weights is not None:
+            validate_weights(weights, groups.shape[1] if groups.ndim == 2 else np.size(weights))
+        return np.zeros(0)
     t = groups.shape[1]
     w = np.full(t, 1.0 / t) if weights is None else validate_weights(weights, t)
     active = w > 0.0
     groups, w = groups[:, active], w[active]
-    if len(groups) == 0:
-        return np.zeros(0)
     cost = np.diff(rows.indptr)[groups].sum(axis=1)
     chunk_of = (np.cumsum(cost) - cost) // CHUNK_ENTRIES
     bounds = np.flatnonzero(np.diff(chunk_of)) + 1

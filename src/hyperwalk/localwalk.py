@@ -10,6 +10,12 @@ One propagation sweep serves every requested K.  Each K snapshot is kept
 as a single CSR matrix, one row per source (:class:`WalkRows`); the batched
 scorers and divergence kernels read it directly, and indexing it by a
 source vertex yields a :class:`WalkDistribution` view of that row.
+
+Besides the snapshots it has taken, a sweep holds at its peak the running
+sum, the last propagated step and the values of the snapshot being taken.
+A snapshot shares the running sum's sorted indices and row pointers unless
+entries are pruned, and the last step is released before the last
+snapshot is taken.
 """
 
 from __future__ import annotations
@@ -124,52 +130,38 @@ class WalkRows(Mapping):
 
 
 def _extract_rows(
-    mat: sparse.csr_matrix,
-    sources: list[int],
-    scale: float,
-    max_step: int,
-    drop_tol: float,
-    renorm_tol: float,
+    mat: sparse.csr_matrix, sources: list[int], scale: float, max_step: int
 ) -> WalkRows:
     """Scale, prune and renormalize a whole snapshot at once.
 
-    All numeric work is vectorized over the full matrix, and the result
-    stays one CSR matrix; no per-row objects are built.
+    When no value falls to ``DROP_TOL``, the only full-size array allocated
+    is the scaled values: the snapshot shares ``mat``'s sorted ``indices``
+    and ``indptr``.  Row sums come from one mat-vec, which adds each row
+    from 0.0 in stored order, and a renormalization factor is expanded only
+    over the entries of rows that need it.
     """
     mat.sort_indices()
     vals = mat.data * scale
-    keep = vals > drop_tol
-    counts = np.diff(mat.indptr)
-    row_of = np.repeat(np.arange(len(sources)), counts)[keep]
-    idx = mat.indices[keep]
-    vals = vals[keep]
-    sums = np.bincount(row_of, weights=vals, minlength=len(sources))
-    needs_fix = np.abs(sums - 1.0) > renorm_tol
-    if needs_fix.any():
-        factor = np.where(needs_fix & (sums > 0), 1.0 / np.where(sums > 0, sums, 1.0), 1.0)
-        vals = vals * factor[row_of]
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=len(sources)))))
-    return WalkRows(sparse.csr_matrix((vals, idx, indptr), shape=mat.shape), sources, max_step)
+    idx, indptr = mat.indices, mat.indptr
+    if vals.size and not vals.min() > DROP_TOL:  # also true for a NaN
+        keep = vals > DROP_TOL
+        idx, vals = idx[keep], vals[keep]
+        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+    out = sparse.csr_matrix((vals, idx, indptr), shape=mat.shape)
+    sums = out @ np.ones(mat.shape[1])
+    fix = (np.abs(sums - 1.0) > RENORM_TOL) & (sums > 0)
+    if fix.any():
+        counts = np.diff(out.indptr)
+        out.data[np.repeat(fix, counts)] *= np.repeat(1.0 / sums[fix], counts[fix])
+    return WalkRows(out, sources, max_step)
 
 
-def walk_matrix_rows(
-    P: sparse.csr_matrix,
-    sources,
-    K: int,
-    drop_tol: float = DROP_TOL,
-    renorm_tol: float = RENORM_TOL,
-) -> WalkRows:
+def walk_matrix_rows(P: sparse.csr_matrix, sources, K: int) -> WalkRows:
     """Rows of (1/K) * (P + P^2 + ... + P^K) for the given source vertices."""
-    return walk_matrix_rows_multi(P, sources, [K], drop_tol, renorm_tol)[K]
+    return walk_matrix_rows_multi(P, sources, [K])[K]
 
 
-def walk_matrix_rows_multi(
-    P: sparse.csr_matrix,
-    sources,
-    ks,
-    drop_tol: float = DROP_TOL,
-    renorm_tol: float = RENORM_TOL,
-) -> dict[int, WalkRows]:
+def walk_matrix_rows_multi(P: sparse.csr_matrix, sources, ks) -> dict[int, WalkRows]:
     """Walk rows for several maximum lengths in one propagation pass.
 
     Returns ``{K: rows}`` for each K in ``ks``, where ``rows`` maps each
@@ -199,6 +191,8 @@ def walk_matrix_rows_multi(
     for k in range(1, ks[-1] + 1):
         x = x @ P
         acc = acc + x
+        if k == ks[-1]:
+            del x  # the last step is summed: free it before the last snapshot
         if k in want:
-            out[k] = _extract_rows(acc.tocsr(), src, 1.0 / k, k, drop_tol, renorm_tol)
+            out[k] = _extract_rows(acc, src, 1.0 / k, k)
     return out

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy import sparse
 
 from hyperwalk.hypergraph import Hypergraph, from_label_edges, largest_component
 
@@ -57,6 +58,42 @@ def dense_walk_oracle(p_dense: np.ndarray, k: int) -> np.ndarray:
         power = power @ p_dense
         acc += power
     return acc / k
+
+
+def walk_rows_oracle(P, sources, ks, drop_tol: float, renorm_tol: float) -> dict:
+    """{K: (indptr, indices, data)} of walk-row snapshots, by the original
+    extraction: per-entry row ids, masked copies of every entry, row sums
+    and kept counts by ``bincount``, and a per-entry factor for every row.
+
+    The sweep is the library's (same products and sums in the same order),
+    so the floats it yields are the reference for bit-identity tests.
+    """
+    src = sorted(set(int(s) for s in sources))
+    ks = sorted(set(ks))
+    x = sparse.csr_matrix(
+        (np.ones(len(src)), (np.arange(len(src)), np.array(src))), shape=(len(src), P.shape[0])
+    )
+    acc = sparse.csr_matrix((len(src), P.shape[0]))
+    out = {}
+    for k in range(1, ks[-1] + 1):
+        x = x @ P
+        acc = acc + x
+        if k not in ks:
+            continue
+        acc.sort_indices()
+        vals = acc.data * (1.0 / k)
+        keep = vals > drop_tol
+        row_of = np.repeat(np.arange(len(src)), np.diff(acc.indptr))[keep]
+        idx = acc.indices[keep]
+        vals = vals[keep]
+        sums = np.bincount(row_of, weights=vals, minlength=len(src))
+        needs_fix = np.abs(sums - 1.0) > renorm_tol
+        if needs_fix.any():
+            factor = np.where(needs_fix & (sums > 0), 1.0 / np.where(sums > 0, sums, 1.0), 1.0)
+            vals = vals * factor[row_of]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=len(src)))))
+        out[k] = (indptr, idx, vals)
+    return out
 
 
 def transition_oracle(g: Hypergraph) -> np.ndarray:

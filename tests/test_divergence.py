@@ -100,6 +100,17 @@ def test_parameter_errors():
             divergences(rows, [[0, 1]], weights)
 
 
+def test_empty_group_list_gives_empty_scores():
+    rows = sparse.csr_matrix(np.eye(2))
+    for groups in ([], np.zeros((0, 2), dtype=int)):
+        assert divergences(rows, groups).shape == (0,)
+        assert divergences(rows, groups, [0.25, 0.75]).shape == (0,)
+        with pytest.raises(ParameterError):
+            divergences(rows, groups, [0.5, 0.6])
+    with pytest.raises(ParameterError):
+        divergences(rows, np.zeros((0, 2), dtype=int), [0.5, 0.25, 0.25])
+
+
 @st.composite
 def grouped_rows(draw):
     """Random CSR distributions, (G, t) groups of them and weights with a zero."""

@@ -1,12 +1,17 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperwalk import localwalk, synthetic
 from hyperwalk.errors import ParameterError
 from hyperwalk.localwalk import from_dense, walk_matrix_rows, walk_matrix_rows_multi
 from hyperwalk.projection import transition
 
-from conftest import dense_walk_oracle, hypergraphs
+from conftest import dense_walk_oracle, hypergraphs, walk_rows_oracle
 
 
 def test_k1_reduces_to_transition_row(t1):
@@ -110,3 +115,46 @@ def test_from_dense_roundtrip():
     np.testing.assert_array_equal(d.to_dense(), [0.0, 0.25, 0.75])
     assert d.mass_at(0) == 0.0
     assert d.mass_at(2) == 0.75
+
+
+def _assert_same_snapshots(got, want):
+    for k, arrays in want.items():
+        m = got[k].matrix
+        for a, b in zip((m.indptr, m.indices, m.data), arrays):
+            assert np.array_equal(a, b)
+
+
+@given(g=hypergraphs(connected=True), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_snapshots_equal_original_extraction_bit_for_bit(g, data):
+    ks = data.draw(st.sets(st.integers(1, 6), min_size=1, max_size=4))
+    sources = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    drop_tol = data.draw(st.sampled_from([localwalk.DROP_TOL, 0.01, 0.05, 0.2, 1.0]))
+    renorm_tol = data.draw(st.sampled_from([localwalk.RENORM_TOL, 1e-17, 0.0]))
+    p = transition(g)
+    with mock.patch.multiple(localwalk, DROP_TOL=drop_tol, RENORM_TOL=renorm_tol):
+        got = walk_matrix_rows_multi(p, sources, ks)
+    _assert_same_snapshots(got, walk_rows_oracle(p, sources, ks, drop_tol, renorm_tol))
+
+
+def test_pruned_rows_are_renormalized(t1):
+    # Vertex 0's K=2 row is [3/16, 5/16, 3/8, 1/8]: a bound of 0.15 prunes
+    # the 1/8 and leaves a row summing to 7/8.
+    p = transition(t1)
+    with mock.patch.object(localwalk, "DROP_TOL", 0.15):
+        rows = walk_matrix_rows(p, range(4), 2)
+    assert rows[0].indices.tolist() == [0, 1, 2]
+    np.testing.assert_allclose(rows[0].values, np.array([3, 5, 6]) / 14, atol=1e-15)
+    _assert_same_snapshots({2: rows}, walk_rows_oracle(p, range(4), [2], 0.15, localwalk.RENORM_TOL))
+
+
+def test_sweep_peak_memory_within_3x_snapshot():
+    g = synthetic.random_hypergraph(2000, 4000, np.random.default_rng(0), max_size=4, connected=True)
+    p = transition(g)
+    tracemalloc.start()
+    try:
+        m = walk_matrix_rows_multi(p, range(g.n), [3])[3].matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
