@@ -17,7 +17,7 @@ from .experiment import (
     split,
 )
 from .hypergraph import Hypergraph, largest_component, load, loads, save, stats
-from .localwalk import WalkDistribution, WalkRows, walk_matrix_rows
+from .localwalk import WalkRows, walk_matrix_rows
 from .projection import adjacency, transition, weighted_projection
 from .scoring import MethodSpec, ScoredEdge, score_candidates
 
@@ -32,7 +32,6 @@ __all__ = [
     "SamplingSpec",
     "ScoredEdge",
     "SplitSpec",
-    "WalkDistribution",
     "WalkRows",
     "adjacency",
     "auroc",

@@ -238,38 +238,31 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", action="append", help="hyperedge-list file (repeatable)")
     p.add_argument("--methods", help="comma list from: " + ",".join(ALL_KINDS))
     p.add_argument("--alpha", help="comma list of kept-vertex fractions in (0,1)")
-    p.add_argument("--lambda", dest="lam", type=int, help="fake hyperedges per missing one")
+    p.add_argument("--lambda", dest="fakes_per_missing", help="fake hyperedges per missing one")
     p.add_argument("--rho", help="comma list of observed fractions in (0,1)")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--trials")
+    p.add_argument("--seed")
     p.add_argument("--k-grid", help="comma list of walk lengths")
     p.add_argument("--beta-grid", help="comma list of Katz damping factors")
-    p.add_argument("--folds", type=int)
+    p.add_argument("--folds")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--threads", type=int, help="worker processes (default: all cores)")
-    p.add_argument("--min-cardinality", type=int)
-    p.add_argument("--label-mode", action="store_true", default=None,
+    p.add_argument("--threads", help="worker processes (default: all cores)")
+    p.add_argument("--min-cardinality")
+    p.add_argument("--label-mode", action="store_const", const="true",
                    help="treat vertex tokens as opaque strings")
 
 
 def _config_from_args(args) -> RunConfig:
+    """The config file, if any, with every given flag parsed as its file
+    value would be; ``--dataset`` repeats and ``--label-mode`` is a switch."""
     cfg = config_mod.load_config(args.config) if args.config else RunConfig()
-    overrides = {
-        "dataset": tuple(args.dataset) if args.dataset else None,
-        "methods": tuple(p.strip() for p in args.methods.split(",")) if args.methods else None,
-        "alpha": tuple(float(p) for p in args.alpha.split(",")) if args.alpha else None,
-        "fakes_per_missing": args.lam,
-        "rho": tuple(float(p) for p in args.rho.split(",")) if args.rho else None,
-        "trials": args.trials,
-        "seed": args.seed,
-        "k_grid": tuple(int(p) for p in args.k_grid.split(",")) if args.k_grid else None,
-        "beta_grid": tuple(float(p) for p in args.beta_grid.split(",")) if args.beta_grid else None,
-        "folds": args.folds,
-        "out": args.out,
-        "threads": args.threads,
-        "min_cardinality": args.min_cardinality,
-        "label_mode": args.label_mode,
-    }
+    overrides = {}
+    for key, (name, _, _) in config_mod._KEYS.items():
+        given = getattr(args, name)
+        if given is not None:
+            # repeated --dataset flags read as one comma list
+            text = ",".join(given) if key == "dataset" else given
+            overrides[name] = config_mod._parse_value(key, text)
     return config_mod.apply_overrides(cfg, overrides)
 
 

@@ -31,7 +31,8 @@ margin below that crossover.  Either way ``bincount`` adds each cell's
 terms in entry order, member by member, so both numberings give the same
 floats.
 
-:func:`js` and :func:`js_generalized` are thin wrappers that score one group.
+:func:`js` and :func:`js_generalized` are thin wrappers that score one group
+of dense vectors or 1 x n sparse rows, all over the same n vertices.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ParameterError
-from .localwalk import stack
 
 WEIGHT_TOL = 1e-12
 # Stored member-row entries evaluated per chunk of groups.
@@ -99,9 +99,38 @@ def divergences(rows: sparse.csr_matrix, groups, weights=None) -> np.ndarray:
     return np.concatenate([_divergence_chunk(rows, part, w) for part in np.split(groups, bounds)])
 
 
+def _stack(dists) -> sparse.csr_matrix:
+    """CSR matrix whose row r holds ``dists[r]``, a dense vector or a 1 x n
+    sparse row; every row must have the same length n."""
+    indices, values, lengths = [], [], set()
+    for d in dists:
+        if sparse.issparse(d):
+            d = d.tocsr()
+            if not d.has_canonical_format:  # a repeated column would count as its own mass
+                d = d.copy()
+                d.sum_duplicates()
+            idx, val = d.indices, d.data
+        else:
+            d = np.atleast_2d(np.asarray(d, dtype=np.float64))
+            idx = np.flatnonzero(d)
+            val = d.ravel()[idx]
+        if d.ndim != 2 or d.shape[0] != 1:
+            raise ParameterError("a distribution is a dense vector or a 1 x n sparse row")
+        indices.append(idx)
+        values.append(val)
+        lengths.add(d.shape[1])
+    if len(lengths) > 1:
+        raise ParameterError(f"distributions over different vertex counts {sorted(lengths)}")
+    indptr = np.concatenate(([0], np.cumsum([len(i) for i in indices])))
+    return sparse.csr_matrix(
+        (np.concatenate(values), np.concatenate(indices), indptr),
+        shape=(len(indices), lengths.pop()),
+    )
+
+
 def js(p, q) -> float:
     """Pairwise Jensen-Shannon divergence, symmetric and in [0, 1]."""
-    return float(divergences(stack([p, q]), [[0, 1]])[0])
+    return float(divergences(_stack([p, q]), [[0, 1]])[0])
 
 
 def validate_weights(weights, t: int) -> np.ndarray:
@@ -125,4 +154,4 @@ def js_generalized(dists, weights=None) -> float:
     t = len(dists)
     if t < 2:
         raise ParameterError("generalized divergence needs at least two distributions")
-    return float(divergences(stack(dists), [list(range(t))], weights)[0])
+    return float(divergences(_stack(dists), [list(range(t))], weights)[0])

@@ -9,7 +9,7 @@ so nothing of size n x n is ever materialized.
 One propagation sweep serves every requested K.  Each K snapshot is kept
 as a single CSR matrix, one row per source (:class:`WalkRows`); the batched
 scorers and divergence kernels read it directly, and indexing it by a
-source vertex yields a :class:`WalkDistribution` view of that row.
+source vertex yields that row as a 1 x n CSR matrix.
 
 Besides the snapshots it has taken, a sweep holds at its peak the running
 sum, the last propagated step and the values of the snapshot being taken.
@@ -21,7 +21,6 @@ snapshot is taken.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -32,75 +31,19 @@ DROP_TOL = 1e-15
 RENORM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class WalkDistribution:
-    """One row of the superposed walk matrix, as a sparse distribution."""
-
-    source: int
-    indices: np.ndarray  # sorted vertex ids with positive mass
-    values: np.ndarray
-    n: int
-    max_step: int
-
-    def mass_at(self, j: int) -> float:
-        """Probability of stopping at vertex j (0.0 off support)."""
-        k = np.searchsorted(self.indices, j)
-        if k < len(self.indices) and self.indices[k] == j:
-            return float(self.values[k])
-        return 0.0
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.n)
-        out[self.indices] = self.values
-        return out
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(int(v) for v in self.indices)
-
-
-def from_dense(values, source: int = -1, max_step: int = 0) -> WalkDistribution:
-    """Wrap a dense probability vector as a sparse distribution."""
-    arr = np.asarray(values, dtype=np.float64)
-    idx = np.flatnonzero(arr)
-    return WalkDistribution(source, idx, arr[idx], len(arr), max_step)
-
-
-def stack(dists) -> sparse.csr_matrix:
-    """CSR matrix whose row r holds the r-th distribution.
-
-    Accepts :class:`WalkDistribution` rows and dense probability vectors;
-    the column count is the largest universe among them.
-    """
-    ds = [d if isinstance(d, WalkDistribution) else from_dense(d) for d in dists]
-    indptr = np.concatenate(([0], np.cumsum([len(d.indices) for d in ds])))
-    return sparse.csr_matrix(
-        (np.concatenate([d.values for d in ds]), np.concatenate([d.indices for d in ds]), indptr),
-        shape=(len(ds), max(d.n for d in ds)),
-    )
-
-
 class WalkRows(Mapping):
     """Walk rows of one K: ``matrix`` row r is the row of ``sources[r]``.
 
     ``matrix`` is a canonical CSR matrix (sorted indices, no duplicates)
-    and ``sources`` ascends.  As a mapping it yields one
-    :class:`WalkDistribution` view per source vertex.
+    and ``sources`` strictly ascends, one per matrix row.  As a mapping it
+    yields each source's row as a 1 x n CSR matrix.
     """
 
-    def __init__(self, matrix: sparse.csr_matrix, sources, max_step: int):
+    def __init__(self, matrix: sparse.csr_matrix, sources):
         self.matrix = matrix
         self.sources = np.asarray(sources, dtype=np.int64)
-        self.max_step = max_step
-
-    @classmethod
-    def from_rows(cls, rows) -> "WalkRows":
-        """Stack a {source: WalkDistribution or dense vector} mapping;
-        a WalkRows passes through unchanged."""
-        if isinstance(rows, cls):
-            return rows
-        sources = sorted(rows)
-        return cls(stack([rows[s] for s in sources]), sources, 0)
+        if self.sources.shape != (matrix.shape[0],) or np.any(np.diff(self.sources) <= 0):
+            raise ParameterError("walk-row sources must strictly ascend, one per matrix row")
 
     def positions(self, vertices) -> np.ndarray:
         """Matrix row of each vertex; a vertex without a row is a contract violation."""
@@ -112,14 +55,14 @@ class WalkRows(Mapping):
             raise ContractViolation(f"missing walk row for vertex {int(v[~found][0])}")
         return pos
 
-    def __getitem__(self, source: int) -> WalkDistribution:
+    def __getitem__(self, source: int) -> sparse.csr_matrix:
         r = int(np.searchsorted(self.sources, source))
         if r == len(self.sources) or self.sources[r] != source:
             raise KeyError(source)
         lo, hi = self.matrix.indptr[r], self.matrix.indptr[r + 1]
-        return WalkDistribution(
-            int(source), self.matrix.indices[lo:hi], self.matrix.data[lo:hi],
-            self.matrix.shape[1], self.max_step,
+        return sparse.csr_matrix(
+            (self.matrix.data[lo:hi], self.matrix.indices[lo:hi], [0, hi - lo]),
+            shape=(1, self.matrix.shape[1]),
         )
 
     def __iter__(self):
@@ -129,9 +72,7 @@ class WalkRows(Mapping):
         return len(self.sources)
 
 
-def _extract_rows(
-    mat: sparse.csr_matrix, sources: list[int], scale: float, max_step: int
-) -> WalkRows:
+def _extract_rows(mat: sparse.csr_matrix, sources: list[int], scale: float) -> WalkRows:
     """Scale, prune and renormalize a whole snapshot at once.
 
     When no value falls to ``DROP_TOL``, the only full-size array allocated
@@ -153,7 +94,7 @@ def _extract_rows(
     if fix.any():
         counts = np.diff(out.indptr)
         out.data[np.repeat(fix, counts)] *= np.repeat(1.0 / sums[fix], counts[fix])
-    return WalkRows(out, sources, max_step)
+    return WalkRows(out, sources)
 
 
 def walk_matrix_rows(P: sparse.csr_matrix, sources, K: int) -> WalkRows:
@@ -180,7 +121,7 @@ def walk_matrix_rows_multi(P: sparse.csr_matrix, sources, ks) -> dict[int, WalkR
         if row_sums[s] == 0.0:
             raise ContractViolation(f"vertex {s} has no outgoing transitions")
     if not src:
-        return {k: WalkRows(sparse.csr_matrix((0, n)), [], k) for k in ks}
+        return {k: WalkRows(sparse.csr_matrix((0, n)), []) for k in ks}
     out: dict[int, WalkRows] = {}
     one = np.ones(len(src))
     x = sparse.csr_matrix(
@@ -194,5 +135,5 @@ def walk_matrix_rows_multi(P: sparse.csr_matrix, sources, ks) -> dict[int, WalkR
         if k == ks[-1]:
             del x  # the last step is summed: free it before the last snapshot
         if k in want:
-            out[k] = _extract_rows(acc, src, 1.0 / k, k)
+            out[k] = _extract_rows(acc, src, 1.0 / k)
     return out

@@ -195,21 +195,20 @@ def _gather(mat: sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.nd
     return np.asarray(mat[rows, cols]).ravel()
 
 
-def score_edges_from_rows(kind: str, edges, rows) -> np.ndarray:
-    """Score many edges under one walk method from precomputed walk rows.
+def score_edges_from_rows(kind: str, edges, rows: localwalk.WalkRows) -> np.ndarray:
+    """Score many edges under one walk method from precomputed walk rows,
+    which hold a row for every vertex of the edges.
 
-    ``rows`` is a :class:`~hyperwalk.localwalk.WalkRows` or any mapping
-    from vertex to walk row.  lrw averages the symmetrized walk mass
-    s_ij + s_ji, read by exact gathers; lrw-js evaluates the divergence of
-    each distinct vertex pair once, in one batched kernel call; lrw-gjs
-    passes every candidate's rows as one group, normalized by log2 t.
+    lrw averages the symmetrized walk mass s_ij + s_ji, read by exact
+    gathers; lrw-js evaluates the divergence of each distinct vertex pair
+    once, in one batched kernel call; lrw-gjs passes every candidate's rows
+    as one group, normalized by log2 t.
     """
     if kind not in WALK_KINDS:
         raise ParameterError(f"{kind!r} is not a walk method")
     edges = list(edges)
     if not edges:
         return np.zeros(0)
-    rows = localwalk.WalkRows.from_rows(rows)
     mat = rows.matrix
     if kind == LRW_GJS:
         scores = np.empty(len(edges))

@@ -49,7 +49,7 @@ def test_criterion_1_toy_exactness(t1):
     for (i, j), val in {(0, 1): 0.5, (0, 2): 0.5, (1, 2): 0.5, (2, 3): 1.0}.items():
         assert abs(w[i, j] - val) <= 1e-12
         assert abs(w[j, i] - val) <= 1e-12
-    row = walk_matrix_rows(p, [0], 2)[0].to_dense()
+    row = walk_matrix_rows(p, [0], 2)[0].toarray().ravel()
     expected = np.array([3 / 16, 5 / 16, 3 / 8, 1 / 8])
     assert np.abs(row - expected).max() <= 1e-12
     oracle = dense_walk_oracle(p.toarray(), 2)[0]
@@ -75,7 +75,7 @@ def test_criterion_2_stochasticity_and_degree_preservation():
         assert np.abs(np.asarray(p.sum(axis=1)).ravel() - 1.0).max() <= 1e-10
         rows = walk_matrix_rows(p, range(g.n), 3)
         for s in range(g.n):
-            assert abs(rows[s].values.sum() - 1.0) <= 1e-10
+            assert abs(rows[s].data.sum() - 1.0) <= 1e-10
     report(2, "200 random hypergraphs: P and S rows stochastic, W row sums = degrees")
 
 

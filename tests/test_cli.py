@@ -166,3 +166,32 @@ def test_results_json_matches_shipped_schema(toy_file, tmp_path):
     schema = json.loads(schema_path.read_text())
     payload = json.loads((out / "results.json").read_text())
     jsonschema.validate(payload, schema)
+
+
+@pytest.mark.parametrize("key, value", [("k-grid", "2,,3"), ("alpha", "0.5,x"), ("lambda", "x")])
+def test_flags_parse_like_the_config_file(key, value, toy_file, tmp_path, capsys):
+    common = ("run", "--dataset", toy_file, "--methods", "lrw,hcn", "--trials", "1",
+              "--folds", "3", "--threads", "1")
+    conf = tmp_path / "flag.conf"
+    conf.write_text(f"{key} = {value}\n")
+    by_flag = run_cli(*common, f"--{key}", value, "--out", tmp_path / "flag")
+    flag_err = capsys.readouterr().err
+    by_file = run_cli(*common, "--config", conf, "--out", tmp_path / "file")
+    file_err = capsys.readouterr().err
+    assert by_flag == by_file
+    if by_flag:
+        assert by_flag == 1
+        assert "error: ParameterError" in flag_err and "error: ParameterError" in file_err
+    else:
+        for name in ("results.json", "results.csv"):
+            assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+
+
+def test_repeated_dataset_flags_read_as_one_list(toy_file, tmp_path, capsys):
+    t1 = tmp_path / "t1.txt"
+    t1.write_text("1,2,3\n3,4\n")
+    assert run_cli("stats", "--dataset", toy_file, "--dataset", t1) == 0
+    repeated = capsys.readouterr().out
+    assert [line.split()[0] for line in repeated.splitlines()[1:]] == ["toy", "t1"]
+    assert run_cli("stats", "--dataset", f"{toy_file},{t1}") == 0
+    assert capsys.readouterr().out == repeated

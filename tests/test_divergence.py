@@ -9,7 +9,6 @@ from scipy import sparse
 from hyperwalk import divergence
 from hyperwalk.divergence import divergences, js, js_generalized, validate_weights
 from hyperwalk.errors import ParameterError
-from hyperwalk.localwalk import from_dense
 
 from conftest import distributions, js_scalar_oracle
 
@@ -43,9 +42,28 @@ def test_bounds_and_scalar_oracle(p, q):
 
 @given(p=distributions(), q=distributions())
 def test_sparse_equals_dense_evaluation(p, q):
-    sparse_val = js(from_dense(p), from_dense(q))
+    sparse_val = js(sparse.csr_matrix(p), sparse.csr_matrix(q))
     dense_val = js_scalar_oracle(p, q)
     assert sparse_val == pytest.approx(dense_val, abs=1e-12)
+    assert js(sparse.csr_matrix(p), q) == js(p, q) == sparse_val
+
+
+def test_repeated_sparse_columns_are_summed():
+    row = sparse.csr_matrix(([0.25, 0.25, 0.5], [1, 1, 0], [0, 3]), shape=(1, 3))
+    assert js(row, [0.5, 0.5, 0.0]) == 0.0
+    assert js_generalized([row, row, [0.5, 0.5, 0.0]]) == 0.0
+    assert row.indices.tolist() == [1, 1, 0]  # the caller's row is left as given
+
+
+def test_rows_over_different_vertex_counts_raise():
+    with pytest.raises(ParameterError):
+        js([0.5, 0.5], [1.0, 0.0, 0.0])
+    with pytest.raises(ParameterError):
+        js_generalized([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0, 0.0]])
+    with pytest.raises(ParameterError):
+        js(sparse.csr_matrix([0.5, 0.5]), sparse.csr_matrix([1.0, 0.0, 0.0]))
+    with pytest.raises(ParameterError):  # two rows, not one
+        js(sparse.csr_matrix(np.eye(2)), [1.0, 0.0])
 
 
 def test_generalized_identical_is_zero():

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from hyperwalk import divergence
 from hyperwalk.errors import ContractViolation
-from hyperwalk.localwalk import from_dense, walk_matrix_rows
+from hyperwalk.localwalk import WalkRows, walk_matrix_rows
 from hyperwalk.projection import transition
 from hyperwalk.scoring import (
     HCN,
@@ -64,7 +65,7 @@ def graph_and_candidates(draw):
 def test_batched_walk_divergences_match_scalar_oracles(case):
     g, cands, k = case
     dense = dense_walk_oracle(transition_oracle(g), k)
-    rows = {v: from_dense(dense[v]) for v in range(g.n)}
+    rows = WalkRows(sparse.csr_matrix(dense), range(g.n))
     js_scores = score_edges_from_rows(LRW_JS, cands, rows)
     gjs_scores = score_edges_from_rows(LRW_GJS, cands, rows)
     for e, js_score, gjs_score in zip(cands, js_scores, gjs_scores):
@@ -79,7 +80,7 @@ def test_batched_walk_divergences_match_scalar_oracles(case):
 def test_batched_pair_scores_equal_pair_enumeration(case):
     g, cands, k = case
     dense = dense_walk_oracle(transition_oracle(g), k)
-    rows = {v: from_dense(dense[v]) for v in range(g.n)}
+    rows = WalkRows(sparse.csr_matrix(dense), range(g.n))
     lrw = score_edges_from_rows(LRW, cands, rows)
     for e, s in zip(cands, lrw):
         assert s == pair_enumeration(e, lambda i, j: dense[i, j] + dense[j, i])
@@ -130,6 +131,6 @@ def test_score_is_independent_of_batch_and_chunking(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", [LRW_JS, LRW_GJS])
 def test_rows_that_are_not_distributions_raise(kind):
-    rows = {0: from_dense([2.0, 0.0]), 1: from_dense([0.0, 3.0]), 2: from_dense([0.5, 0.5])}
+    rows = WalkRows(sparse.csr_matrix([[2.0, 0.0], [0.0, 3.0], [0.5, 0.5]]), range(3))
     with pytest.raises(ContractViolation, match=r"\(0, 1\)"):
         score_edges_from_rows(kind, [(1, 2), (0, 1)], rows)

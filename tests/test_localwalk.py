@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from hyperwalk import localwalk, synthetic
 from hyperwalk.errors import ParameterError
-from hyperwalk.localwalk import from_dense, walk_matrix_rows, walk_matrix_rows_multi
+from hyperwalk.localwalk import WalkRows, walk_matrix_rows, walk_matrix_rows_multi
 from hyperwalk.projection import transition
 
 from conftest import dense_walk_oracle, hypergraphs, walk_rows_oracle
@@ -17,17 +18,17 @@ from conftest import dense_walk_oracle, hypergraphs, walk_rows_oracle
 def test_k1_reduces_to_transition_row(t1):
     p = transition(t1)
     rows = walk_matrix_rows(p, [0], 1)
-    np.testing.assert_allclose(rows[0].to_dense(), [0, 0.5, 0.5, 0], atol=0)
+    np.testing.assert_allclose(rows[0].toarray().ravel(), [0, 0.5, 0.5, 0], atol=0)
 
 
 def test_toy_k2_row(t1):
     p = transition(t1)
     row = walk_matrix_rows(p, [0], 2)[0]
     np.testing.assert_allclose(
-        row.to_dense(), [3 / 16, 5 / 16, 3 / 8, 1 / 8], atol=1e-12
+        row.toarray().ravel(), [3 / 16, 5 / 16, 3 / 8, 1 / 8], atol=1e-12
     )
     oracle = dense_walk_oracle(p.toarray(), 2)
-    np.testing.assert_allclose(row.to_dense(), oracle[0], atol=1e-12)
+    np.testing.assert_allclose(row.toarray().ravel(), oracle[0], atol=1e-12)
 
 
 def test_rejects_k_zero(t1):
@@ -55,7 +56,7 @@ def test_matches_dense_power_oracle(g):
         oracle = dense_walk_oracle(dense, k)
         rows = walk_matrix_rows(p, sources, k)
         for s in sources:
-            np.testing.assert_allclose(rows[s].to_dense(), oracle[s], atol=1e-10)
+            np.testing.assert_allclose(rows[s].toarray().ravel(), oracle[s], atol=1e-10)
 
 
 @given(hypergraphs(connected=True))
@@ -67,10 +68,10 @@ def test_rows_sum_to_one_and_support_grows(g):
         previous = frozenset()
         for k in (1, 2, 3, 4, 5):
             row = by_k[k][s]
-            assert abs(row.values.sum() - 1.0) <= 1e-10
-            assert (row.values > 0).all()
-            assert row.support >= previous
-            previous = row.support
+            assert abs(row.data.sum() - 1.0) <= 1e-10
+            assert (row.data > 0).all()
+            assert set(row.indices.tolist()) >= previous
+            previous = set(row.indices.tolist())
 
 
 def test_multi_k_matches_single_runs(t1):
@@ -79,13 +80,13 @@ def test_multi_k_matches_single_runs(t1):
     for k in (1, 3):
         single = walk_matrix_rows(p, [0, 2], k)
         for s in (0, 2):
-            np.testing.assert_array_equal(multi[k][s].to_dense(), single[s].to_dense())
+            np.testing.assert_array_equal(multi[k][s].toarray().ravel(), single[s].toarray().ravel())
 
 
 def test_support_contained_in_k_hop_ball(t1):
     p = transition(t1)
     rows = walk_matrix_rows(p, [3], 1)
-    assert rows[3].support == {2}  # vertex 4's only neighbor is vertex 3
+    assert set(rows[3].indices.tolist()) == {2}  # vertex 4's only neighbor is vertex 3
 
 
 @given(g=hypergraphs(connected=True))
@@ -106,15 +107,34 @@ def test_support_within_bfs_ball(g):
             for _ in range(k):
                 frontier = set().union(*(neighbors[v] for v in frontier)) - set()
                 ball |= frontier
-            assert rows[s].support <= ball
+            assert set(rows[s].indices.tolist()) <= ball
 
 
-def test_from_dense_roundtrip():
-    d = from_dense([0.0, 0.25, 0.75])
-    assert d.indices.tolist() == [1, 2]
-    np.testing.assert_array_equal(d.to_dense(), [0.0, 0.25, 0.75])
-    assert d.mass_at(0) == 0.0
-    assert d.mass_at(2) == 0.75
+def test_sources_must_ascend_one_per_row():
+    m = sparse.csr_matrix(np.eye(3))
+    for sources in ([2, 0, 1], [0, 0, 1], [0, 1], [0, 1, 2, 3]):
+        with pytest.raises(ParameterError):
+            WalkRows(m, sources)
+    assert WalkRows(m, [0, 2, 5]).positions([5, 0, 2]).tolist() == [2, 0, 1]
+
+
+@given(g=hypergraphs(connected=True), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_rows_by_source_match_the_matrix(g, data):
+    # What a consumer reading the rows by source sees: one 1 x n row per
+    # source, together holding every stored entry of the matrix.
+    sources = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1)))
+    for rows in walk_matrix_rows_multi(transition(g), sources, [1, 3]).values():
+        assert len(rows) == len(sources)
+        assert sum(len(r.indices) for r in rows.values()) == rows.matrix.nnz
+        for s in sources:
+            want = rows.matrix[rows.positions([s])]
+            assert rows[s].shape == (1, g.n)
+            assert np.array_equal(rows[s].indices, want.indices)
+            assert np.array_equal(rows[s].data, want.data)
+        for s in [-1, g.n, *sorted(set(range(g.n)) - set(sources))]:
+            with pytest.raises(KeyError):
+                rows[s]
 
 
 def _assert_same_snapshots(got, want):
@@ -144,7 +164,7 @@ def test_pruned_rows_are_renormalized(t1):
     with mock.patch.object(localwalk, "DROP_TOL", 0.15):
         rows = walk_matrix_rows(p, range(4), 2)
     assert rows[0].indices.tolist() == [0, 1, 2]
-    np.testing.assert_allclose(rows[0].values, np.array([3, 5, 6]) / 14, atol=1e-15)
+    np.testing.assert_allclose(rows[0].data, np.array([3, 5, 6]) / 14, atol=1e-15)
     _assert_same_snapshots({2: rows}, walk_rows_oracle(p, range(4), [2], 0.15, localwalk.RENORM_TOL))
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from hyperwalk import scoring
 from hyperwalk.errors import (
@@ -13,7 +14,7 @@ from hyperwalk.errors import (
     ParameterError,
 )
 from hyperwalk.hypergraph import Hypergraph, components, from_label_edges
-from hyperwalk.localwalk import from_dense, walk_matrix_rows
+from hyperwalk.localwalk import WalkRows, walk_matrix_rows
 from hyperwalk.projection import adjacency, transition
 from hyperwalk.scoring import (
     HCN,
@@ -63,18 +64,17 @@ def test_lrw_disconnected_pair(t1_rows_k1):
 
 def test_lrw_pair_is_plain_sum(t1_rows_k1):
     rows = t1_rows_k1
-    expected = rows[0].mass_at(2) + rows[2].mass_at(0)
+    expected = rows[0][0, 2] + rows[2][0, 0]
     assert score(LRW, (0, 2), rows) == pytest.approx(expected)
 
 
 def test_lrw_js_identical_rows_score_one():
-    d = from_dense([0.25, 0.25, 0.5])
-    rows = {0: d, 1: d}
+    rows = WalkRows(sparse.csr_matrix([[0.25, 0.25, 0.5]] * 2), range(2))
     assert score(LRW_JS, (0, 1), rows) == 1.0
 
 
 def test_lrw_js_disjoint_rows_score_zero():
-    rows = {0: from_dense([1.0, 0.0]), 1: from_dense([0.0, 1.0])}
+    rows = WalkRows(sparse.csr_matrix(np.eye(2)), range(2))
     assert score(LRW_JS, (0, 1), rows) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -84,9 +84,9 @@ def test_lrw_js_toy_pair(t1_rows_k1):
 
 
 def test_lrw_gjs_identical_and_disjoint():
-    d = from_dense([0.5, 0.5, 0.0])
-    assert score(LRW_GJS, (0, 1, 2), {0: d, 1: d, 2: d}) == pytest.approx(1.0, abs=1e-14)
-    rows = {i: from_dense(np.eye(3)[i]) for i in range(3)}
+    same = WalkRows(sparse.csr_matrix([[0.5, 0.5, 0.0]] * 3), range(3))
+    assert score(LRW_GJS, (0, 1, 2), same) == pytest.approx(1.0, abs=1e-14)
+    rows = WalkRows(sparse.csr_matrix(np.eye(3)), range(3))
     assert score(LRW_GJS, (0, 1, 2), rows) == pytest.approx(0.0, abs=1e-14)
 
 
