@@ -16,6 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -204,25 +205,44 @@ def _scores_array(scored) -> np.ndarray:
     return np.asarray(scored, dtype=np.float64)
 
 
-def auroc(scored, labels) -> float:
-    """Probability a random positive outscores a random negative (ties 0.5)."""
-    scores = _scores_array(scored)
+def _check_labels(labels, count: int) -> np.ndarray:
     labels = np.asarray(labels)
+    if len(labels) != count:
+        raise ParameterError(f"{len(labels)} labels for {count} scored candidates")
+    return labels
+
+
+def auroc(scored, labels):
+    """Probability a random positive outscores a random negative (ties 0.5).
+
+    ``scored`` may also be a 2-D score array, one row per scoring of the
+    same labelled candidates; then one AUROC per row is returned, each the
+    same float as scoring that row alone.
+    """
+    scores = _scores_array(scored)
+    labels = _check_labels(labels, scores.shape[-1])
     pos = labels == 1
     n_pos = int(pos.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MetricUndefinedError("AUROC needs at least one positive and one negative")
-    ranks = rankdata(scores, method="average")
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    # ranks are half-integers, so their sums are exact in any order
+    ranks = rankdata(scores, method="average", axis=-1)
+    values = (ranks[..., pos].sum(axis=-1) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return float(values) if scores.ndim == 1 else values
 
 
 def select_top(edges: Sequence[Edge], scores, cutoff: int) -> list[int]:
     """Indices of the cutoff best candidates: score descending, then
     canonical edge encoding ascending."""
     scores = _scores_array(scores)
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], edges[i]))
-    return order[:cutoff]
+    sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
+    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=int(sizes.sum()))
+    # pad below every vertex, so that a prefix sorts before its extensions
+    cols = np.full((len(edges), sizes.max(initial=0)), flat.min(initial=0) - 1)
+    cols[np.arange(cols.shape[1]) < sizes[:, None]] = flat
+    order = np.lexsort([*cols.T[::-1], -scores])
+    return order[:cutoff].tolist()
 
 
 def f1_at_cutoff(scored: Sequence[ScoredEdge], labels, cutoff: int) -> float:
@@ -231,7 +251,7 @@ def f1_at_cutoff(scored: Sequence[ScoredEdge], labels, cutoff: int) -> float:
     When cutoff equals the number of positives, precision, recall, and F1
     all collapse to TP / cutoff.
     """
-    labels = np.asarray(labels)
+    labels = _check_labels(labels, len(scored))
     if not 1 <= cutoff <= len(labels):
         raise ParameterError(f"cutoff {cutoff} outside 1..{len(labels)}")
     edges = [s.edge for s in scored]
@@ -302,7 +322,7 @@ def cross_validate(
         labels = np.concatenate([np.ones(len(val_pos)), np.zeros(len(val_neg))])
         scores = scoring.score_grid(kinds, train_g, val_pos + val_neg, grid)
         for kind in kinds:
-            totals[kind] += [auroc(vals, labels) for vals in scores[kind]]
+            totals[kind] += auroc(np.array(scores[kind]), labels)
     if used_folds == 0:
         raise TrialDegenerateError("cross-validation had no usable folds")
     # argmax takes the first maximum: the smaller value

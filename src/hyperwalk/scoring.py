@@ -12,12 +12,17 @@ it with a whole grid per fold, and :func:`score_candidates` with the one
 chosen value.  :func:`converging_betas` is the one Katz convergence
 pre-check on an observed graph.
 
-Scoring is batched.  A batch of candidates expands to its vertex pairs in
-``combinations`` order, one ``triu_indices`` block per cardinality.  Each
-method computes all pair values at once: exact gathers from the walk-row
-CSR matrix (lrw), from the sparse resource-allocation product (hpra) or
-from the Katz table (hkatz); row products of the binary adjacency (hcn);
-or one batched divergence kernel call over the distinct pairs (lrw-js).
+Scoring is batched.  :func:`score_grid` expands its candidates once, and
+every walk length and method of the call shares that expansion: the
+sorted union of the candidates' vertices, each cardinality's vertex
+matrix as ranks in that union, and, built only when a method reads them,
+the vertex pairs in ``combinations`` order (one ``triu_indices`` block
+per cardinality) and the distinct pairs.  A walk method maps the ranks
+onto one K's walk rows with a single row lookup.  Each method computes
+all pair values at once: exact gathers from the walk-row CSR matrix
+(lrw), from the sparse resource-allocation product (hpra) or from the
+Katz table (hkatz); row products of the binary adjacency (hcn); or one
+batched divergence kernel call over the distinct pairs (lrw-js).
 lrw-gjs passes each candidate's rows to the kernel as one group.  One
 helper, :func:`_pair_means`, then averages the pair values of every
 candidate, adding them slot by slot in pair order so each mean is the same
@@ -37,7 +42,9 @@ KATZ_CLOSED_MAX_N vertices the truncated series takes over.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -120,44 +127,81 @@ class _Pairs(NamedTuple):
 
     Pair p of candidate c is ``(i[slots[c, p]], j[slots[c, p]])``, with
     i < j and pairs listed in ``combinations`` order; ``slots`` is -1 past
-    a candidate's last pair.  ``sizes`` holds the candidates' cardinalities.
+    a candidate's last pair.  ``ri`` and ``rj`` are the ranks of i and j
+    among the candidates' vertices, and ``sizes`` holds the candidates'
+    cardinalities.
     """
 
     i: np.ndarray
     j: np.ndarray
+    ri: np.ndarray
+    rj: np.ndarray
     slots: np.ndarray
     sizes: np.ndarray
 
 
-def _by_size(edges) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """(t, candidate indices, sorted vertex matrix) for each cardinality t."""
-    sizes = np.array([len(e) for e in edges], dtype=np.int64)
-    if len(sizes) and sizes.min() < 2:
-        raise CandidateError("every candidate needs at least two vertices")
-    out = []
-    for t in np.unique(sizes).tolist():
-        idx = np.flatnonzero(sizes == t)
-        verts = np.sort(np.array([edges[k] for k in idx], dtype=np.int64).reshape(len(idx), t))
-        out.append((t, idx, verts))
-    return out
+class _Candidates(Sequence):
+    """A batch of candidate edges and their expansion, shared by every
+    method and parameter value that scores the batch.
+
+    As a sequence it yields the edges as given.  ``vertices`` is the sorted
+    union of their vertices, and ``blocks`` holds, for each cardinality t,
+    the indices of the candidates of size t and their sorted vertices as
+    ranks in ``vertices``.  Because ranks ascend with vertex ids, they order
+    pairs and groups exactly as the vertex ids do.  The vertex pairs and the
+    distinct pairs are built on first use only.
+    """
+
+    def __init__(self, edges):
+        self.edges = list(edges)
+        self.sizes = np.fromiter(map(len, self.edges), dtype=np.int64, count=len(self.edges))
+        if len(self.sizes) and self.sizes.min() < 2:
+            raise CandidateError("every candidate needs at least two vertices")
+        blocks = []
+        for t in np.unique(self.sizes).tolist():
+            idx = np.flatnonzero(self.sizes == t)
+            verts = np.array([self.edges[k] for k in idx], dtype=np.int64).reshape(len(idx), t)
+            blocks.append((t, idx, np.sort(verts)))
+        flat = np.concatenate([v.ravel() for _, _, v in blocks] or [np.zeros(0, dtype=np.int64)])
+        self.vertices = np.unique(flat)
+        self.blocks = [(t, idx, np.searchsorted(self.vertices, v)) for t, idx, v in blocks]
+
+    def __getitem__(self, k):
+        return self.edges[k]
+
+    def __iter__(self):
+        return iter(self.edges)
+
+    def __len__(self) -> int:
+        return len(self.edges)
+
+    @cached_property
+    def pairs(self) -> _Pairs:
+        width = max((t * (t - 1) // 2 for t, _, _ in self.blocks), default=0)
+        slots = np.full((len(self), width), -1, dtype=np.int64)
+        first, second = [], []
+        base = 0
+        for t, idx, ranks in self.blocks:
+            iu, ju = np.triu_indices(t, 1)
+            first.append(ranks[:, iu].ravel())
+            second.append(ranks[:, ju].ravel())
+            slots[idx, : len(iu)] = base + np.arange(len(idx) * len(iu)).reshape(len(idx), len(iu))
+            base += len(idx) * len(iu)
+        empty = np.zeros(0, dtype=np.int64)
+        ri, rj = np.concatenate(first or [empty]), np.concatenate(second or [empty])
+        return _Pairs(self.vertices[ri], self.vertices[rj], ri, rj, slots, self.sizes)
+
+    @cached_property
+    def distinct_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct rank pairs in ascending order, as a (U, 2) array,
+        and the row of each pair of ``pairs`` in it."""
+        n = len(self.vertices)
+        keys, inverse = np.unique(self.pairs.ri * n + self.pairs.rj, return_inverse=True)
+        return np.stack([keys // n, keys % n], axis=1), inverse
 
 
-def _candidate_pairs(edges) -> _Pairs:
-    blocks = _by_size(edges)
-    sizes = np.zeros(len(edges), dtype=np.int64)
-    width = max((t * (t - 1) // 2 for t, _, _ in blocks), default=0)
-    slots = np.full((len(edges), width), -1, dtype=np.int64)
-    first, second = [], []
-    base = 0
-    for t, idx, verts in blocks:
-        iu, ju = np.triu_indices(t, 1)
-        first.append(verts[:, iu].ravel())
-        second.append(verts[:, ju].ravel())
-        slots[idx, : len(iu)] = base + np.arange(len(idx) * len(iu)).reshape(len(idx), len(iu))
-        sizes[idx] = t
-        base += len(idx) * len(iu)
-    empty = np.zeros(0, dtype=np.int64)
-    return _Pairs(np.concatenate(first or [empty]), np.concatenate(second or [empty]), slots, sizes)
+def _candidates(edges) -> _Candidates:
+    return edges if isinstance(edges, _Candidates) else _Candidates(edges)
 
 
 def _pair_means(pairs: _Pairs, values: np.ndarray) -> np.ndarray:
@@ -199,31 +243,34 @@ def score_edges_from_rows(kind: str, edges, rows: localwalk.WalkRows) -> np.ndar
     """Score many edges under one walk method from precomputed walk rows,
     which hold a row for every vertex of the edges.
 
-    lrw averages the symmetrized walk mass s_ij + s_ji, read by exact
-    gathers; lrw-js evaluates the divergence of each distinct vertex pair
-    once, in one batched kernel call; lrw-gjs passes every candidate's rows
-    as one group, normalized by log2 t.
+    ``edges`` is a list of edges, or the expanded batch that
+    :func:`score_grid` shares among its calls; either way the candidates'
+    vertices are looked up in ``rows`` once.  lrw averages the symmetrized
+    walk mass s_ij + s_ji, read by exact gathers; lrw-js evaluates the
+    divergence of each distinct vertex pair once, in one batched kernel
+    call; lrw-gjs passes every candidate's rows as one group, normalized
+    by log2 t.
     """
     if kind not in WALK_KINDS:
         raise ParameterError(f"{kind!r} is not a walk method")
-    edges = list(edges)
-    if not edges:
+    cands = _candidates(edges)
+    if not len(cands):
         return np.zeros(0)
+    pos = rows.positions(cands.vertices)
     mat = rows.matrix
     if kind == LRW_GJS:
-        scores = np.empty(len(edges))
-        for t, idx, verts in _by_size(edges):
-            groups = rows.positions(verts.ravel()).reshape(verts.shape)
-            scores[idx] = 1.0 - divergence.divergences(mat, groups) / math.log2(t)
-        return _unit_interval(scores, edges)
-    pairs = _candidate_pairs(edges)
-    pi, pj = rows.positions(pairs.i), rows.positions(pairs.j)
+        scores = np.empty(len(cands))
+        for t, idx, ranks in cands.blocks:
+            scores[idx] = 1.0 - divergence.divergences(mat, pos[ranks]) / math.log2(t)
+        return _unit_interval(scores, cands)
+    pairs = cands.pairs
     if kind == LRW:
-        return _pair_means(pairs, _gather(mat, pi, pairs.j) + _gather(mat, pj, pairs.i))
-    keys, inverse = np.unique(pi * len(rows) + pj, return_inverse=True)
-    unique_pairs = np.stack([keys // len(rows), keys % len(rows)], axis=1)
-    values = divergence.divergences(mat, unique_pairs)[inverse.ravel()]
-    return _unit_interval(1.0 - _pair_means(pairs, values), edges)
+        return _pair_means(
+            pairs, _gather(mat, pos[pairs.ri], pairs.j) + _gather(mat, pos[pairs.rj], pairs.i)
+        )
+    distinct, inverse = cands.distinct_pairs
+    values = divergence.divergences(mat, pos[distinct])[inverse]
+    return _unit_interval(1.0 - _pair_means(pairs, values), cands)
 
 
 def spectral_radius(a: sparse.csr_matrix) -> float:
@@ -377,7 +424,7 @@ def score_hkatz(edges, table, betas) -> list[np.ndarray]:
     """Mean pairwise Katz similarity over each edge's vertex pairs, one
     score array per damping factor of ``betas``, from one
     :func:`katz_pair_table`.  The edges expand to pairs once."""
-    pairs = _candidate_pairs(list(edges))
+    pairs = _candidates(edges).pairs
     return [_pair_means(pairs, table.values(beta, pairs.i, pairs.j)) for beta in betas]
 
 
@@ -433,27 +480,27 @@ def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]
     kinds, grid = list(kinds), list(grid)
     if not kinds or (len(kinds) > 1 and not set(kinds) <= set(WALK_KINDS)):
         raise ParameterError(f"method kinds {kinds} are not one family")
-    needed = sorted({v for e in edges for v in e})
+    cands = _Candidates(edges)
     if kinds[0] in WALK_KINDS:
         p = projection.transition(g, allow_isolated=True)
-        rows_by_k = localwalk.walk_matrix_rows_multi(p, needed, grid)
+        rows_by_k = localwalk.walk_matrix_rows_multi(p, cands.vertices, grid)
         return {
-            kind: [score_edges_from_rows(kind, edges, rows_by_k[k]) for k in grid]
+            kind: [score_edges_from_rows(kind, cands, rows_by_k[k]) for k in grid]
             for kind in kinds
         }
     (kind,) = kinds
     if kind == HKATZ:
-        table = katz_pair_table(projection.adjacency(g).astype(np.float64), needed)
-        return {kind: score_hkatz(edges, table, grid)}
+        table = katz_pair_table(projection.adjacency(g).astype(np.float64), cands.vertices)
+        return {kind: score_hkatz(cands, table, grid)}
     if grid != [None]:
         raise ParameterError(f"{kind} has no parameter; its grid is [None], not {grid}")
-    pairs = _candidate_pairs(edges)
+    pairs = cands.pairs
     if kind == HCN:
         nbrs = neighbor_sets(g)
         values = np.asarray(nbrs[pairs.i].multiply(nbrs[pairs.j]).sum(axis=1)).ravel()
     else:
-        table = hpra_pair_table(g, needed)
-        values = _gather(table, np.searchsorted(needed, pairs.j), pairs.i)
+        table = hpra_pair_table(g, cands.vertices)  # row r is vertex cands.vertices[r]
+        values = _gather(table, pairs.rj, pairs.i)
     return {kind: [_pair_means(pairs, values)]}
 
 

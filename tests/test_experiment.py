@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperwalk import scoring
 from hyperwalk.errors import (
     MetricUndefinedError,
     ParameterError,
@@ -24,7 +28,7 @@ from hyperwalk.experiment import (
 )
 from hyperwalk.hypergraph import from_label_edges
 from hyperwalk.scoring import LRW, LRW_GJS, LRW_JS, MethodSpec, ScoredEdge
-from hyperwalk.synthetic import random_hypergraph
+from hyperwalk.synthetic import planted_hypergraph, random_hypergraph
 
 from conftest import auroc_pairs_oracle, f1_set_oracle, hypergraphs
 
@@ -219,6 +223,34 @@ def test_auroc_invariant_under_monotone_transform(medium):
     assert auroc(np.exp(3 * scores) + 7, labels) == base
 
 
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_auroc_of_score_rows_equals_each_row_alone(data):
+    n = data.draw(st.integers(2, 30))
+    labels = data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    labels[:2] = [1, 0]
+    rows = data.draw(st.integers(1, 5))
+    # few distinct values, so rows are full of ties
+    values = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 0.5 + 1e-16, 1.0]) | st.floats(-2.0, 2.0)
+    scores = np.array(data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                         min_size=rows, max_size=rows)))
+    together = auroc(scores, labels)
+    assert together.shape == (rows,)
+    for r in range(rows):
+        assert together[r] == auroc(scores[r], labels)
+
+
+def test_metrics_reject_label_count_mismatch():
+    scored = _scored([(0, 1), (1, 2), (2, 3)], [0.9, 0.5, 0.1])
+    for labels in ([1, 0, 0, 1], [1, 0]):
+        with pytest.raises(ParameterError, match="labels for 3"):
+            f1_at_cutoff(scored, labels, 2)
+        with pytest.raises(ParameterError, match="labels for 3"):
+            auroc(scored, labels)
+    with pytest.raises(ParameterError, match="labels for 3"):
+        auroc(np.zeros((2, 3)), [1, 0])
+
+
 def _scored(edges, scores):
     spec = MethodSpec(LRW, k=2)
     return [ScoredEdge(e, s, spec) for e, s in zip(edges, scores)]
@@ -260,6 +292,19 @@ def test_f1_tie_break_canonical_edge_order():
     # all tied: selection takes ascending edge encoding: (0,1) then (2,3)
     assert select_top(edges, [0.5, 0.5, 0.5], 2) == [1, 2]
     assert f1_at_cutoff(scored, [0, 1, 1], 2) == 1.0
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_select_top_matches_sorted_oracle(data):
+    # short vertex ranges make shared prefixes, equal edges and tied scores common
+    edges = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=4).map(tuple),
+                               min_size=1, max_size=25))
+    scores = data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.0]) | st.floats(-1.0, 1.0),
+                                min_size=len(edges), max_size=len(edges)))
+    oracle = sorted(range(len(edges)), key=lambda i: (-scores[i], edges[i]))
+    for cutoff in range(len(edges) + 1):
+        assert select_top(edges, scores, cutoff) == oracle[:cutoff]
 
 
 def test_f1_cutoff_bounds():
@@ -385,6 +430,28 @@ def test_run_experiment_threads_equivalent(medium):
     serial = run_experiment(medium, SplitSpec(0.8, 3, 2), SamplingSpec(0.5, 2), methods, threads=1, **kwargs)
     parallel = run_experiment(medium, SplitSpec(0.8, 3, 2), SamplingSpec(0.5, 2), methods, threads=3, **kwargs)
     assert serial.to_json_dict() == parallel.to_json_dict()
+
+
+def test_planted_structure_ranks_above_fakes(monkeypatch):
+    # Random hypergraphs score AUROC ~0.5 under every method, so they cannot
+    # tell a sound scorer from one that ranks backwards; planted ones can.
+    g = planted_hypergraph(60, 240, np.random.default_rng(0))
+    methods = list(scoring.ALL_KINDS)
+
+    def aurocs():
+        res = run_experiment(g, SplitSpec(0.8, 1, 0), SamplingSpec(0.5, 3), methods)
+        return {o.kind: o.auroc for o in res.records[0].outcomes}
+
+    sound = aurocs()
+    assert all(value >= 0.65 for value in sound.values()), sound
+    original = scoring.score_candidates
+
+    def reversed_scores(*args):
+        return [replace(s, score=-s.score) for s in original(*args)]
+
+    monkeypatch.setattr(scoring, "score_candidates", reversed_scores)
+    backwards = aurocs()
+    assert all(value <= 0.35 for value in backwards.values()), backwards
 
 
 def test_run_experiment_pinned_parameter_skips_cv(medium):

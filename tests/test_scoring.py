@@ -246,6 +246,23 @@ def test_score_grid_matches_score_candidates(g, data):
                 assert np.array_equal(scores, [s.score for s in alone])
 
 
+@given(g=hypergraphs(max_n=14, max_m=14), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_score_grid_walk_kinds_match_each_k_alone(g, data):
+    present = np.flatnonzero(g.degrees > 0).tolist()
+    candidate = st.sets(st.sampled_from(present), min_size=2, max_size=min(5, len(present)))
+    drawn = data.draw(st.lists(candidate.map(lambda e: tuple(sorted(e))), min_size=1, max_size=12))
+    edges = drawn + data.draw(st.lists(st.sampled_from(drawn), max_size=4))  # repeated candidates
+    grid = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))  # any order, repeats
+    got = score_grid(WALK_KINDS, g, edges, grid)
+    p = transition(g, allow_isolated=True)
+    vertices = sorted({v for e in edges for v in e})
+    for k, column in zip(grid, zip(*(got[kind] for kind in WALK_KINDS))):
+        rows = walk_matrix_rows(p, vertices, k)
+        for kind, scores in zip(WALK_KINDS, column):
+            assert np.array_equal(scores, score_edges_from_rows(kind, edges, rows))
+
+
 def test_score_grid_rejects_mixed_families_and_grids(t1):
     with pytest.raises(ParameterError):
         score_grid([LRW, HKATZ], t1, [(0, 1)], [2])
