@@ -16,7 +16,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -236,13 +235,8 @@ def select_top(edges: Sequence[Edge], scores, cutoff: int) -> list[int]:
     """Indices of the cutoff best candidates: score descending, then
     canonical edge encoding ascending."""
     scores = _scores_array(scores)
-    sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
-    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=int(sizes.sum()))
-    # pad below every vertex, so that a prefix sorts before its extensions
-    cols = np.full((len(edges), sizes.max(initial=0)), flat.min(initial=0) - 1)
-    cols[np.arange(cols.shape[1]) < sizes[:, None]] = flat
-    order = np.lexsort([*cols.T[::-1], -scores])
-    return order[:cutoff].tolist()
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], edges[i]))
+    return order[:cutoff]
 
 
 def f1_at_cutoff(scored: Sequence[ScoredEdge], labels, cutoff: int) -> float:

@@ -25,7 +25,7 @@ def random_hypergraph(
         raise ValueError("need at least max_size vertices")
     edges = []
     for _ in range(m):
-        size = int(rng.integers(2, 6))
+        size = int(rng.integers(min_size, max_size + 1))
         edges.append(rng.choice(n, size=size, replace=False).tolist())
     g = from_label_edges(edges)
     return largest_component(g) if connected else g
