@@ -16,6 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Sequence
 
 import numpy as np
@@ -106,18 +107,26 @@ def split(g: Hypergraph, spec: SplitSpec, trial: int) -> tuple[tuple[Edge, ...],
     for attempt in range(100):
         rng = _rng(spec.seed, _SPLIT, trial, attempt)
         perm = rng.permutation(g.m)
-        observed = tuple(g.edges[i] for i in sorted(perm[:n_obs]))
-        missing = tuple(g.edges[i] for i in sorted(perm[n_obs:]))
         in_observed = np.zeros(g.m, dtype=bool)
         in_observed[perm[:n_obs]] = True
         covered = np.zeros(g.n, dtype=bool)
         covered[g.members[np.repeat(in_observed, g.cardinalities)]] = True
-        pruned = tuple(e for e in missing if covered[list(e)].all())
+        usable = ~in_observed & _all_marked(g.members, g.cardinalities, covered)
+        pruned = tuple(compress(g.edges, usable.tolist()))
         if pruned:
+            observed = tuple(compress(g.edges, in_observed.tolist()))
             if attempt:
                 logger.info("trial %d: split usable after %d retries", trial, attempt)
             return observed, pruned
     raise TrialDegenerateError("no usable split in 100 attempts")
+
+
+def _all_marked(flat: np.ndarray, sizes: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Whether ``mask`` marks every vertex of each edge, for edges given
+    as their vertices ``flat``, concatenated edge by edge, and ``sizes``."""
+    misses = np.concatenate(([0], np.cumsum(~mask[flat])))
+    ends = np.cumsum(sizes)
+    return misses[ends] == misses[ends - sizes]
 
 
 def _round_half_up(x: float) -> int:
@@ -145,30 +154,46 @@ def sample_negatives(
     isolated in the observed set.  A fake equal (as a set) to an observed,
     missing, or previously sampled edge is resampled up to 100 times, then
     accepted with the collision counted.  Returns (fakes, collisions).
+
+    Random-number contract: every attempt makes exactly two calls on
+    ``rng``, first ``rng.choice(len(edge), size=r, replace=False)`` for
+    the edge slots to replace, then ``rng.choice(len(eligible), size=r,
+    replace=False)`` for positions in the ascending array of eligible
+    vertices (the same draws as ``rng.choice(eligible, ...)``), with r from
+    :func:`replacement_count`.  Nothing else reads the generator.
     """
     if forbidden is None:
         forbidden = set(observed)
     if observed_degrees is None:
         observed_degrees = g.with_edges(observed).degrees
-    size = len(edge)
+    return _sample_fakes(edge, observed_degrees > 0, spec, rng, forbidden)
+
+
+def _sample_fakes(
+    edge: Edge,
+    active: np.ndarray,
+    spec: SamplingSpec,
+    rng: np.random.Generator,
+    forbidden: set[Edge],
+) -> tuple[list[Edge], int]:
+    """:func:`sample_negatives` with the observed vertices given as the
+    mask ``active`` of non-isolated vertices."""
+    members = [int(v) for v in edge]
+    size = len(members)
     r = replacement_count(size, spec.alpha)
-    in_edge = np.zeros(g.n, dtype=bool)
-    in_edge[list(edge)] = True
-    eligible = np.flatnonzero((observed_degrees > 0) & ~in_edge)
-    if len(eligible) < r:
-        raise SamplingError(
-            f"edge {edge}: need {r} replacement vertices, only {len(eligible)} eligible"
-        )
-    edge_arr = np.asarray(edge)
+    mask = active.copy()
+    mask[members] = False
+    eligible = np.flatnonzero(mask)
+    pool = len(eligible)
+    if pool < r:
+        raise SamplingError(f"edge {edge}: need {r} replacement vertices, only {pool} eligible")
     fakes: list[Edge] = []
     collisions = 0
     for _ in range(spec.fakes_per_missing):
-        fake: Edge = ()
         for attempt in range(100):
-            drop = rng.choice(size, size=r, replace=False)
-            keep = np.delete(edge_arr, drop)
-            repl = rng.choice(eligible, size=r, replace=False)
-            fake = tuple(sorted(np.concatenate([keep, repl]).tolist()))
+            drop = rng.choice(size, size=r, replace=False).tolist()
+            repl = eligible[rng.choice(pool, size=r, replace=False)].tolist()
+            fake = tuple(sorted([v for k, v in enumerate(members) if k not in drop] + repl))
             if fake not in forbidden:
                 break
         else:
@@ -188,11 +213,11 @@ def build_candidates(
     """Candidate set: the missing edges plus fakes_per_missing fakes each,
     sampled against the observed hypergraph."""
     forbidden: set[Edge] = set(observed_g.edges) | set(missing)
-    deg = observed_g.degrees
+    active = observed_g.degrees > 0
     negatives: list[Edge] = []
     collisions = 0
     for e in missing:
-        fakes, c = sample_negatives(e, observed_g, observed_g.edges, spec, rng, forbidden, deg)
+        fakes, c = _sample_fakes(e, active, spec, rng, forbidden)
         negatives.extend(fakes)
         collisions += c
     return CandidateSet(tuple(missing), tuple(negatives), collisions)
@@ -208,6 +233,9 @@ def _check_labels(labels, count: int) -> np.ndarray:
     labels = np.asarray(labels)
     if len(labels) != count:
         raise ParameterError(f"{len(labels)} labels for {count} scored candidates")
+    bad = ~((labels == 0) | (labels == 1))
+    if bad.any():
+        raise ParameterError(f"labels must be 0 or 1, not {labels[bad].tolist()[0]!r}")
     return labels
 
 
@@ -233,10 +261,18 @@ def auroc(scored, labels):
 
 def select_top(edges: Sequence[Edge], scores, cutoff: int) -> list[int]:
     """Indices of the cutoff best candidates: score descending, then
-    canonical edge encoding ascending."""
+    canonical edge encoding ascending.
+
+    One ``lexsort`` over the negated scores and the edges' vertex columns,
+    padded below every vertex id so that an edge sorts before the edges it
+    is a prefix of, as tuples do.
+    """
     scores = _scores_array(scores)
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], edges[i]))
-    return order[:cutoff]
+    sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
+    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=int(sizes.sum()))
+    columns = np.full((len(edges), sizes.max(initial=0)), flat.min(initial=0) - 1)
+    columns[np.arange(columns.shape[1]) < sizes[:, None]] = flat
+    return np.lexsort((*columns.T[::-1], -scores))[:cutoff].tolist()
 
 
 def f1_at_cutoff(scored: Sequence[ScoredEdge], labels, cutoff: int) -> float:
@@ -302,13 +338,17 @@ def cross_validate(
 
     totals = {k: np.zeros(len(grid)) for k in kinds}
     used_folds = 0
+    cand_sizes = np.fromiter(map(len, candidates), dtype=np.int64, count=len(candidates))
+    cand_flat = np.fromiter(chain.from_iterable(candidates), dtype=np.int64)
     for part in _fold_parts(len(observed), folds, rng):
-        part_set = set(part.tolist())
-        train = [e for i, e in enumerate(observed) if i not in part_set]
-        train_g = g.with_edges(train)
-        deg = train_g.degrees
-        val_pos = [observed[i] for i in sorted(part_set) if all(deg[v] > 0 for v in observed[i])]
-        val_neg = [e for e in candidates if all(deg[v] > 0 for v in e)]
+        in_part = np.zeros(len(observed), dtype=bool)
+        in_part[part] = True
+        # a subsequence of g's edges is canonical already
+        train_g = Hypergraph(g.n, list(compress(observed, (~in_part).tolist())), g.labels)
+        active = train_g.degrees > 0
+        in_part &= _all_marked(g.members, g.cardinalities, active)
+        val_pos = list(compress(observed, in_part.tolist()))
+        val_neg = list(compress(candidates, _all_marked(cand_flat, cand_sizes, active).tolist()))
         if not val_pos or not val_neg:
             logger.warning("cross-validation fold skipped: no usable positives or negatives")
             continue

@@ -17,7 +17,8 @@ every walk length and method of the call shares that expansion: the
 sorted union of the candidates' vertices, each cardinality's vertex
 matrix as ranks in that union, and, built only when a method reads them,
 the vertex pairs in ``combinations`` order (one ``triu_indices`` block
-per cardinality) and the distinct pairs.  A walk method maps the ranks
+per cardinality) and the distinct pairs.  The candidate checks of
+:func:`score_candidates` run on the same cardinality blocks.  A walk method maps the ranks
 onto one K's walk rows with a single row lookup.  Each method computes
 all pair values at once: exact gathers from the walk-row CSR matrix
 (lrw), from the sparse resource-allocation product (hpra) or from the
@@ -42,9 +43,11 @@ KATZ_CLOSED_MAX_N vertices the truncated series takes over.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -141,39 +144,67 @@ class _Pairs(NamedTuple):
 
 
 class _Candidates(Sequence):
-    """A batch of candidate edges and their expansion, shared by every
-    method and parameter value that scores the batch.
+    """A checked batch of candidate edges and their expansion, shared by
+    every method and parameter value that scores the batch.
 
-    As a sequence it yields the edges as given.  ``vertices`` is the sorted
-    union of their vertices, and ``blocks`` holds, for each cardinality t,
-    the indices of the candidates of size t and their sorted vertices as
-    ranks in ``vertices``.  Because ranks ascend with vertex ids, they order
-    pairs and groups exactly as the vertex ids do.  The vertex pairs and the
-    distinct pairs are built on first use only.
+    As a sequence it yields each candidate in canonical form, a sorted
+    tuple of vertex ids, in input order.  ``vertices`` is the sorted union
+    of their vertices, and ``blocks`` holds, for each cardinality t, the
+    indices of the candidates of size t and their sorted vertices as ranks
+    in ``vertices``.  Because ranks ascend with vertex ids, they order
+    pairs and groups exactly as the vertex ids do.  The vertex pairs and
+    the distinct pairs are built on first use only.
+
+    Every candidate must be a set of at least two integer vertex ids and,
+    when the graph ``g`` is given, use only vertices present in it.  The
+    checks run on the blocks, and the first failing candidate in input
+    order raises its :class:`CandidateError`.
     """
 
-    def __init__(self, edges):
-        self.edges = list(edges)
-        self.sizes = np.fromiter(map(len, self.edges), dtype=np.int64, count=len(self.edges))
-        if len(self.sizes) and self.sizes.min() < 2:
-            raise CandidateError("every candidate needs at least two vertices")
-        blocks = []
+    def __init__(self, edges, g: Hypergraph | None = None):
+        self._edges = edges if isinstance(edges, Sequence) else list(edges)
+        self.sizes = np.fromiter(map(len, self._edges), dtype=np.int64, count=len(self._edges))
+        flat = list(chain.from_iterable(self._edges))
+        kinds = set(map(type, flat))
+        starts = np.cumsum(self.sizes) - self.sizes
+        self.vertices, inverse = np.unique(_vertex_ids(flat, kinds), return_inverse=True)
+        absent = self.vertices < 0  # negative, or not an integer (see _vertex_ids)
+        if g is not None:
+            absent |= self.vertices >= g.n
+            absent[~absent] = g.degrees[self.vertices[~absent]] == 0
+        bad = self.sizes < 2
+        # a candidate given as an ascending tuple of ints is its own canonical form
+        self._as_given = np.full(
+            len(self), kinds <= {int} and set(map(type, self._edges)) <= {tuple}
+        )
+        self.blocks = []
         for t in np.unique(self.sizes).tolist():
             idx = np.flatnonzero(self.sizes == t)
-            verts = np.array([self.edges[k] for k in idx], dtype=np.int64).reshape(len(idx), t)
-            blocks.append((t, idx, np.sort(verts)))
-        flat = np.concatenate([v.ravel() for _, _, v in blocks] or [np.zeros(0, dtype=np.int64)])
-        self.vertices = np.unique(flat)
-        self.blocks = [(t, idx, np.searchsorted(self.vertices, v)) for t, idx, v in blocks]
+            given = inverse[starts[idx, None] + np.arange(t)]
+            ranks = np.sort(given)
+            bad[idx] |= (ranks[:, 1:] == ranks[:, :-1]).any(axis=1) | absent[ranks].any(axis=1)
+            self._as_given[idx] &= (given == ranks).all(axis=1)
+            self.blocks.append((t, idx, ranks))
+        if bad.any():
+            raise _candidate_error(self._edges[int(np.argmax(bad))], g)
+
+    @cached_property
+    def _canonical(self) -> list[Edge]:
+        out = list(self._edges)
+        for _, idx, ranks in self.blocks:
+            redo = ~self._as_given[idx]
+            for k, edge in zip(idx[redo].tolist(), map(tuple, self.vertices[ranks[redo]].tolist())):
+                out[k] = edge
+        return out
 
     def __getitem__(self, k):
-        return self.edges[k]
+        return self._canonical[k]
 
     def __iter__(self):
-        return iter(self.edges)
+        return iter(self._canonical)
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self.sizes)
 
     @cached_property
     def pairs(self) -> _Pairs:
@@ -200,8 +231,39 @@ class _Candidates(Sequence):
         return np.stack([keys // n, keys % n], axis=1), inverse
 
 
-def _candidates(edges) -> _Candidates:
-    return edges if isinstance(edges, _Candidates) else _Candidates(edges)
+def _vertex_ids(flat: list, kinds: set[type]) -> np.ndarray:
+    """Vertex ids ``flat``, of the types ``kinds``, as int64; -1 stands in
+    for any that is not a nonnegative int64 integer."""
+    if all(issubclass(t, numbers.Integral) for t in kinds):
+        try:
+            return np.array(flat, dtype=np.int64)
+        except OverflowError:
+            pass
+    return np.array(
+        [v if isinstance(v, numbers.Integral) and 0 <= v < 2**63 else -1 for v in flat],
+        dtype=np.int64,
+    )
+
+
+def _candidate_error(edge, g: Hypergraph | None) -> CandidateError:
+    """The error of one failing candidate, from its first failing check."""
+    for v in edge:
+        if not isinstance(v, numbers.Integral):
+            return CandidateError(f"candidate {tuple(edge)!r} has the non-integer vertex {v!r}")
+    edge = tuple(sorted(int(v) for v in edge))
+    if len(edge) < 2 or len(set(edge)) != len(edge):
+        return CandidateError(f"candidate {edge} is not a set of >= 2 vertices")
+    limit = g.n if g is not None else 2**63
+    for v in edge:
+        if v < 0 or v >= limit or (g is not None and g.degrees[v] == 0):
+            return CandidateError(
+                f"candidate {edge} uses vertex {v} absent from the training hypergraph"
+            )
+    raise ContractViolation(f"candidate {edge} was rejected but passes every check")
+
+
+def _candidates(edges, g: Hypergraph | None = None) -> _Candidates:
+    return edges if isinstance(edges, _Candidates) else _Candidates(edges, g)
 
 
 def _pair_means(pairs: _Pairs, values: np.ndarray) -> np.ndarray:
@@ -450,22 +512,6 @@ def hpra_pair_table(g: Hypergraph, vertices) -> sparse.csr_matrix:
     return (xw + (xw @ sparse.diags(dinv)) @ w).tocsr()
 
 
-def _normalize_candidates(g: Hypergraph, candidates) -> list[Edge]:
-    degrees = g.degrees
-    out = []
-    for e in candidates:
-        edge = tuple(sorted(int(v) for v in e))
-        if len(edge) < 2 or len(set(edge)) != len(edge):
-            raise CandidateError(f"candidate {edge} is not a set of >= 2 vertices")
-        for v in edge:
-            if v < 0 or v >= g.n or degrees[v] == 0:
-                raise CandidateError(
-                    f"candidate {edge} uses vertex {v} absent from the training hypergraph"
-                )
-        out.append(edge)
-    return out
-
-
 def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]:
     """Scores of canonical candidate ``edges`` on ``g`` under each method
     of one family, one score array per value of ``grid``, in grid order.
@@ -480,7 +526,7 @@ def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]
     kinds, grid = list(kinds), list(grid)
     if not kinds or (len(kinds) > 1 and not set(kinds) <= set(WALK_KINDS)):
         raise ParameterError(f"method kinds {kinds} are not one family")
-    cands = _Candidates(edges)
+    cands = _candidates(edges, g)
     if kinds[0] in WALK_KINDS:
         p = projection.transition(g, allow_isolated=True)
         rows_by_k = localwalk.walk_matrix_rows_multi(p, cands.vertices, grid)
@@ -510,12 +556,12 @@ def score_candidates(method: MethodSpec, g: Hypergraph, candidates) -> list[Scor
     The candidates are checked and put in canonical form, then scored in
     one batch by :func:`score_grid` at the method's own parameter.
     """
-    edges = _normalize_candidates(g, candidates)
-    if not edges:
+    cands = _Candidates(candidates, g)
+    if not len(cands):
         return []
     if method.kind in WALK_KINDS and method.k is None:
         raise ParameterError(f"{method.kind} requires the walk length k")
     if method.kind == HKATZ and method.beta is None:
         raise ParameterError("hkatz requires the damping factor beta")
-    vals = score_grid([method.kind], g, edges, [method.param])[method.kind][0]
-    return [ScoredEdge(e, float(v), method) for e, v in zip(edges, vals)]
+    vals = score_grid([method.kind], g, cands, [method.param])[method.kind][0]
+    return [ScoredEdge(e, v, method) for e, v in zip(cands, vals.tolist())]

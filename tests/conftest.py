@@ -1,13 +1,16 @@
 """Shared fixtures, hypothesis strategies, and independent oracles.
 
 The oracles here deliberately avoid the library's own code paths: dense
-matrix powers for walk rows, pair enumeration for metrics, and scalar
-formulas for divergences, so tests compare two independent routes.
+matrix powers for walk rows, pair enumeration for metrics, scalar
+formulas for divergences, and per-edge loops for negative sampling,
+top-k selection and candidate checks, so tests compare two independent
+routes.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from itertools import combinations
 from pathlib import Path
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import strategies as st
 from scipy import sparse
 
+from hyperwalk.errors import CandidateError, SamplingError
 from hyperwalk.hypergraph import Hypergraph, from_label_edges, largest_component
 
 DATA_DIR = Path(os.environ.get("HYPERWALK_DATA", Path(__file__).parent.parent / "data"))
@@ -169,6 +173,11 @@ def auroc_pairs_oracle(scores, labels) -> float:
     return total / (len(pos) * len(neg))
 
 
+def select_top_oracle(edges, scores, cutoff: int) -> list[int]:
+    """The cutoff best indices by Python's tuple order on (-score, edge)."""
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], edges[i]))[:cutoff]
+
+
 def f1_set_oracle(edges, scores, labels, cutoff: int) -> float:
     """Top-set enumeration with the (score desc, edge asc) order.
 
@@ -177,14 +186,71 @@ def f1_set_oracle(edges, scores, labels, cutoff: int) -> float:
     """
     from fractions import Fraction
 
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], edges[i]))
-    tp = sum(labels[i] for i in order[:cutoff])
+    order = select_top_oracle(edges, scores, cutoff)
+    tp = sum(labels[i] for i in order)
     n_pos = sum(labels)
     if tp == 0:
         return 0.0
     precision = Fraction(tp, cutoff)
     recall = Fraction(tp, n_pos)
     return float(2 * precision * recall / (precision + recall))
+
+
+def negatives_oracle(edge, g, observed, spec, rng, forbidden=None, observed_degrees=None):
+    """Fakes for one missing edge by the per-fake loop: a fresh eligibility
+    mask per edge, ``np.delete`` of the dropped slots, and ``rng.choice``
+    over the eligible vertices themselves.  Returns (fakes, collisions)."""
+    if forbidden is None:
+        forbidden = set(observed)
+    if observed_degrees is None:
+        observed_degrees = g.with_edges(observed).degrees
+    size = len(edge)
+    r = min(max(math.floor((1.0 - spec.alpha) * size + 0.5), 1), size - 1)
+    in_edge = np.zeros(g.n, dtype=bool)
+    in_edge[list(edge)] = True
+    eligible = np.flatnonzero((observed_degrees > 0) & ~in_edge)
+    if len(eligible) < r:
+        raise SamplingError(
+            f"edge {edge}: need {r} replacement vertices, only {len(eligible)} eligible"
+        )
+    edge_arr = np.asarray(edge)
+    fakes = []
+    collisions = 0
+    for _ in range(spec.fakes_per_missing):
+        fake = ()
+        for attempt in range(100):
+            drop = rng.choice(size, size=r, replace=False)
+            keep = np.delete(edge_arr, drop)
+            repl = rng.choice(eligible, size=r, replace=False)
+            fake = tuple(sorted(np.concatenate([keep, repl]).tolist()))
+            if fake not in forbidden:
+                break
+        else:
+            collisions += 1
+        forbidden.add(fake)
+        fakes.append(fake)
+    return fakes, collisions
+
+
+def candidate_checks_oracle(g: Hypergraph, candidates) -> list:
+    """Canonical candidates by the per-edge loop, raising the
+    CandidateError of the first candidate that fails a check."""
+    degrees = g.degrees
+    out = []
+    for e in candidates:
+        for v in e:
+            if not isinstance(v, numbers.Integral):
+                raise CandidateError(f"candidate {tuple(e)!r} has the non-integer vertex {v!r}")
+        edge = tuple(sorted(int(v) for v in e))
+        if len(edge) < 2 or len(set(edge)) != len(edge):
+            raise CandidateError(f"candidate {edge} is not a set of >= 2 vertices")
+        for v in edge:
+            if v < 0 or v >= g.n or degrees[v] == 0:
+                raise CandidateError(
+                    f"candidate {edge} uses vertex {v} absent from the training hypergraph"
+                )
+        out.append(edge)
+    return out
 
 
 def report(criterion: int, message: str) -> None:

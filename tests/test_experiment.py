@@ -1,8 +1,9 @@
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperwalk import scoring
@@ -13,6 +14,7 @@ from hyperwalk.errors import (
     TrialDegenerateError,
 )
 from hyperwalk.experiment import (
+    CandidateSet,
     SamplingSpec,
     SplitSpec,
     auroc,
@@ -30,7 +32,13 @@ from hyperwalk.hypergraph import from_label_edges
 from hyperwalk.scoring import LRW, LRW_GJS, LRW_JS, MethodSpec, ScoredEdge
 from hyperwalk.synthetic import planted_hypergraph, random_hypergraph
 
-from conftest import auroc_pairs_oracle, f1_set_oracle, hypergraphs
+from conftest import (
+    auroc_pairs_oracle,
+    f1_set_oracle,
+    hypergraphs,
+    negatives_oracle,
+    select_top_oracle,
+)
 
 
 @pytest.fixture
@@ -155,6 +163,69 @@ def test_build_candidates_counts_and_cleanliness(medium):
         assert not set(cand.positives) & set(cand.negatives)
 
 
+def _sampling_graph(kind: str, n: int, m: int, seed: int):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return random_hypergraph(max(n, 5), m, rng, max_size=5, connected=True)
+    if kind == "planted":
+        return planted_hypergraph(max(n, 20), m, rng)
+    # every vertex pair is an edge, so every fake of a missing pair collides
+    return from_label_edges(list(combinations(range(4 + n % 3), 2)))
+
+
+@given(
+    kind=st.sampled_from(["random", "planted", "complete"]),
+    n=st.integers(5, 40),
+    m=st.integers(4, 80),
+    seed=st.integers(0, 2**16),
+    rho=st.sampled_from([0.5, 0.7, 0.8]),
+    alpha=st.floats(0.01, 0.99),
+    fakes=st.integers(1, 5),
+)
+@example(kind="complete", n=1, m=10, seed=0, rho=0.8, alpha=0.5, fakes=3)
+@settings(max_examples=80, deadline=None)
+def test_build_candidates_matches_negatives_oracle(kind, n, m, seed, rho, alpha, fakes):
+    g = _sampling_graph(kind, n, m, seed)
+    try:
+        observed, missing = split(g, SplitSpec(rho, 1, seed), 0)
+    except TrialDegenerateError:
+        return
+    observed_g = g.with_edges(observed)
+    spec = SamplingSpec(alpha, fakes)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    forbidden = set(observed) | set(missing)
+    negatives, collisions, expected_error = [], 0, None
+    try:
+        for e in missing:
+            f, c = negatives_oracle(
+                e, observed_g, observed, spec, oracle_rng, forbidden, observed_g.degrees
+            )
+            negatives.extend(f)
+            collisions += c
+    except SamplingError as exc:
+        expected_error = str(exc)
+    if expected_error is not None:
+        with pytest.raises(SamplingError) as info:
+            build_candidates(observed_g, missing, spec, rng)
+        assert str(info.value) == expected_error
+    else:
+        got = build_candidates(observed_g, missing, spec, rng)
+        assert got == CandidateSet(tuple(missing), tuple(negatives), collisions)
+        if kind == "complete":
+            assert collisions > 0
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_sample_negatives_defaults_match_oracle(medium):
+    observed, missing = split(medium, SplitSpec(0.8, 1, seed=2), 0)
+    spec = SamplingSpec(alpha=0.3, fakes_per_missing=4)
+    for edge in missing:
+        rng, oracle_rng = np.random.default_rng(7), np.random.default_rng(7)
+        got = sample_negatives(edge, medium, observed, spec, rng)
+        assert got == negatives_oracle(edge, medium, observed, spec, oracle_rng)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 @given(g=hypergraphs(max_n=12, max_m=14, connected=True))
 @settings(max_examples=25, deadline=None)
 def test_candidates_never_touch_isolated_vertices(g):
@@ -251,6 +322,18 @@ def test_metrics_reject_label_count_mismatch():
         auroc(np.zeros((2, 3)), [1, 0])
 
 
+def test_metrics_reject_labels_other_than_0_and_1():
+    scored = _scored([(0, 1), (1, 2), (2, 3)], [0.9, 0.5, 0.1])
+    for labels in ([2, 1, 0], [1, -1, 0], [1, 0.5, 0]):
+        with pytest.raises(ParameterError, match="0 or 1"):
+            f1_at_cutoff(scored, labels, 1)
+        with pytest.raises(ParameterError, match="0 or 1"):
+            auroc(scored, labels)
+    with pytest.raises(ParameterError, match="0 or 1"):
+        auroc(np.zeros((2, 3)), [1, 0, 2])
+    assert auroc(scored, [True, False, False]) == auroc(scored, [1, 0, 0]) == 1.0
+
+
 def _scored(edges, scores):
     spec = MethodSpec(LRW, k=2)
     return [ScoredEdge(e, s, spec) for e, s in zip(edges, scores)]
@@ -292,6 +375,24 @@ def test_f1_tie_break_canonical_edge_order():
     # all tied: selection takes ascending edge encoding: (0,1) then (2,3)
     assert select_top(edges, [0.5, 0.5, 0.5], 2) == [1, 2]
     assert f1_at_cutoff(scored, [0, 1, 1], 2) == 1.0
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_select_top_matches_sorted_key(data):
+    # few vertices and cardinalities 2..4: prefixes such as (1, 2) and
+    # (1, 2, 3), repeated edges, exact ties and 0.0 against -0.0
+    edge = st.lists(st.integers(0, 5), min_size=2, max_size=4, unique=True).map(
+        lambda e: tuple(sorted(e))
+    )
+    edges = data.draw(st.lists(edge, min_size=1, max_size=25))
+    score = st.sampled_from([0.0, -0.0, 0.5, 0.5 + 1e-16, 1.0, -1.0]) | st.floats(-2.0, 2.0)
+    scores = data.draw(st.lists(score, min_size=len(edges), max_size=len(edges)))
+    cutoff = data.draw(st.integers(0, len(edges)))
+    assert select_top(edges, scores, cutoff) == select_top_oracle(edges, scores, cutoff)
+    assert select_top(edges, np.array(scores), len(edges)) == select_top_oracle(
+        edges, scores, len(edges)
+    )
 
 
 def test_f1_cutoff_bounds():

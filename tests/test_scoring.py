@@ -37,7 +37,7 @@ from hyperwalk.scoring import (
     spectral_radius,
 )
 
-from conftest import hypergraphs, katz_dense_oracle, katz_series_oracle
+from conftest import candidate_checks_oracle, hypergraphs, katz_dense_oracle, katz_series_oracle
 
 
 def score(kind, edge, rows) -> float:
@@ -316,6 +316,42 @@ def test_score_candidates_rejects_isolated_vertex(t1):
     with pytest.raises(CandidateError) as err:
         score_candidates(MethodSpec(LRW, k=2), observed, [(2, 3)])
     assert "(2, 3)" in str(err.value)
+
+
+def test_score_candidates_rejects_non_integer_vertices(t1):
+    for bad in ((0, 1.7), (0, "1"), (0, np.float64(1.0)), (0, None)):
+        with pytest.raises(CandidateError, match="non-integer vertex"):
+            score_candidates(MethodSpec(HCN), t1, [(1, 2), bad])
+    scored = score_candidates(MethodSpec(HCN), t1, [(np.int64(1), 0), [True, 2]])
+    assert [s.edge for s in scored] == [(0, 1), (1, 2)]
+
+
+@given(g=hypergraphs(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_candidate_checks_match_per_edge_loop(g, data):
+    # drop some edges, so some vertices are isolated in the scored graph
+    g = g.with_edges(g.edges[: data.draw(st.integers(1, g.m))])
+    present = np.flatnonzero(g.degrees > 0).tolist()
+    good = st.lists(st.sampled_from(present), min_size=2, max_size=4, unique=True).flatmap(
+        lambda e: st.sampled_from([e, sorted(e), [np.int64(v) for v in sorted(e)]])
+    )
+    vertex = st.integers(-1, g.n) | st.sampled_from(
+        [1.5, "1", np.float64(2.0), None, True, np.int64(1), 2**70, -(2**70)]
+    )
+    bad = st.lists(vertex, max_size=4) | good.map(lambda e: (*e, e[0]))  # a repeated vertex
+    candidates = data.draw(st.lists(good | bad, max_size=10))
+    if data.draw(st.booleans()):  # ascending tuples of ints are kept as given
+        candidates = [tuple(e) for e in candidates]
+    try:
+        expected = candidate_checks_oracle(g, candidates)
+    except CandidateError as exc:
+        with pytest.raises(CandidateError) as info:
+            score_candidates(MethodSpec(HCN), g, candidates)
+        assert str(info.value) == str(exc)
+    else:
+        scored = score_candidates(MethodSpec(HCN), g, candidates)
+        assert [s.edge for s in scored] == expected
+        assert all(type(v) is int for s in scored for v in s.edge)
 
 
 def test_missing_walk_row_is_contract_violation(t1):
