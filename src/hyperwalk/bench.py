@@ -50,7 +50,11 @@ def walk_cost_curve(
     repeats: int = 3,
     seed: int = 0,
 ) -> list[BenchPoint]:
-    """Per-row, per-JS and per-GJS seconds across a degree grid at fixed K."""
+    """Per-row, per-JS and per-GJS seconds across a degree grid at fixed K.
+
+    Divergences are timed as one batched kernel call over ``pairs`` random
+    source pairs and one over as many triples.
+    """
     points = []
     for d in degree_grid:
         rng = np.random.default_rng([seed, int(d * 1000), k])
@@ -61,21 +65,13 @@ def walk_cost_curve(
         secs_batch = _time(lambda: localwalk.walk_matrix_rows(p, sources, k), repeats)
         rows = localwalk.walk_matrix_rows(p, sources, k)
 
-        pair_idx = [
-            tuple(rng.choice(len(sources), size=2, replace=False).tolist())
-            for _ in range(pairs)
-        ]
-        pair_rows = [(rows[sources[i]], rows[sources[j]]) for i, j in pair_idx]
-        secs_js = _time(lambda: [divergence.js(a, b) for a, b in pair_rows], repeats)
-
-        triple_idx = [
-            rng.choice(len(sources), size=3, replace=False).tolist()
-            for _ in range(pairs)
-        ]
-        triple_rows = [[rows[sources[i]] for i in t] for t in triple_idx]
-        secs_gjs = _time(
-            lambda: [divergence.js_generalized(t) for t in triple_rows], repeats
-        )
+        pos = rows.positions(sources)
+        secs_div = []
+        for t in (2, 3):
+            picks = [rng.choice(len(sources), size=t, replace=False) for _ in range(pairs)]
+            groups = pos[np.array(picks)]
+            secs_div.append(_time(lambda: divergence.divergences(rows.matrix, groups), repeats))
+        secs_js, secs_gjs = secs_div
 
         points.append(
             BenchPoint(

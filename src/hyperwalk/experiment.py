@@ -31,7 +31,7 @@ from .errors import (
     TrialDegenerateError,
 )
 from .hypergraph import Edge, Hypergraph, components
-from .scoring import HKATZ, WALK_KINDS, MethodSpec, ScoredEdge
+from .scoring import HKATZ, WALK_KINDS, MethodSpec
 
 logger = logging.getLogger(__name__)
 
@@ -223,12 +223,6 @@ def build_candidates(
     return CandidateSet(tuple(missing), tuple(negatives), collisions)
 
 
-def _scores_array(scored) -> np.ndarray:
-    if len(scored) and isinstance(scored[0], ScoredEdge):
-        return np.array([s.score for s in scored], dtype=np.float64)
-    return np.asarray(scored, dtype=np.float64)
-
-
 def _check_labels(labels, count: int) -> np.ndarray:
     labels = np.asarray(labels)
     if len(labels) != count:
@@ -239,14 +233,14 @@ def _check_labels(labels, count: int) -> np.ndarray:
     return labels
 
 
-def auroc(scored, labels):
+def auroc(scores, labels):
     """Probability a random positive outscores a random negative (ties 0.5).
 
-    ``scored`` may also be a 2-D score array, one row per scoring of the
+    ``scores`` may also be a 2-D score array, one row per scoring of the
     same labelled candidates; then one AUROC per row is returned, each the
     same float as scoring that row alone.
     """
-    scores = _scores_array(scored)
+    scores = np.asarray(scores, dtype=np.float64)
     labels = _check_labels(labels, scores.shape[-1])
     pos = labels == 1
     n_pos = int(pos.sum())
@@ -267,7 +261,7 @@ def select_top(edges: Sequence[Edge], scores, cutoff: int) -> list[int]:
     padded below every vertex id so that an edge sorts before the edges it
     is a prefix of, as tuples do.
     """
-    scores = _scores_array(scores)
+    scores = np.asarray(scores, dtype=np.float64)
     sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
     flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=int(sizes.sum()))
     columns = np.full((len(edges), sizes.max(initial=0)), flat.min(initial=0) - 1)
@@ -275,17 +269,17 @@ def select_top(edges: Sequence[Edge], scores, cutoff: int) -> list[int]:
     return np.lexsort((*columns.T[::-1], -scores))[:cutoff].tolist()
 
 
-def f1_at_cutoff(scored: Sequence[ScoredEdge], labels, cutoff: int) -> float:
-    """F1 of predicting the top-cutoff candidates as missing hyperedges.
+def f1_at_cutoff(edges: Sequence[Edge], scores, labels, cutoff: int) -> float:
+    """F1 of predicting the top-cutoff candidates as missing hyperedges,
+    ranked by :func:`select_top` over canonical ``edges`` and their ``scores``.
 
     When cutoff equals the number of positives, precision, recall, and F1
     all collapse to TP / cutoff.
     """
-    labels = _check_labels(labels, len(scored))
+    labels = _check_labels(labels, len(scores))
     if not 1 <= cutoff <= len(labels):
         raise ParameterError(f"cutoff {cutoff} outside 1..{len(labels)}")
-    edges = [s.edge for s in scored]
-    top = select_top(edges, scored, cutoff)
+    top = select_top(edges, scores, cutoff)
     tp = int(labels[top].sum())
     n_pos = int((labels == 1).sum())
     if tp == 0:
@@ -406,9 +400,6 @@ class ExperimentResult:
         uniq = sorted(set(params))
         return max(uniq, key=lambda v: (params.count(v), -uniq.index(v)))
 
-    def mean_missing(self) -> float:
-        return float(np.mean([r.n_missing for r in self.records]))
-
     def to_json_dict(self, include_timings: bool = False) -> dict:
         """Deterministic JSON form: per-trial records plus an aggregate block."""
         per_trial = []
@@ -521,18 +512,22 @@ def run_trial(
     methods = _resolve_methods(methods)
     with naming_trial(trial):
         observed_g, cand = trial_candidates(g, split_spec, sampling_spec, trial)
+        edges, labels = cand.edges, cand.labels
         chosen = select_parameters(
-            observed_g, cand.edges, methods, split_spec.seed, trial, folds, k_grid, beta_grid
+            observed_g, edges, methods, split_spec.seed, trial, folds, k_grid, beta_grid
         )
 
         outcomes = []
-        labels = cand.labels
         for m in methods:
             spec_m = m.with_param(chosen[m.kind]) if m.kind in chosen else m
             t0 = time.perf_counter()
-            scored = scoring.score_candidates(spec_m, observed_g, cand.edges)
-            res_auroc = auroc(scored, labels)
-            res_f1 = f1_at_cutoff(scored, labels, cutoff=len(cand.positives))
+            # the scored list dies here, before the next method scores
+            scores = np.array(
+                [s.score for s in scoring.score_candidates(spec_m, observed_g, edges)],
+                dtype=np.float64,
+            )
+            res_auroc = auroc(scores, labels)
+            res_f1 = f1_at_cutoff(edges, scores, labels, cutoff=len(cand.positives))
             outcomes.append(
                 MethodOutcome(m.kind, spec_m.param, res_auroc, res_f1, time.perf_counter() - t0)
             )

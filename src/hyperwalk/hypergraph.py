@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from .errors import EmptyHypergraphError, ParseError
 
@@ -67,16 +68,6 @@ class Hypergraph:
     @cached_property
     def cardinalities(self) -> np.ndarray:
         return np.array([len(e) for e in self.edges], dtype=np.int64)
-
-    @cached_property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
-    def incidence(self) -> sparse.csr_matrix:
-        """0/1 incidence matrix, one row per vertex, one column per edge."""
-        cols = np.repeat(np.arange(self.m, dtype=np.int64), self.cardinalities)
-        data = np.ones(len(cols))
-        return sparse.csr_matrix((data, (self.members, cols)), shape=(self.n, self.m))
 
     def with_edges(self, edges: Iterable[Edge]) -> "Hypergraph":
         """Same vertex universe and labels, different edge list."""
@@ -169,28 +160,19 @@ def save(g: Hypergraph, path) -> None:
 def components(g: Hypergraph) -> np.ndarray:
     """Clique-expansion component of every vertex, named by its smallest vertex id.
 
-    An isolated vertex is a component of its own.  Union-find over the
-    hyperedges, always keeping the smaller root, so each root is its
-    component's smallest vertex.
+    An isolated vertex is a component of its own.  The components are those
+    of a star graph in which each hyperedge joins its first vertex to its
+    other members; each component's label is then renamed to the first
+    vertex that carries it, which is its smallest.
     """
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in g.edges:
-        r = find(e[0])
-        for v in e[1:]:
-            s = find(v)
-            if s < r:
-                parent[r] = s
-                r = s
-            elif s > r:
-                parent[s] = r
-    return np.array([find(v) for v in range(g.n)], dtype=np.int64)
+    hubs = np.repeat(g.members[np.cumsum(g.cardinalities) - g.cardinalities], g.cardinalities)
+    # edges ascend lexicographically, so their first vertices ascend too and
+    # the star's entries (hub, member) already come in CSR row order
+    indptr = np.searchsorted(hubs, np.arange(g.n + 1))
+    star = sparse.csr_matrix((np.ones(len(hubs)), g.members, indptr), shape=(g.n, g.n))
+    _, labels = csgraph.connected_components(star, directed=False)
+    _, smallest = np.unique(labels, return_index=True)
+    return smallest[labels]
 
 
 def largest_component(g: Hypergraph) -> Hypergraph:

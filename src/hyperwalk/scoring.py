@@ -504,9 +504,9 @@ def hpra_pair_table(g: Hypergraph, vertices) -> sparse.csr_matrix:
     dinv = np.zeros(g.n)
     nz = g.degrees > 0
     dinv[nz] = 1.0 / g.degrees[nz]
-    verts = sorted(set(int(v) for v in vertices))
+    verts = _vertex_array(vertices)
     x = sparse.csr_matrix(
-        (np.ones(len(verts)), (np.arange(len(verts)), np.array(verts))), shape=(len(verts), g.n)
+        (np.ones(len(verts)), (np.arange(len(verts)), verts)), shape=(len(verts), g.n)
     )
     xw = x @ w
     return (xw + (xw @ sparse.diags(dinv)) @ w).tocsr()

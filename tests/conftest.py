@@ -159,6 +159,29 @@ def gjs_scalar_oracle(dists, weights=None) -> float:
     return total
 
 
+def components_oracle(g: Hypergraph) -> list[int]:
+    """Component of every vertex by union-find over the hyperedges, always
+    keeping the smaller root, so each root is its component's smallest vertex."""
+    parent = list(range(g.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in g.edges:
+        r = find(e[0])
+        for v in e[1:]:
+            s = find(v)
+            if s < r:
+                parent[r] = s
+                r = s
+            elif s > r:
+                parent[s] = r
+    return [find(v) for v in range(g.n)]
+
+
 def auroc_pairs_oracle(scores, labels) -> float:
     """All positive-negative pairs; wins count 1, ties 0.5."""
     pos = [s for s, l in zip(scores, labels) if l == 1]

@@ -26,7 +26,7 @@ from hyperwalk.experiment import (
 from hyperwalk.hypergraph import largest_component, load, stats
 from hyperwalk.localwalk import walk_matrix_rows
 from hyperwalk.projection import transition, weighted_projection
-from hyperwalk.scoring import LRW, LRW_GJS, LRW_JS, MethodSpec, ScoredEdge, score_candidates
+from hyperwalk.scoring import LRW, LRW_GJS, LRW_JS, MethodSpec, score_candidates
 from hyperwalk.synthetic import random_hypergraph
 
 from conftest import (
@@ -134,7 +134,6 @@ def test_criterion_4_reduction_identity():
 
 def test_criterion_5_metric_oracles():
     rng = np.random.default_rng(55)
-    spec = MethodSpec(LRW, k=2)
     done = 0
     while done < 100:
         n = int(rng.integers(4, 101))
@@ -146,12 +145,11 @@ def test_criterion_5_metric_oracles():
         done += 1
         edges = [(int(i), int(i) + 1) for i in range(n)]
         assert auroc(scores, labels) == auroc_pairs_oracle(scores.tolist(), labels.tolist())
-        scored = [ScoredEdge(e, float(s), spec) for e, s in zip(edges, scores)]
         cutoff = int(rng.integers(1, n + 1))
-        assert f1_at_cutoff(scored, labels, cutoff) == f1_set_oracle(
+        assert f1_at_cutoff(edges, scores, labels, cutoff) == f1_set_oracle(
             edges, scores.tolist(), labels.tolist(), cutoff
         )
-        f1 = f1_at_cutoff(scored, labels, n_pos)
+        f1 = f1_at_cutoff(edges, scores, labels, n_pos)
         top = select_top(edges, scores, n_pos)
         tp = int(labels[top].sum())
         assert f1 == tp / n_pos  # precision = recall = F1 exactly

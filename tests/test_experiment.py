@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 from itertools import combinations
 
@@ -29,7 +31,7 @@ from hyperwalk.experiment import (
     trial_candidates,
 )
 from hyperwalk.hypergraph import from_label_edges
-from hyperwalk.scoring import LRW, LRW_GJS, LRW_JS, MethodSpec, ScoredEdge
+from hyperwalk.scoring import LRW, LRW_GJS, LRW_JS, MethodSpec
 from hyperwalk.synthetic import planted_hypergraph, random_hypergraph
 
 from conftest import (
@@ -312,43 +314,36 @@ def test_auroc_of_score_rows_equals_each_row_alone(data):
 
 
 def test_metrics_reject_label_count_mismatch():
-    scored = _scored([(0, 1), (1, 2), (2, 3)], [0.9, 0.5, 0.1])
+    edges, scores = [(0, 1), (1, 2), (2, 3)], np.array([0.9, 0.5, 0.1])
     for labels in ([1, 0, 0, 1], [1, 0]):
         with pytest.raises(ParameterError, match="labels for 3"):
-            f1_at_cutoff(scored, labels, 2)
+            f1_at_cutoff(edges, scores, labels, 2)
         with pytest.raises(ParameterError, match="labels for 3"):
-            auroc(scored, labels)
+            auroc(scores, labels)
     with pytest.raises(ParameterError, match="labels for 3"):
         auroc(np.zeros((2, 3)), [1, 0])
 
 
 def test_metrics_reject_labels_other_than_0_and_1():
-    scored = _scored([(0, 1), (1, 2), (2, 3)], [0.9, 0.5, 0.1])
+    edges, scores = [(0, 1), (1, 2), (2, 3)], np.array([0.9, 0.5, 0.1])
     for labels in ([2, 1, 0], [1, -1, 0], [1, 0.5, 0]):
         with pytest.raises(ParameterError, match="0 or 1"):
-            f1_at_cutoff(scored, labels, 1)
+            f1_at_cutoff(edges, scores, labels, 1)
         with pytest.raises(ParameterError, match="0 or 1"):
-            auroc(scored, labels)
+            auroc(scores, labels)
     with pytest.raises(ParameterError, match="0 or 1"):
         auroc(np.zeros((2, 3)), [1, 0, 2])
-    assert auroc(scored, [True, False, False]) == auroc(scored, [1, 0, 0]) == 1.0
-
-
-def _scored(edges, scores):
-    spec = MethodSpec(LRW, k=2)
-    return [ScoredEdge(e, s, spec) for e, s in zip(edges, scores)]
+    assert auroc(scores, [True, False, False]) == auroc(scores, [1, 0, 0]) == 1.0
 
 
 def test_f1_all_positives_on_top():
     edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
-    scored = _scored(edges, [0.9, 0.8, 0.2, 0.1])
-    assert f1_at_cutoff(scored, [1, 1, 0, 0], 2) == 1.0
+    assert f1_at_cutoff(edges, np.array([0.9, 0.8, 0.2, 0.1]), [1, 1, 0, 0], 2) == 1.0
 
 
 def test_f1_half_hit():
     edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
-    scored = _scored(edges, [0.9, 0.1, 0.8, 0.2])
-    assert f1_at_cutoff(scored, [1, 1, 0, 0], 2) == 0.5
+    assert f1_at_cutoff(edges, np.array([0.9, 0.1, 0.8, 0.2]), [1, 1, 0, 0], 2) == 0.5
 
 
 def test_f1_identity_at_cutoff_equal_positives():
@@ -361,8 +356,7 @@ def test_f1_identity_at_cutoff_equal_positives():
         n_pos = int(labels.sum())
         if n_pos == 0 or n_pos == n:
             continue
-        scored = _scored(edges, scores)
-        f1 = f1_at_cutoff(scored, labels, n_pos)
+        f1 = f1_at_cutoff(edges, np.array(scores), labels, n_pos)
         top = select_top(edges, scores, n_pos)
         tp = int(labels[top].sum())
         assert f1 == tp / n_pos
@@ -371,10 +365,10 @@ def test_f1_identity_at_cutoff_equal_positives():
 
 def test_f1_tie_break_canonical_edge_order():
     edges = [(5, 6), (0, 1), (2, 3)]
-    scored = _scored(edges, [0.5, 0.5, 0.5])
+    scores = np.array([0.5, 0.5, 0.5])
     # all tied: selection takes ascending edge encoding: (0,1) then (2,3)
-    assert select_top(edges, [0.5, 0.5, 0.5], 2) == [1, 2]
-    assert f1_at_cutoff(scored, [0, 1, 1], 2) == 1.0
+    assert select_top(edges, scores, 2) == [1, 2]
+    assert f1_at_cutoff(edges, scores, [0, 1, 1], 2) == 1.0
 
 
 @given(data=st.data())
@@ -396,11 +390,11 @@ def test_select_top_matches_sorted_key(data):
 
 
 def test_f1_cutoff_bounds():
-    scored = _scored([(0, 1)], [0.5])
+    edges, scores = [(0, 1)], np.array([0.5])
     with pytest.raises(ParameterError):
-        f1_at_cutoff(scored, [1], 0)
+        f1_at_cutoff(edges, scores, [1], 0)
     with pytest.raises(ParameterError):
-        f1_at_cutoff(scored, [1], 2)
+        f1_at_cutoff(edges, scores, [1], 2)
 
 
 # -------------------------------------------------------- cross-validation
@@ -540,6 +534,28 @@ def test_planted_structure_ranks_above_fakes(monkeypatch):
     monkeypatch.setattr(scoring, "score_candidates", reversed_scores)
     backwards = aurocs()
     assert all(value <= 0.35 for value in backwards.values()), backwards
+
+
+def test_each_method_scores_after_the_last_ones_are_freed(monkeypatch, medium):
+    # a method's scored candidates must not stay alive through the next
+    # method's scoring, whose walk sweep can set the trial's peak memory
+    class Scored(list):
+        pass
+
+    original = scoring.score_candidates
+    earlier = []
+
+    def tracked(*args):
+        gc.collect()
+        assert all(ref() is None for ref in earlier)
+        result = Scored(original(*args))
+        earlier.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(scoring, "score_candidates", tracked)
+    methods = [MethodSpec("hcn"), MethodSpec("hpra"), MethodSpec(LRW, k=2)]
+    run_experiment(medium, SplitSpec(0.8, 1, 0), SamplingSpec(0.5, 2), methods)
+    assert len(earlier) == 3
 
 
 def test_run_experiment_pinned_parameter_skips_cv(medium):
