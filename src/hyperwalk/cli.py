@@ -38,7 +38,10 @@ def _prepare(path: str, cfg: RunConfig) -> hypergraph.Hypergraph:
     return hypergraph.largest_component(g)
 
 
-def _print_table(header: list[str], rows: list[list[str]]) -> None:
+def _print_table(header: list[str], rows: list[list], specs: tuple[str, ...]) -> None:
+    """Print value rows, each cell formatted by its column's format spec
+    (``None`` prints as ``-``), in left-aligned columns."""
+    rows = [["-" if v is None else format(v, f) for v, f in zip(r, specs)] for r in rows]
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(header)]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for r in rows:
@@ -46,15 +49,13 @@ def _print_table(header: list[str], rows: list[list[str]]) -> None:
 
 
 def cmd_stats(cfg: RunConfig) -> int:
-    cfg.validate()
     rows = []
     for path in cfg.dataset:
         g = _prepare(path, cfg)
         s = hypergraph.stats(g)
-        rows.append(
-            [_dataset_name(path), str(s.n), str(s.m), f"{s.mean_degree:.2f}", f"{s.mean_cardinality:.2f}"]
-        )
-    _print_table(["dataset", "vertices", "hyperedges", "mean_degree", "mean_size"], rows)
+        rows.append([_dataset_name(path), s.n, s.m, s.mean_degree, s.mean_cardinality])
+    header = ["dataset", "vertices", "hyperedges", "mean_degree", "mean_size"]
+    _print_table(header, rows, ("", "", "", ".2f", ".2f"))
     return 0
 
 
@@ -71,15 +72,23 @@ def _write_json(obj: dict, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
+def _fmt(value) -> str:
+    return "" if value is None else str(value)
+
+
 def _write_csv(header: list[str], rows: list[list], path: Path) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([_fmt(v) for v in r] for r in rows)
 
 
-def _fmt(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
+def _specs(cfg: RunConfig, rho: float, alpha: float):
+    """Split and sampling specs of one (rho, alpha) point of the config."""
+    return (
+        experiment.SplitSpec(rho, cfg.trials, cfg.seed),
+        experiment.SamplingSpec(alpha, cfg.fakes_per_missing),
+    )
 
 
 def _run_experiment(
@@ -88,8 +97,7 @@ def _run_experiment(
     """All trials of one (rho, alpha) point under the config's other settings."""
     return experiment.run_experiment(
         g,
-        experiment.SplitSpec(rho, cfg.trials, cfg.seed),
-        experiment.SamplingSpec(alpha, cfg.fakes_per_missing),
+        *_specs(cfg, rho, alpha),
         list(cfg.methods),
         folds=cfg.folds,
         k_grid=cfg.k_grid,
@@ -99,55 +107,42 @@ def _run_experiment(
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    cfg.validate()
     if len(cfg.rho) != 1:
         raise ParameterError("run takes a single rho; use the sweep subcommand for grids")
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     runs = []
-    csv_rows = []
-    table_rows = []
+    rows = []
     for path in cfg.dataset:
         g = _prepare(path, cfg)
         for alpha in cfg.alpha:
             result = _run_experiment(g, cfg, cfg.rho[0], alpha)
             runs.append({"dataset": _dataset_name(path), **result.to_json_dict()})
             for kind in result.method_kinds:
-                mode = result.param_mode(kind)
-                csv_rows.append(
+                rows.append(
                     [
                         _dataset_name(path),
-                        _fmt(alpha),
+                        alpha,
                         kind,
-                        _fmt(result.mean_auroc(kind)),
-                        _fmt(result.mean_f1(kind)),
-                        "" if mode is None else _fmt(mode),
-                    ]
-                )
-                table_rows.append(
-                    [
-                        _dataset_name(path),
-                        f"{alpha:g}",
-                        kind,
-                        f"{result.mean_auroc(kind):.4f}",
-                        f"{result.mean_f1(kind):.4f}",
-                        "-" if mode is None else f"{mode:g}",
+                        result.mean_auroc(kind),
+                        result.mean_f1(kind),
+                        result.param_mode(kind),
                     ]
                 )
     payload = {"provenance": _provenance(cfg), "runs": runs}
     _write_json(payload, out_dir / "results.json")
     _write_csv(
         ["dataset", "alpha", "method", "auroc_mean", "f1_mean", "chosen_param_mode"],
-        csv_rows,
+        rows,
         out_dir / "results.csv",
     )
-    _print_table(["dataset", "alpha", "method", "auroc", "f1", "param"], table_rows)
+    header = ["dataset", "alpha", "method", "auroc", "f1", "param"]
+    _print_table(header, rows, ("", "g", "", ".4f", ".4f", "g"))
     print(f"wrote {out_dir / 'results.json'} and {out_dir / 'results.csv'}")
     return 0
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    cfg.validate()
     if len(cfg.dataset) != 1:
         raise ParameterError("sweep takes exactly one dataset")
     if len(cfg.alpha) != 1:
@@ -159,16 +154,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
     for rho in sorted(cfg.rho):
         result = _run_experiment(g, cfg, rho, cfg.alpha[0])
         for kind in result.method_kinds:
-            rows.append([_fmt(rho), kind, "auroc", _fmt(result.mean_auroc(kind))])
-            rows.append([_fmt(rho), kind, "f1", _fmt(result.mean_f1(kind))])
+            rows.append([rho, kind, "auroc", result.mean_auroc(kind)])
+            rows.append([rho, kind, "f1", result.mean_f1(kind)])
     _write_csv(["rho", "method", "metric", "mean"], rows, out_dir / "sweep.csv")
-    _print_table(["rho", "method", "metric", "mean"], [[c if i != 3 else f"{float(c):.4f}" for i, c in enumerate(r)] for r in rows])
+    _print_table(["rho", "method", "metric", "mean"], rows, ("", "", "", ".4f"))
     print(f"wrote {out_dir / 'sweep.csv'}")
     return 0
 
 
 def cmd_cv(cfg: RunConfig) -> int:
-    cfg.validate()
     tunable = [k for k in cfg.methods if k in WALK_KINDS or k == HKATZ]
     if not tunable:
         raise ParameterError("cv needs at least one method with a tunable parameter")
@@ -178,8 +172,7 @@ def cmd_cv(cfg: RunConfig) -> int:
     for path in cfg.dataset:
         g = _prepare(path, cfg)
         for alpha in cfg.alpha:
-            split_spec = experiment.SplitSpec(cfg.rho[0], cfg.trials, cfg.seed)
-            sampling = experiment.SamplingSpec(alpha, cfg.fakes_per_missing)
+            split_spec, sampling = _specs(cfg, cfg.rho[0], alpha)
             specs = [MethodSpec(k) for k in tunable]
             for trial in range(cfg.trials):
                 with experiment.naming_trial(trial):
@@ -189,17 +182,14 @@ def cmd_cv(cfg: RunConfig) -> int:
                         cfg.folds, cfg.k_grid, cfg.beta_grid,
                     )
                 for kind in tunable:
-                    rows.append(
-                        [_dataset_name(path), f"{alpha:g}", str(trial), kind, f"{chosen[kind]:g}"]
-                    )
-    _print_table(["dataset", "alpha", "trial", "method", "chosen"], rows)
+                    rows.append([_dataset_name(path), alpha, trial, kind, chosen[kind]])
+    _print_table(["dataset", "alpha", "trial", "method", "chosen"], rows, ("", "g", "", "", "g"))
     return 0
 
 
 def cmd_bench(args) -> int:
     header = ["k", "degree", "row_seconds", "js_seconds", "gjs_seconds"]
     rows = []
-    csv_rows = []
     for k in args.bench_k:
         points = bench.walk_cost_curve(
             n=args.bench_vertices,
@@ -207,13 +197,9 @@ def cmd_bench(args) -> int:
             k=k,
             cardinality=args.bench_cardinality,
             batch_rows=args.bench_rows,
-            seed=args.seed or 0,
+            seed=args.seed,
         )
-        for p in points:
-            rows.append(
-                [str(k), f"{p.mean_degree:.1f}", f"{p.seconds_row:.3e}", f"{p.seconds_js:.3e}", f"{p.seconds_gjs:.3e}"]
-            )
-            csv_rows.append([k, p.mean_degree, p.seconds_row, p.seconds_js, p.seconds_gjs])
+        rows.extend([k, p.mean_degree, p.seconds_row, p.seconds_js, p.seconds_gjs] for p in points)
         degs = [p.mean_degree for p in points]
         print(
             f"K={k}: row-cost log-log slope vs degree = "
@@ -221,14 +207,14 @@ def cmd_bench(args) -> int:
             f"js slope = {bench.loglog_slope(degs, [p.seconds_js for p in points]):.2f}; "
             f"gjs slope = {bench.loglog_slope(degs, [p.seconds_gjs for p in points]):.2f}"
         )
-    _print_table(header, rows)
-    runtimes = bench.method_runtimes(seed=args.seed or 0)
+    _print_table(header, rows, ("", ".1f", ".3e", ".3e", ".3e"))
+    runtimes = bench.method_runtimes(seed=args.seed)
     for kind, secs in runtimes.items():
         print(f"total {kind}: {secs:.3f}s")
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_csv(header, csv_rows, out_dir / "bench.csv")
+        _write_csv(header, rows, out_dir / "bench.csv")
         print(f"wrote {out_dir / 'bench.csv'}")
     return 0
 
@@ -246,7 +232,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta-grid", help="comma list of Katz damping factors")
     p.add_argument("--folds")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--threads", help="worker processes (default: all cores)")
+    p.add_argument("--threads", help="worker processes for run and sweep (default: all cores)")
     p.add_argument("--min-cardinality")
     p.add_argument("--label-mode", action="store_const", const="true",
                    help="treat vertex tokens as opaque strings")
@@ -266,6 +252,27 @@ def _config_from_args(args) -> RunConfig:
     return config_mod.apply_overrides(cfg, overrides)
 
 
+def _add_bench_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--bench-vertices", type=int, default=8192)
+    p.add_argument("--bench-degrees", type=lambda s: [float(x) for x in s.split(",")],
+                   default=[8.0, 16.0, 32.0])
+    p.add_argument("--bench-k", type=lambda s: [int(x) for x in s.split(",")], default=[2])
+    p.add_argument("--bench-cardinality", type=int, default=3)
+    p.add_argument("--bench-rows", type=int, default=512)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", help="output directory for bench.csv")
+
+
+# subcommand -> (handler, help); bench reads its own flags, the others a RunConfig
+COMMANDS = {
+    "stats": (cmd_stats, "dataset summaries after preprocessing"),
+    "run": (cmd_run, "full evaluation: splits, sampling, CV, scoring, metrics"),
+    "sweep": (cmd_sweep, "repeat the evaluation over a grid of observed fractions"),
+    "cv": (cmd_cv, "report cross-validated parameter choices per trial"),
+    "bench": (cmd_bench, "kernel timings and cost-scaling slopes"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperwalk",
@@ -276,24 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", "-v", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-        ("stats", "dataset summaries after preprocessing"),
-        ("run", "full evaluation: splits, sampling, CV, scoring, metrics"),
-        ("sweep", "repeat the evaluation over a grid of observed fractions"),
-        ("cv", "report cross-validated parameter choices per trial"),
-    ):
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_config_flags(p)
-
-    p = sub.add_parser("bench", help="kernel timings and cost-scaling slopes")
-    p.add_argument("--bench-vertices", type=int, default=8192)
-    p.add_argument("--bench-degrees", type=lambda s: [float(x) for x in s.split(",")],
-                   default=[8.0, 16.0, 32.0])
-    p.add_argument("--bench-k", type=lambda s: [int(x) for x in s.split(",")], default=[2])
-    p.add_argument("--bench-cardinality", type=int, default=3)
-    p.add_argument("--bench-rows", type=int, default=512)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="output directory for bench.csv")
+        (_add_bench_flags if name == "bench" else _add_config_flags)(p)
     return parser
 
 
@@ -304,21 +296,14 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
+    handler = COMMANDS[args.command][0]
     try:
         if args.command == "bench":
-            return cmd_bench(args)
+            return handler(args)
         cfg = _config_from_args(args)
         if cfg.threads == 0:
             cfg = config_mod.apply_overrides(cfg, {"threads": os.cpu_count() or 1})
-        if args.command == "stats":
-            return cmd_stats(cfg)
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "cv":
-            return cmd_cv(cfg)
-        raise ParameterError(f"unknown command {args.command!r}")
+        return handler(cfg.validate())
     except HyperwalkError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

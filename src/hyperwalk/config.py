@@ -111,11 +111,14 @@ def _parse_value(key: str, text: str):
         raise ParameterError(f"{key}: cannot parse {text!r}") from None
 
 
+def _write_text(cfg: RunConfig, skipped: tuple[str, ...]) -> str:
+    """File form of every field of ``cfg`` not named in ``skipped``."""
+    names = [f.name for f in fields(RunConfig) if f.name not in skipped]
+    return "".join(f"{_FIELD_TO_KEY[n]} = {_format_value(getattr(cfg, n))}\n" for n in names)
+
+
 def to_text(cfg: RunConfig) -> str:
-    lines = []
-    for f in fields(RunConfig):
-        lines.append(f"{_FIELD_TO_KEY[f.name]} = {_format_value(getattr(cfg, f.name))}")
-    return "\n".join(lines) + "\n"
+    return _write_text(cfg, ())
 
 
 def from_text(text: str) -> RunConfig:
@@ -154,12 +157,7 @@ _EXECUTION_FIELDS = ("out", "threads")
 
 
 def canonical_text(cfg: RunConfig) -> str:
-    lines = []
-    for f in fields(RunConfig):
-        if f.name in _EXECUTION_FIELDS:
-            continue
-        lines.append(f"{_FIELD_TO_KEY[f.name]} = {_format_value(getattr(cfg, f.name))}")
-    return "\n".join(lines) + "\n"
+    return _write_text(cfg, _EXECUTION_FIELDS)
 
 
 def config_hash(cfg: RunConfig) -> str:

@@ -129,14 +129,10 @@ def _all_marked(flat: np.ndarray, sizes: np.ndarray, mask: np.ndarray) -> np.nda
     return misses[ends] == misses[ends - sizes]
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
 def replacement_count(edge_size: int, alpha: float) -> int:
     """Vertices to swap out of a true edge: round-half-up((1-alpha)*|e|),
     clamped so at least one and at most |e|-1 are replaced."""
-    return min(max(_round_half_up((1.0 - alpha) * edge_size), 1), edge_size - 1)
+    return min(max(math.floor((1.0 - alpha) * edge_size + 0.5), 1), edge_size - 1)
 
 
 def sample_negatives(
@@ -262,6 +258,8 @@ def select_top(edges: Sequence[Edge], scores, cutoff: int) -> list[int]:
     is a prefix of, as tuples do.
     """
     scores = np.asarray(scores, dtype=np.float64)
+    if len(edges) != len(scores):
+        raise ParameterError(f"{len(scores)} scores for {len(edges)} candidate edges")
     sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
     flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=int(sizes.sum()))
     columns = np.full((len(edges), sizes.max(initial=0)), flat.min(initial=0) - 1)
@@ -289,11 +287,6 @@ def f1_at_cutoff(edges: Sequence[Edge], scores, labels, cutoff: int) -> float:
     return 2.0 * tp / (cutoff + n_pos)
 
 
-def _fold_parts(n_items: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
-    perm = rng.permutation(n_items)
-    return np.array_split(perm, folds)
-
-
 def cross_validate(
     methods: Sequence[MethodSpec],
     g: Hypergraph,
@@ -309,7 +302,9 @@ def cross_validate(
     tuned over damping factors; a Katz grid first loses the factors that
     diverge on ``g`` (see :func:`~hyperwalk.scoring.converging_betas`).
     Each fold once serves as the validation missing set; the full candidate
-    set acts as negatives in every fold.  Candidates or validation edges
+    set acts as negatives in every fold.  In a trial that set is the whole
+    trial candidate set, so the trial's own missing edges are labelled 0
+    during tuning, like its fakes.  Candidates or validation edges
     touching a vertex isolated in a fold's training edges are excluded from
     that fold.  Each fold scores the whole grid with one
     :func:`~hyperwalk.scoring.score_grid` call.  Returns the grid value
@@ -334,7 +329,7 @@ def cross_validate(
     used_folds = 0
     cand_sizes = np.fromiter(map(len, candidates), dtype=np.int64, count=len(candidates))
     cand_flat = np.fromiter(chain.from_iterable(candidates), dtype=np.int64)
-    for part in _fold_parts(len(observed), folds, rng):
+    for part in np.array_split(rng.permutation(len(observed)), folds):
         in_part = np.zeros(len(observed), dtype=bool)
         in_part[part] = True
         # a subsequence of g's edges is canonical already
@@ -460,7 +455,8 @@ def trial_candidates(
     trial reads it.
     """
     observed, missing = split(g, split_spec, trial)
-    observed_g = g.with_edges(observed)
+    # a subsequence of g's edges is canonical already
+    observed_g = Hypergraph(g.n, observed, g.labels)
     parts = len(np.unique(components(observed_g)[observed_g.degrees > 0]))
     if parts > 1:
         logger.warning("trial %d: observed hypergraph splits into %d components", trial, parts)
@@ -541,10 +537,6 @@ def run_trial(
     )
 
 
-def _trial_worker(args) -> TrialRecord:
-    return run_trial(*args)
-
-
 def run_experiment(
     g: Hypergraph,
     split_spec: SplitSpec,
@@ -568,7 +560,7 @@ def run_experiment(
     ]
     if threads > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(_trial_worker, args))
+            records = list(pool.map(run_trial, *zip(*args)))
     else:
         records = [run_trial(*a) for a in args]
     return ExperimentResult(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -189,10 +189,12 @@ def largest_component(g: Hypergraph) -> Hypergraph:
     # smallest vertex id; ids are assigned in label order, so that is also
     # the smallest minimum label.
     keep = labels == int(np.argmax(np.bincount(labels, minlength=g.n)))
-    vertices = np.flatnonzero(keep).tolist()
-    remap = {v: i for i, v in enumerate(vertices)}
-    edges = sorted(tuple(remap[v] for v in e) for e in g.edges if e[0] in remap)
-    return Hypergraph(len(vertices), edges, [g.labels[v] for v in vertices])
+    # ascending renumbering keeps vertex order, so the kept edges stay
+    # strictly increasing and in lexicographic order
+    new_id = (np.cumsum(keep) - 1).tolist()
+    kept = keep.tolist()
+    edges = [tuple(new_id[v] for v in e) for e in g.edges if kept[e[0]]]
+    return Hypergraph(int(keep.sum()), edges, list(compress(g.labels, kept)))
 
 
 def stats(g: Hypergraph) -> HypergraphStats:

@@ -50,24 +50,24 @@ def _pair_triplets(g: Hypergraph, row_scale: np.ndarray | None):
     return rows, cols, vals
 
 
+def _clique_matrix(g: Hypergraph, rows, cols, vals) -> sparse.csr_matrix:
+    """Canonical n x n CSR of pair values ``vals``, summed per pair."""
+    m = sparse.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
+    m.sum_duplicates()
+    m.sort_indices()
+    return m
+
+
 def adjacency(g: Hypergraph) -> sparse.csr_matrix:
     """Shared-hyperedge counts between vertex pairs; zero diagonal."""
     rows, cols, vals = _pair_triplets(g, None)
-    a = sparse.csr_matrix(
-        (np.ones_like(vals), (rows, cols)), shape=(g.n, g.n)
-    )
-    a.sum_duplicates()
-    a.sort_indices()
-    return a
+    return _clique_matrix(g, rows, cols, np.ones_like(vals))
 
 
 def weighted_projection(g: Hypergraph) -> sparse.csr_matrix:
     """Projection with pair weight 1/(|e|-1); row sums equal hyperdegrees."""
     rows, cols, vals = _pair_triplets(g, None)
-    w = sparse.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
-    w.sum_duplicates()
-    w.sort_indices()
-    return w
+    return _clique_matrix(g, rows, cols, vals)
 
 
 def transition(g: Hypergraph, allow_isolated: bool = False) -> sparse.csr_matrix:
@@ -85,8 +85,4 @@ def transition(g: Hypergraph, allow_isolated: bool = False) -> sparse.csr_matrix
     scale = degrees.astype(np.float64)
     scale[scale == 0] = 1.0  # keeps empty rows empty without dividing by zero
     rows, cols, vals = _pair_triplets(g, scale)
-    p = sparse.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
-    p.sum_duplicates()
-    p.sort_indices()
-    return p
-
+    return _clique_matrix(g, rows, cols, vals)

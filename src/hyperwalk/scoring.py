@@ -362,7 +362,7 @@ def converging_betas(g: Hypergraph, betas) -> list:
     """
     if not katz_closed_form(g.n):
         return list(betas)
-    rho = spectral_radius(projection.adjacency(g).astype(np.float64))
+    rho = spectral_radius(projection.adjacency(g))
     kept = [beta for beta in betas if beta * rho < 1.0]
     if not kept:
         raise KatzDivergenceError(
@@ -536,7 +536,7 @@ def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]
         }
     (kind,) = kinds
     if kind == HKATZ:
-        table = katz_pair_table(projection.adjacency(g).astype(np.float64), cands.vertices)
+        table = katz_pair_table(projection.adjacency(g), cands.vertices)
         return {kind: score_hkatz(cands, table, grid)}
     if grid != [None]:
         raise ParameterError(f"{kind} has no parameter; its grid is [None], not {grid}")

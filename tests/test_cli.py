@@ -106,6 +106,45 @@ def test_sweep_long_format(toy_file, tmp_path, capsys):
     assert [r["rho"] for r in rows] == sorted(r["rho"] for r in rows)
 
 
+def test_sweep_prints_the_sweep_csv_values(toy_file, tmp_path, capsys):
+    out = tmp_path / "sw"
+    assert run_cli(
+        "sweep", "--dataset", toy_file, "--alpha", "0.5", "--rho", "0.8,0.6",
+        "--trials", "1", "--seed", "2", "--methods", "lrw,hcn",
+        "--k-grid", "2", "--threads", "1", "--out", out,
+    ) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["rho", "method", "metric", "mean"]
+    with (out / "sweep.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    printed = [line.split() for line in lines[1:-1]]
+    assert printed == [
+        [r["rho"], r["method"], r["metric"], f"{float(r['mean']):.4f}"] for r in rows
+    ]
+
+
+def test_bench_writes_one_csv_row_per_k_and_degree(tmp_path, capsys):
+    out = tmp_path / "bench"
+    assert run_cli(
+        "bench", "--bench-vertices", "512", "--bench-degrees", "4,8", "--bench-k", "2",
+        "--bench-rows", "32", "--out", out,
+    ) == 0
+    printed = capsys.readouterr().out
+    with (out / "bench.csv").open() as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = list(reader)
+    assert header == ["k", "degree", "row_seconds", "js_seconds", "gjs_seconds"]
+    assert [r[0] for r in rows] == ["2", "2"]
+    assert all(float(c) > 0 for r in rows for c in r[1:])
+    lines = printed.splitlines()
+    start = lines.index(next(line for line in lines if line.split() == header)) + 1
+    assert [line.split() for line in lines[start:start + len(rows)]] == [
+        [r[0], f"{float(r[1]):.1f}", *(f"{float(c):.3e}" for c in r[2:])] for r in rows
+    ]
+    assert f"wrote {out / 'bench.csv'}" in printed
+
+
 def test_sweep_requires_single_alpha(toy_file, tmp_path):
     assert run_cli("sweep", "--dataset", toy_file, "--alpha", "0.2,0.5",
                    "--rho", "0.8", "--out", tmp_path / "x") == 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperwalk import scoring
+from hyperwalk import experiment, scoring
 from hyperwalk.errors import (
     MetricUndefinedError,
     ParameterError,
@@ -324,6 +324,13 @@ def test_metrics_reject_label_count_mismatch():
         auroc(np.zeros((2, 3)), [1, 0])
 
 
+def test_f1_rejects_edge_count_mismatch():
+    with pytest.raises(ParameterError, match="2 scores for 1 candidate edges"):
+        f1_at_cutoff([(0, 1)], [0.5, 0.4], [1, 0], 1)
+    with pytest.raises(ParameterError, match="1 scores for 2 candidate edges"):
+        select_top([(0, 1), (1, 2)], [0.5], 1)
+
+
 def test_metrics_reject_labels_other_than_0_and_1():
     edges, scores = [(0, 1), (1, 2), (2, 3)], np.array([0.9, 0.5, 0.1])
     for labels in ([2, 1, 0], [1, -1, 0], [1, 0.5, 0]):
@@ -439,6 +446,41 @@ def test_cv_returns_grid_values(medium):
     assert all(v in (2, 3) for v in chosen.values())
 
 
+def test_trial_observed_graph_is_the_canonical_observed_edge_set(medium):
+    spec = SplitSpec(0.8, 1, 3)
+    observed_g, _ = trial_candidates(medium, spec, SamplingSpec(0.5, 2), 0)
+    assert observed_g == medium.with_edges(split(medium, spec, 0)[0])
+
+
+def test_cv_fold_negatives_include_the_trials_missing_edges(monkeypatch, medium):
+    # Tuning scores each fold's held-out edges against the whole trial
+    # candidate set, so the trial's own missing edges are fold negatives.
+    observed_g, cand = trial_candidates(medium, SplitSpec(0.8, 1, 3), SamplingSpec(0.5, 2), 0)
+    fold_edges, fold_labels = [], []
+    score_grid, cv_auroc = scoring.score_grid, experiment.auroc
+
+    def scored(kinds, g, edges, grid):
+        fold_edges.append(list(edges))
+        return score_grid(kinds, g, edges, grid)
+
+    def measured(scores, labels):
+        fold_labels.append(np.asarray(labels))
+        return cv_auroc(scores, labels)
+
+    monkeypatch.setattr(scoring, "score_grid", scored)
+    monkeypatch.setattr(experiment, "auroc", measured)
+    cross_validate([MethodSpec(LRW)], observed_g, cand.edges, 3, [2, 3], np.random.default_rng(1))
+    assert fold_edges and len(fold_edges) == len(fold_labels)
+    positives = set(cand.positives)
+    relabelled = 0
+    for edges, labels in zip(fold_edges, fold_labels):
+        assert len(edges) == len(labels)
+        negatives = [e for e, y in zip(edges, labels) if y == 0]
+        assert set(negatives) <= set(cand.edges)
+        relabelled += len(positives.intersection(negatives))
+    assert relabelled > 0
+
+
 def test_hkatz_cv_excludes_divergent_betas():
     # complete pairwise graph on 20 vertices: even the 80%-observed
     # subgraph keeps a spectral radius above 10, so beta = 0.1 diverges in
@@ -468,7 +510,7 @@ def test_hkatz_cv_raises_when_a_fold_diverges(monkeypatch):
     # With the observed-graph pre-check fooled by a tiny spectral radius,
     # beta = 0.5 passes it but diverges on every fold of this complete
     # graph; cross-validation raises instead of dropping it from the grid.
-    from hyperwalk import scoring
+    from hyperwalk import experiment, scoring
     from hyperwalk.errors import KatzDivergenceError
 
     g = from_label_edges([[i, j] for i in range(1, 21) for j in range(i + 1, 21)])

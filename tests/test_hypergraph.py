@@ -155,6 +155,10 @@ def test_components_and_degrees_match_independent_oracles(g):
         largest = largest_component(h)
         assert largest.labels == tuple(h.labels[v] for v in kept)
         assert largest.m == sum(1 for e in h.edges if set(e) <= set(kept))
+        renumber = {v: i for i, v in enumerate(kept)}
+        assert list(largest.edges) == sorted(
+            tuple(renumber[v] for v in e) for e in h.edges if set(e) <= set(kept)
+        )
 
         counts = [0] * h.n
         for e in h.edges:
