@@ -142,14 +142,16 @@ def sample_negatives(
     spec: SamplingSpec,
     rng: np.random.Generator,
     forbidden: set[Edge] | None = None,
-    observed_degrees: np.ndarray | None = None,
+    active: np.ndarray | None = None,
 ) -> tuple[list[Edge], int]:
     """Fake hyperedges for one missing edge, by replacing vertices.
 
     Replacements are drawn from vertices outside the edge that are not
-    isolated in the observed set.  A fake equal (as a set) to an observed,
-    missing, or previously sampled edge is resampled up to 100 times, then
-    accepted with the collision counted.  Returns (fakes, collisions).
+    isolated in the observed set: those of the mask ``active``, which by
+    default is computed from ``observed``.  A fake equal (as a set) to an
+    observed, missing, or previously sampled edge is resampled up to 100
+    times, then accepted with the collision counted.  Returns (fakes,
+    collisions).
 
     Random-number contract: every attempt makes exactly two calls on
     ``rng``, first ``rng.choice(len(edge), size=r, replace=False)`` for
@@ -160,20 +162,8 @@ def sample_negatives(
     """
     if forbidden is None:
         forbidden = set(observed)
-    if observed_degrees is None:
-        observed_degrees = g.with_edges(observed).degrees
-    return _sample_fakes(edge, observed_degrees > 0, spec, rng, forbidden)
-
-
-def _sample_fakes(
-    edge: Edge,
-    active: np.ndarray,
-    spec: SamplingSpec,
-    rng: np.random.Generator,
-    forbidden: set[Edge],
-) -> tuple[list[Edge], int]:
-    """:func:`sample_negatives` with the observed vertices given as the
-    mask ``active`` of non-isolated vertices."""
+    if active is None:
+        active = g.with_edges(observed).degrees > 0
     members = [int(v) for v in edge]
     size = len(members)
     r = replacement_count(size, spec.alpha)
@@ -213,7 +203,7 @@ def build_candidates(
     negatives: list[Edge] = []
     collisions = 0
     for e in missing:
-        fakes, c = _sample_fakes(e, active, spec, rng, forbidden)
+        fakes, c = sample_negatives(e, observed_g, observed_g.edges, spec, rng, forbidden, active)
         negatives.extend(fakes)
         collisions += c
     return CandidateSet(tuple(missing), tuple(negatives), collisions)
@@ -260,6 +250,8 @@ def select_top(edges: Sequence[Edge], scores, cutoff: int) -> list[int]:
     scores = np.asarray(scores, dtype=np.float64)
     if len(edges) != len(scores):
         raise ParameterError(f"{len(scores)} scores for {len(edges)} candidate edges")
+    if cutoff < 0:
+        raise ParameterError(f"cutoff {cutoff} is negative")
     sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
     flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=int(sizes.sum()))
     columns = np.full((len(edges), sizes.max(initial=0)), flat.min(initial=0) - 1)
@@ -474,24 +466,29 @@ def naming_trial(trial: int):
         raise
 
 
-def select_parameters(
+def tune_trial(
     g: Hypergraph,
-    candidates: Sequence[Edge],
+    split_spec: SplitSpec,
+    sampling_spec: SamplingSpec,
     methods: Sequence[MethodSpec],
-    seed: int,
     trial: int,
     folds: int = 5,
     k_grid: Sequence[int] = DEFAULT_K_GRID,
     beta_grid: Sequence[float] = DEFAULT_BETA_GRID,
-) -> dict[str, object]:
-    """Cross-validated parameter per method that still needs one, on the
-    observed hypergraph ``g``."""
+) -> tuple[Hypergraph, CandidateSet, dict[str, object]]:
+    """Observed hypergraph and candidate set of one trial (see
+    :func:`trial_candidates`), plus the cross-validated parameter of every
+    method that still needs one: the walk methods share one cross-validation
+    over ``k_grid`` and hkatz has its own over ``beta_grid``, each on its
+    own derived generator."""
+    observed_g, cand = trial_candidates(g, split_spec, sampling_spec, trial)
     chosen: dict[str, object] = {}
     for family, grid, key in ((WALK_KINDS, k_grid, _CV_WALK), ((HKATZ,), beta_grid, _CV_KATZ)):
         todo = [m for m in methods if m.kind in family and m.param is None]
         if todo:
-            chosen.update(cross_validate(todo, g, candidates, folds, grid, _rng(seed, key, trial)))
-    return chosen
+            rng = _rng(split_spec.seed, key, trial)
+            chosen.update(cross_validate(todo, observed_g, cand.edges, folds, grid, rng))
+    return observed_g, cand, chosen
 
 
 def run_trial(
@@ -507,11 +504,10 @@ def run_trial(
     """One full trial: split, sample, cross-validate, score, measure."""
     methods = _resolve_methods(methods)
     with naming_trial(trial):
-        observed_g, cand = trial_candidates(g, split_spec, sampling_spec, trial)
-        edges, labels = cand.edges, cand.labels
-        chosen = select_parameters(
-            observed_g, edges, methods, split_spec.seed, trial, folds, k_grid, beta_grid
+        observed_g, cand, chosen = tune_trial(
+            g, split_spec, sampling_spec, methods, trial, folds, k_grid, beta_grid
         )
+        edges, labels = cand.edges, cand.labels
 
         outcomes = []
         for m in methods:

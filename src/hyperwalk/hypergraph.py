@@ -8,6 +8,7 @@ share across workers.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,7 +20,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .errors import EmptyHypergraphError, ParseError
+from .errors import EmptyHypergraphError, ParameterError, ParseError
 
 Edge = tuple[int, ...]
 
@@ -173,6 +174,25 @@ def components(g: Hypergraph) -> np.ndarray:
     _, labels = csgraph.connected_components(star, directed=False)
     _, smallest = np.unique(labels, return_index=True)
     return smallest[labels]
+
+
+def vertex_rows(vertices, n: int) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """The distinct ``vertices`` in ascending order, as int64 ids, and the
+    0/1 matrix with n columns whose row r selects vertex ``ids[r]``.
+
+    Raises ParameterError unless every vertex is an integer id in 0..n-1.
+    """
+    given = np.asarray(vertices if isinstance(vertices, np.ndarray) else list(vertices))
+    if given.dtype.kind not in "biu":
+        wrong = [v for v in given.ravel().tolist() if not isinstance(v, numbers.Integral)]
+        if wrong:
+            raise ParameterError(f"vertex {wrong[0]!r} is not an integer vertex id")
+    ids = np.unique(given)
+    if ids.size and (ids[0] < 0 or ids[-1] >= n):
+        raise ParameterError(f"vertex {ids[0] if ids[0] < 0 else ids[-1]} is not in 0..{n - 1}")
+    ids = ids.astype(np.int64)
+    indptr = np.arange(len(ids) + 1)
+    return ids, sparse.csr_matrix((np.ones(len(ids)), ids, indptr), shape=(len(ids), n))
 
 
 def largest_component(g: Hypergraph) -> Hypergraph:

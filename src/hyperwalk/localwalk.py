@@ -20,12 +20,14 @@ snapshot is taken.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Mapping
 
 import numpy as np
 from scipy import sparse
 
 from .errors import ContractViolation, ParameterError
+from .hypergraph import vertex_rows
 
 DROP_TOL = 1e-15
 RENORM_TOL = 1e-10
@@ -72,7 +74,7 @@ class WalkRows(Mapping):
         return len(self.sources)
 
 
-def _extract_rows(mat: sparse.csr_matrix, sources: list[int], scale: float) -> WalkRows:
+def _extract_rows(mat: sparse.csr_matrix, sources: np.ndarray, scale: float) -> WalkRows:
     """Scale, prune and renormalize a whole snapshot at once.
 
     When no value falls to ``DROP_TOL``, the only full-size array allocated
@@ -108,32 +110,23 @@ def walk_matrix_rows_multi(P: sparse.csr_matrix, sources, ks) -> dict[int, WalkR
     Returns ``{K: rows}`` for each K in ``ks``, where ``rows`` maps each
     source to its row.  The running sum of propagated rows is snapshotted
     at every requested K, so the cost is a single sweep up to max(ks).
+    Raises ParameterError for a K that is not an integer >= 1 or a source
+    that is not a vertex id of P (see :func:`~hyperwalk.hypergraph.vertex_rows`).
     """
-    ks = sorted(set(int(k) for k in ks))
-    if not ks or ks[0] < 1:
-        raise ParameterError("walk length K must be a positive integer")
-    src = sorted(set(int(s) for s in sources))
-    n = P.shape[0]
-    if src and (src[0] < 0 or src[-1] >= n):
-        raise ParameterError("walk sources must be valid vertex ids")
-    row_sums = np.asarray(P.sum(axis=1)).ravel()
-    for s in src:
-        if row_sums[s] == 0.0:
-            raise ContractViolation(f"vertex {s} has no outgoing transitions")
-    if not src:
-        return {k: WalkRows(sparse.csr_matrix((0, n)), []) for k in ks}
+    if len(ks) == 0 or not all(isinstance(k, numbers.Integral) and k >= 1 for k in ks):
+        raise ParameterError(f"walk lengths {list(ks)} are not all integers >= 1")
+    ks = sorted(set(map(int, ks)))
+    src, x = vertex_rows(sources, P.shape[0])
+    stuck = src[(P @ np.ones(P.shape[1]))[src] == 0.0]
+    if len(stuck):
+        raise ContractViolation(f"vertex {stuck[0]} has no outgoing transitions")
     out: dict[int, WalkRows] = {}
-    one = np.ones(len(src))
-    x = sparse.csr_matrix(
-        (one, (np.arange(len(src)), np.array(src))), shape=(len(src), n)
-    )
-    acc = sparse.csr_matrix((len(src), n))
-    want = set(ks)
+    acc = sparse.csr_matrix(x.shape)
     for k in range(1, ks[-1] + 1):
         x = x @ P
         acc = acc + x
         if k == ks[-1]:
             del x  # the last step is summed: free it before the last snapshot
-        if k in want:
+        if k in ks:
             out[k] = _extract_rows(acc, src, 1.0 / k)
     return out

@@ -52,12 +52,11 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg, sparse
-from scipy.sparse import csgraph
 from scipy.sparse.linalg import eigsh
 
 from . import divergence, localwalk, projection
 from .errors import CandidateError, ContractViolation, KatzDivergenceError, ParameterError
-from .hypergraph import Edge, Hypergraph
+from .hypergraph import Edge, Hypergraph, components, vertex_rows
 
 LRW = "lrw"
 LRW_JS = "lrw-js"
@@ -372,23 +371,20 @@ def converging_betas(g: Hypergraph, betas) -> list:
     return kept
 
 
-def katz_pair_table(a: sparse.csr_matrix, vertices) -> KatzSpectra | KatzSeries:
-    """Katz similarities K_beta = sum_{l>=1} beta^l A^l among ``vertices``,
-    for any damping factor beta.
+def katz_pair_table(g: Hypergraph, vertices) -> KatzSpectra | KatzSeries:
+    """Katz similarities K_beta = sum_{l>=1} beta^l A^l among ``vertices``
+    of g, for any damping factor beta, where A is g's adjacency.
 
     Where :func:`katz_closed_form` holds this is a :class:`KatzSpectra`:
-    one dense eigendecomposition per connected component of A serves a
+    one dense eigendecomposition per connected component of g serves a
     whole beta grid, and pairs in different components read exactly 0.0.
     Beyond, it is a :class:`KatzSeries`, which sums KATZ_LMAX powers of A
-    for each beta asked for.
+    for each beta asked for.  Raises ParameterError for a vertex that is
+    not an integer id in 0..n-1.
     """
-    if katz_closed_form(a.shape[0]):
-        return KatzSpectra(a, vertices)
-    return KatzSeries(a, vertices, KATZ_LMAX)
-
-
-def _vertex_array(vertices) -> np.ndarray:
-    return np.unique(np.fromiter((int(v) for v in vertices), dtype=np.int64))
+    if katz_closed_form(g.n):
+        return KatzSpectra(g, vertices)
+    return KatzSeries(g, vertices, KATZ_LMAX)
 
 
 class KatzSpectra:
@@ -403,15 +399,16 @@ class KatzSpectra:
     ``lambda_max``; isolated vertices contribute nothing.
     """
 
-    def __init__(self, a: sparse.csr_matrix, vertices):
-        n = a.shape[0]
-        wanted = np.zeros(n, dtype=bool)
-        wanted[_vertex_array(vertices)] = True
+    def __init__(self, g: Hypergraph, vertices):
+        a = projection.adjacency(g)
+        wanted = np.zeros(g.n, dtype=bool)
+        wanted[vertex_rows(vertices, g.n)[0]] = True
         self.lambda_max = 0.0
         self._spectra: list[tuple[np.ndarray, np.ndarray]] = []
-        self._part = np.full(n, -1, dtype=np.int64)  # spectrum of each table vertex
-        self._row = np.zeros(n, dtype=np.int64)  # its row of that spectrum's U
-        _, comp = csgraph.connected_components(a, directed=False)
+        self._part = np.full(g.n, -1, dtype=np.int64)  # spectrum of each table vertex
+        self._row = np.zeros(g.n, dtype=np.int64)  # its row of that spectrum's U
+        # components come in order of their smallest vertex
+        comp = components(g)
         order = np.argsort(comp, kind="stable")
         for members in np.split(order, np.flatnonzero(np.diff(comp[order])) + 1):
             if len(members) == 1:
@@ -461,25 +458,22 @@ class KatzSeries:
     """Katz similarities summed over the first ``l_max`` powers of A,
     recomputed for each damping factor."""
 
-    def __init__(self, a: sparse.csr_matrix, vertices, l_max: int = KATZ_LMAX):
+    def __init__(self, g: Hypergraph, vertices, l_max: int = KATZ_LMAX):
         if l_max < 1:
             raise ParameterError("truncated Katz needs l_max >= 1")
-        self.a, self.verts, self.l_max = a, _vertex_array(vertices), l_max
+        self.a, self.l_max = projection.adjacency(g), l_max
+        self.verts, self._select = vertex_rows(vertices, g.n)
 
     def values(self, beta: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Truncated K_beta[i[k], j[k]], with every j[k] a table vertex,
         read from the dense rows sum_{l<=l_max} beta^l (A^l)[v, :] of the
         table's vertices."""
-        n, verts = self.a.shape[0], self.verts
         damped = (beta * self.a).tocsr()
-        x = sparse.csr_matrix(
-            (np.ones(len(verts)), (np.arange(len(verts)), verts)), shape=(len(verts), n)
-        )
-        acc = sparse.csr_matrix((len(verts), n))
-        for _ in range(self.l_max):
+        x = acc = self._select @ damped
+        for _ in range(self.l_max - 1):
             x = x @ damped
             acc = acc + x
-        return np.asarray(acc.todense())[np.searchsorted(verts, j), i]
+        return np.asarray(acc.todense())[np.searchsorted(self.verts, j), i]
 
 
 def score_hkatz(edges, table, betas) -> list[np.ndarray]:
@@ -499,16 +493,11 @@ def neighbor_sets(g: Hypergraph) -> sparse.csr_matrix:
 
 def hpra_pair_table(g: Hypergraph, vertices) -> sparse.csr_matrix:
     """Resource-allocation rows (W + W D^-1 W)[v, :], one sparse row per
-    vertex of ``vertices`` in ascending order."""
+    distinct vertex of ``vertices`` in ascending order.  Raises
+    ParameterError for a vertex that is not an integer id in 0..n-1."""
     w = projection.weighted_projection(g)
-    dinv = np.zeros(g.n)
-    nz = g.degrees > 0
-    dinv[nz] = 1.0 / g.degrees[nz]
-    verts = _vertex_array(vertices)
-    x = sparse.csr_matrix(
-        (np.ones(len(verts)), (np.arange(len(verts)), verts)), shape=(len(verts), g.n)
-    )
-    xw = x @ w
+    dinv = np.divide(1.0, g.degrees, out=np.zeros(g.n), where=g.degrees > 0)
+    xw = vertex_rows(vertices, g.n)[1] @ w
     return (xw + (xw @ sparse.diags(dinv)) @ w).tocsr()
 
 
@@ -536,7 +525,7 @@ def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]
         }
     (kind,) = kinds
     if kind == HKATZ:
-        table = katz_pair_table(projection.adjacency(g), cands.vertices)
+        table = katz_pair_table(g, cands.vertices)
         return {kind: score_hkatz(cands, table, grid)}
     if grid != [None]:
         raise ParameterError(f"{kind} has no parameter; its grid is [None], not {grid}")

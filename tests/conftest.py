@@ -219,19 +219,19 @@ def f1_set_oracle(edges, scores, labels, cutoff: int) -> float:
     return float(2 * precision * recall / (precision + recall))
 
 
-def negatives_oracle(edge, g, observed, spec, rng, forbidden=None, observed_degrees=None):
+def negatives_oracle(edge, g, observed, spec, rng, forbidden=None, active=None):
     """Fakes for one missing edge by the per-fake loop: a fresh eligibility
     mask per edge, ``np.delete`` of the dropped slots, and ``rng.choice``
     over the eligible vertices themselves.  Returns (fakes, collisions)."""
     if forbidden is None:
         forbidden = set(observed)
-    if observed_degrees is None:
-        observed_degrees = g.with_edges(observed).degrees
+    if active is None:
+        active = g.with_edges(observed).degrees > 0
     size = len(edge)
     r = min(max(math.floor((1.0 - spec.alpha) * size + 0.5), 1), size - 1)
     in_edge = np.zeros(g.n, dtype=bool)
     in_edge[list(edge)] = True
-    eligible = np.flatnonzero((observed_degrees > 0) & ~in_edge)
+    eligible = np.flatnonzero(active & ~in_edge)
     if len(eligible) < r:
         raise SamplingError(
             f"edge {edge}: need {r} replacement vertices, only {len(eligible)} eligible"

@@ -161,6 +161,24 @@ def test_cv_reports_choices(toy_file, capsys):
     assert out.count("\n") >= 3  # header + one row per trial
 
 
+def test_cv_reports_the_choices_run_makes(tmp_path, capsys):
+    golden = Path(__file__).parent / "data" / "golden" / "golden.txt"
+    common = (
+        "--dataset", golden, "--alpha", "0.5", "--methods", "lrw,lrw-js,lrw-gjs,hkatz",
+        "--trials", "2", "--folds", "3", "--k-grid", "2,3,4", "--beta-grid", "0.005,0.01",
+        "--seed", "0", "--threads", "1",
+    )
+    assert run_cli("cv", *common) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["dataset", "alpha", "trial", "method", "chosen"]
+    assert run_cli("run", *common, "--out", tmp_path) == 0
+    (run,) = json.loads((tmp_path / "results.json").read_text())["runs"]
+    rows = [line.split() for line in lines[1:]]
+    assert len(rows) == 2 * 4
+    for _, _, trial, kind, chosen in rows:
+        assert float(chosen) == run["trials"][int(trial)]["methods"][kind]["param"]
+
+
 @pytest.mark.parametrize("command", ["run", "cv"])
 def test_trial_errors_name_their_trial(command, tmp_path, capsys):
     golden = Path(__file__).parent / "data" / "golden" / "golden.txt"

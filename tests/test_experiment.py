@@ -1,7 +1,7 @@
 import gc
 import weakref
 from dataclasses import replace
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -200,7 +200,7 @@ def test_build_candidates_matches_negatives_oracle(kind, n, m, seed, rho, alpha,
     try:
         for e in missing:
             f, c = negatives_oracle(
-                e, observed_g, observed, spec, oracle_rng, forbidden, observed_g.degrees
+                e, observed_g, observed, spec, oracle_rng, forbidden, observed_g.degrees > 0
             )
             negatives.extend(f)
             collisions += c
@@ -329,6 +329,12 @@ def test_f1_rejects_edge_count_mismatch():
         f1_at_cutoff([(0, 1)], [0.5, 0.4], [1, 0], 1)
     with pytest.raises(ParameterError, match="1 scores for 2 candidate edges"):
         select_top([(0, 1), (1, 2)], [0.5], 1)
+
+
+def test_select_top_rejects_a_negative_cutoff():
+    with pytest.raises(ParameterError, match="cutoff -1"):
+        select_top([(0, 1), (0, 2), (1, 2)], [0.1, 0.5, 0.3], -1)
+    assert select_top([(0, 1), (0, 2), (1, 2)], [0.1, 0.5, 0.3], 0) == []
 
 
 def test_metrics_reject_labels_other_than_0_and_1():
@@ -503,7 +509,7 @@ def test_hkatz_cv_excludes_divergent_betas():
         assert rho > 10.0  # 0.1 really is divergent on this trial
         assert record.outcomes[0].param * rho < 1.0
         with pytest.raises(KatzDivergenceError):
-            KatzSpectra(a_obs, [0, 1]).check(0.1)
+            KatzSpectra(g.with_edges(observed), [0, 1]).check(0.1)
 
 
 def test_hkatz_cv_raises_when_a_fold_diverges(monkeypatch):
@@ -524,6 +530,31 @@ def test_hkatz_cv_raises_when_a_fold_diverges(monkeypatch):
         )
     with pytest.raises(KatzDivergenceError, match="^trial 0: beta=0.5 "):
         run_experiment(g, split_spec, sampling_spec, ["hkatz"], folds=3, beta_grid=(0.001, 0.5))
+
+
+def test_series_katz_scores_a_whole_run(monkeypatch):
+    # Past KATZ_CLOSED_MAX_N vertices every Katz table, in every fold and in
+    # the final scoring, is the truncated series.
+    g = planted_hypergraph(40, 90, np.random.default_rng(4))
+    monkeypatch.setattr(scoring, "KATZ_CLOSED_MAX_N", 0)
+    tables = []
+    original = scoring.katz_pair_table
+
+    def recording(*args):
+        tables.append(original(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(scoring, "katz_pair_table", recording)
+    split_spec, sampling_spec = SplitSpec(0.8, 1, 2), SamplingSpec(0.5, 2)
+    res = run_experiment(g, split_spec, sampling_spec, ["hkatz"], folds=3, beta_grid=(0.005, 0.01))
+    assert len(tables) >= 2 and all(isinstance(t, scoring.KatzSeries) for t in tables)
+    (outcome,) = res.records[0].outcomes
+    observed_g, cand = trial_candidates(g, split_spec, sampling_spec, 0)
+    vertices = sorted(set(chain.from_iterable(cand.edges)))
+    table = scoring.KatzSeries(observed_g, vertices)
+    scores = scoring.score_hkatz(cand.edges, table, [outcome.param])[0]
+    assert outcome.auroc == auroc(scores, cand.labels)
+    assert outcome.auroc > 0.5
 
 
 def test_cv_rejects_mixed_families(medium):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from scipy.sparse.csgraph import connected_components
 
-from hyperwalk.errors import EmptyHypergraphError, ParseError
+from hyperwalk.errors import EmptyHypergraphError, ParameterError, ParseError
 from hyperwalk.hypergraph import (
     Hypergraph,
     components,
@@ -13,6 +13,7 @@ from hyperwalk.hypergraph import (
     loads,
     save,
     stats,
+    vertex_rows,
 )
 
 from hyperwalk.projection import adjacency
@@ -197,3 +198,23 @@ def test_label_mode_save_load_roundtrip(tmp_path):
     back = load(path, label_mode=True)
     original = {frozenset(g.labels[v] for v in e) for e in g.edges}
     assert original == {frozenset(back.labels[v] for v in e) for e in back.edges}
+
+
+def test_vertex_rows_sorts_deduplicates_and_selects():
+    ids, select = vertex_rows([3, 1, 3, True], 5)
+    assert ids.dtype == np.int64 and ids.tolist() == [1, 3]
+    assert select.format == "csr" and select.shape == (2, 5)
+    assert np.array_equal(select.toarray(), np.eye(5)[[1, 3]])
+    for empty in ([], np.zeros(0, dtype=np.int64), range(0)):
+        ids, select = vertex_rows(empty, 5)
+        assert ids.dtype == np.int64 and ids.size == 0 and select.shape == (0, 5)
+    ids, _ = vertex_rows(np.array([4, 0, 4], dtype=np.uint8), 5)
+    assert ids.dtype == np.int64 and ids.tolist() == [0, 4]
+
+
+@pytest.mark.parametrize("bad", [0.7, "1", -1, 5, None, 2**70, np.float64(2.0)])
+def test_vertex_rows_rejects_anything_but_vertex_ids(bad):
+    with pytest.raises(ParameterError):
+        vertex_rows([0, bad], 5)
+    with pytest.raises(ParameterError):
+        vertex_rows(np.array([bad]), 5)

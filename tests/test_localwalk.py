@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from hyperwalk import localwalk, synthetic
-from hyperwalk.errors import ParameterError
+from hyperwalk.errors import ContractViolation, ParameterError
+from hyperwalk.hypergraph import Hypergraph
 from hyperwalk.localwalk import WalkRows, walk_matrix_rows, walk_matrix_rows_multi
 from hyperwalk.projection import transition
 
@@ -39,6 +40,31 @@ def test_rejects_k_zero(t1):
 def test_rejects_bad_source(t1):
     with pytest.raises(ParameterError):
         walk_matrix_rows(transition(t1), [99], 2)
+
+
+@pytest.mark.parametrize("ks", [[2.5], ["3"], [2, 3.0], [0], [-1], [True, 0], []])
+def test_rejects_walk_lengths_that_are_not_integers_from_1(t1, ks):
+    with pytest.raises(ParameterError):
+        walk_matrix_rows_multi(transition(t1), [0], ks)
+
+
+def test_single_k_rejects_a_fractional_length(t1):
+    with pytest.raises(ParameterError):
+        walk_matrix_rows(transition(t1), [0], 2.5)
+    rows = walk_matrix_rows(transition(t1), [0], np.int64(2))
+    assert rows.matrix.shape == (1, t1.n)
+
+
+def test_no_sources_sweep_to_empty_snapshots(t1):
+    for k, rows in walk_matrix_rows_multi(transition(t1), [], [1, 3]).items():
+        assert rows.matrix.shape == (0, t1.n) and len(rows) == 0
+        assert rows.sources.dtype == np.int64
+
+
+def test_source_without_transitions_is_named(t1):
+    p = transition(Hypergraph(5, [(0, 1)]), allow_isolated=True)
+    with pytest.raises(ContractViolation, match="^vertex 2 has no outgoing"):
+        walk_matrix_rows(p, [4, 0, 2], 1)
 
 
 def test_only_requested_rows_returned(t1):

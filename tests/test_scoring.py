@@ -29,6 +29,7 @@ from hyperwalk.scoring import (
     KatzSpectra,
     MethodSpec,
     converging_betas,
+    hpra_pair_table,
     katz_pair_table,
     score_candidates,
     score_edges_from_rows,
@@ -108,23 +109,20 @@ def test_hcn_toy(t1):
 
 
 def test_hkatz_truncated_toy(t1):
-    a = adjacency(t1).astype(float)
-    table = KatzSeries(a, [0, 3], l_max=2)
+    table = KatzSeries(t1, [0, 3], l_max=2)
     # beta*a_14 + beta^2*(A^2)_14 = 0 + 0.01*1
     assert score_hkatz([(0, 3)], table, [0.1])[0][0] == pytest.approx(0.01, abs=1e-15)
 
 
 def test_hkatz_leading_term_is_adjacency(t1):
-    a = adjacency(t1).astype(float)
     beta = 1e-8
-    table = KatzSpectra(a, [0, 1, 2])
+    table = KatzSpectra(t1, [0, 1, 2])
     assert score_hkatz([(0, 1)], table, [beta])[0][0] / beta == pytest.approx(1.0, abs=1e-5)
 
 
 def test_hkatz_disconnected_pair_zero_closed_form():
     g = from_label_edges([[1, 2], [3, 4]])
-    a = adjacency(g).astype(float)
-    table = KatzSpectra(a, [0, 2])
+    table = KatzSpectra(g, [0, 2])
     assert score_hkatz([(0, 2)], table, [0.2])[0][0] == 0.0
 
 
@@ -132,7 +130,7 @@ def test_hkatz_closed_rejects_divergent_beta(t1):
     a = adjacency(t1).astype(float)
     rho = spectral_radius(a)
     with pytest.raises(KatzDivergenceError):
-        KatzSpectra(a, [0]).check(1.01 / rho)
+        KatzSpectra(t1, [0]).check(1.01 / rho)
 
 
 def test_hkatz_truncated_converges_monotonically_to_closed():
@@ -140,12 +138,11 @@ def test_hkatz_truncated_converges_monotonically_to_closed():
     for _ in range(5):
         edges = [rng.choice(10, size=rng.integers(2, 4), replace=False).tolist() for _ in range(8)]
         g = from_label_edges(edges)
-        a = adjacency(g).astype(float)
         pair = (0, min(1, g.n - 1))
-        closed = score_hkatz([pair], KatzSpectra(a, pair), [0.01])[0][0]
+        closed = score_hkatz([pair], KatzSpectra(g, pair), [0.01])[0][0]
         previous = -np.inf
         for l_max in (1, 2, 4, 8, 16):
-            trunc = score_hkatz([pair], KatzSeries(a, pair, l_max), [0.01])[0][0]
+            trunc = score_hkatz([pair], KatzSeries(g, pair, l_max), [0.01])[0][0]
             assert trunc >= previous
             assert trunc <= closed + 1e-12
             previous = trunc
@@ -156,10 +153,10 @@ def test_katz_pair_table_picks_form_by_graph_size(t1, monkeypatch):
     a = adjacency(t1).astype(float)
     beta = 1.01 / spectral_radius(a)  # diverges in closed form
     with pytest.raises(KatzDivergenceError):
-        score_hkatz([(0, 3)], katz_pair_table(a, [0, 3]), [beta])
+        score_hkatz([(0, 3)], katz_pair_table(t1, [0, 3]), [beta])
     monkeypatch.setattr(scoring, "KATZ_CLOSED_MAX_N", t1.n - 1)
-    table = katz_pair_table(a, [0, 3])
-    expected = KatzSeries(a, [0, 3], KATZ_LMAX)
+    table = katz_pair_table(t1, [0, 3])
+    expected = KatzSeries(t1, [0, 3], KATZ_LMAX)
     assert list(table.verts) == list(expected.verts) == [0, 3]
     everyone = np.arange(t1.n)
     oracle = katz_series_oracle(a.toarray(), beta, KATZ_LMAX)
@@ -189,7 +186,7 @@ def test_katz_table_matches_dense_oracle(g, data):
     rho = float(np.linalg.eigvalsh(dense)[-1])
     verts = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=2, max_size=g.n)))
     edges = list(combinations(verts, 2)) + [tuple(verts)]
-    table = katz_pair_table(a, verts)
+    table = katz_pair_table(g, verts)
     i, j = np.array(edges[:-1]).T
     comp = components(g)
     grid = [f / rho for f in (0.01, 0.25, 0.5, 0.9, 0.99)]
@@ -206,7 +203,7 @@ def test_katz_table_matches_dense_oracle(g, data):
             score_hkatz(edges, table, [grid[0], beta])
     together = score_hkatz(edges, table, grid)
     for beta, scores in zip(grid, together):
-        alone = katz_pair_table(a, verts)
+        alone = katz_pair_table(g, verts)
         assert np.array_equal(alone.values(beta, i, j), table.values(beta, i, j))
         assert np.array_equal(score_hkatz(edges, alone, [beta])[0], scores)
 
@@ -352,6 +349,22 @@ def test_candidate_checks_match_per_edge_loop(g, data):
         scored = score_candidates(MethodSpec(HCN), g, candidates)
         assert [s.edge for s in scored] == expected
         assert all(type(v) is int for s in scored for v in s.edge)
+
+
+VERTEX_TABLES = {
+    "walk rows": lambda g, vertices: walk_matrix_rows(transition(g), vertices, 2),
+    "hpra": hpra_pair_table,
+    "katz": katz_pair_table,
+    "katz spectra": KatzSpectra,
+    "katz series": KatzSeries,
+}
+
+
+@pytest.mark.parametrize("table", sorted(VERTEX_TABLES))
+@pytest.mark.parametrize("bad", [0.7, "1", -1, "n"])
+def test_vertex_tables_reject_anything_but_vertex_ids(t1, table, bad):
+    with pytest.raises(ParameterError):
+        VERTEX_TABLES[table](t1, [0, t1.n if bad == "n" else bad])
 
 
 def test_missing_walk_row_is_contract_violation(t1):
