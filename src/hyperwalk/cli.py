@@ -21,7 +21,7 @@ from . import __version__, bench, experiment, hypergraph
 from . import config as config_mod
 from .config import RunConfig
 from .errors import HyperwalkError, ParameterError
-from .scoring import ALL_KINDS, HKATZ, WALK_KINDS, MethodSpec
+from .scoring import HKATZ, WALK_KINDS, MethodSpec
 
 
 def _dataset_name(path: str) -> str:
@@ -217,22 +217,16 @@ def cmd_bench(args) -> int:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """``--config`` plus one flag per config key, stored under its field
+    name as the file's text; ``--dataset`` repeats and a bool key is a switch."""
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--dataset", action="append", help="hyperedge-list file (repeatable)")
-    p.add_argument("--methods", help="comma list from: " + ",".join(ALL_KINDS))
-    p.add_argument("--alpha", help="comma list of kept-vertex fractions in (0,1)")
-    p.add_argument("--lambda", dest="fakes_per_missing", help="fake hyperedges per missing one")
-    p.add_argument("--rho", help="comma list of observed fractions in (0,1)")
-    p.add_argument("--trials")
-    p.add_argument("--seed")
-    p.add_argument("--k-grid", help="comma list of walk lengths")
-    p.add_argument("--beta-grid", help="comma list of Katz damping factors")
-    p.add_argument("--folds")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--threads", help="worker processes for run and sweep (default: all cores)")
-    p.add_argument("--min-cardinality")
-    p.add_argument("--label-mode", action="store_const", const="true",
-                   help="treat vertex tokens as opaque strings")
+    for key, (name, elem, _, help_text) in config_mod._KEYS.items():
+        if key == "dataset":
+            p.add_argument(f"--{key}", dest=name, action="append", help=help_text)
+        elif elem is bool:
+            p.add_argument(f"--{key}", dest=name, action="store_const", const="true", help=help_text)
+        else:
+            p.add_argument(f"--{key}", dest=name, help=help_text)
 
 
 def _config_from_args(args) -> RunConfig:
@@ -240,7 +234,7 @@ def _config_from_args(args) -> RunConfig:
     value would be; ``--dataset`` repeats and ``--label-mode`` is a switch."""
     cfg = config_mod.load_config(args.config) if args.config else RunConfig()
     overrides = {}
-    for key, (name, _, _) in config_mod._KEYS.items():
+    for key, (name, _, _, _) in config_mod._KEYS.items():
         given = getattr(args, name)
         if given is not None:
             # repeated --dataset flags read as one comma list
@@ -301,11 +295,9 @@ def main(argv=None) -> int:
         if cfg.threads == 0:
             cfg = config_mod.apply_overrides(cfg, {"threads": os.cpu_count() or 1})
         return handler(cfg.validate())
-    except HyperwalkError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: FileNotFound: {exc}", file=sys.stderr)
+    except (HyperwalkError, OSError, UnicodeDecodeError) as exc:
+        name = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
+        print(f"error: {name}: {exc}", file=sys.stderr)
         return 1
 
 

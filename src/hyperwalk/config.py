@@ -1,7 +1,8 @@
 """Run configuration: one flat dataclass, file form `key = value` per line.
 
 Lists are comma-separated, booleans are true/false, '#' starts a comment.
-Every key can be overridden from the command line; the file form
+Every key is also the command-line flag ``--<key>`` (see ``_KEYS``, which
+holds each key's field, parser and flag help); the file form
 round-trips losslessly (floats are written with repr).
 """
 
@@ -11,9 +12,9 @@ import hashlib
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from . import experiment
 from .errors import ParameterError
-from .experiment import DEFAULT_BETA_GRID, DEFAULT_K_GRID
-from .scoring import ALL_KINDS
+from .scoring import ALL_KINDS, HKATZ, LRW, MethodSpec
 
 
 @dataclass(frozen=True)
@@ -21,65 +22,61 @@ class RunConfig:
     dataset: tuple[str, ...] = ()
     methods: tuple[str, ...] = ALL_KINDS
     alpha: tuple[float, ...] = (0.2, 0.5, 0.8)
-    fakes_per_missing: int = 3
-    rho: tuple[float, ...] = (0.8,)
-    trials: int = 10
-    seed: int = 0
-    k_grid: tuple[int, ...] = DEFAULT_K_GRID
-    beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID
-    folds: int = 5
+    fakes_per_missing: int = experiment.SamplingSpec.fakes_per_missing
+    rho: tuple[float, ...] = (experiment.SplitSpec.observed_fraction,)
+    trials: int = experiment.SplitSpec.trials
+    seed: int = experiment.SplitSpec.seed
+    k_grid: tuple[int, ...] = experiment.DEFAULT_K_GRID
+    beta_grid: tuple[float, ...] = experiment.DEFAULT_BETA_GRID
+    folds: int = experiment.DEFAULT_FOLDS
     out: str = "results"
     threads: int = 0  # 0 = all available cores
     min_cardinality: int = 2
     label_mode: bool = False
 
     def validate(self) -> "RunConfig":
-        if not self.dataset:
-            raise ParameterError("at least one dataset path is required")
-        for kind in self.methods:
-            if kind not in ALL_KINDS:
-                raise ParameterError(f"unknown method {kind!r}; choose from {ALL_KINDS}")
-        for a in self.alpha:
-            if not 0.0 < a < 1.0:
-                raise ParameterError(f"alpha {a} outside (0, 1)")
-        for r in self.rho:
-            if not 0.0 < r < 1.0:
-                raise ParameterError(f"rho {r} outside (0, 1)")
-        if self.fakes_per_missing < 1:
-            raise ParameterError("lambda must be >= 1")
-        if self.trials < 1:
-            raise ParameterError("trials must be >= 1")
+        """Check every setting: a list setting needs at least one value,
+        folds, threads and min-cardinality are checked here, and every
+        other value must build the library object that will carry it."""
+        for key, (name, _, is_list, _) in _KEYS.items():
+            if is_list and not getattr(self, name):
+                raise ParameterError(f"{key} needs at least one value")
         if self.folds < 2:
-            raise ParameterError("folds must be >= 2")
+            raise ParameterError(f"folds={self.folds} is not >= 2")
         if self.threads < 0:
-            raise ParameterError("threads must be >= 0 (0 = all cores)")
-        if any(k < 1 for k in self.k_grid) or not self.k_grid:
-            raise ParameterError("k-grid must be nonempty positive integers")
-        if any(b <= 0 for b in self.beta_grid) or not self.beta_grid:
-            raise ParameterError("beta-grid must be nonempty positive reals")
+            raise ParameterError(f"threads={self.threads} is not >= 0 (0 = all cores)")
         if self.min_cardinality < 2:
-            raise ParameterError("min-cardinality must be >= 2")
+            raise ParameterError(f"min-cardinality={self.min_cardinality} is not >= 2")
+        experiment.resolve_methods(self.methods)
+        for rho in self.rho:
+            experiment.SplitSpec(rho, self.trials, self.seed)
+        for alpha in self.alpha:
+            experiment.SamplingSpec(alpha, self.fakes_per_missing)
+        for k in self.k_grid:
+            MethodSpec(LRW, k=k)
+        for beta in self.beta_grid:
+            MethodSpec(HKATZ, beta=beta)
         return self
 
 
-# file/flag key -> (field name, element parser, is_list)
-_KEYS: dict[str, tuple[str, type, bool]] = {
-    "dataset": ("dataset", str, True),
-    "methods": ("methods", str, True),
-    "alpha": ("alpha", float, True),
-    "lambda": ("fakes_per_missing", int, False),
-    "rho": ("rho", float, True),
-    "trials": ("trials", int, False),
-    "seed": ("seed", int, False),
-    "k-grid": ("k_grid", int, True),
-    "beta-grid": ("beta_grid", float, True),
-    "folds": ("folds", int, False),
-    "out": ("out", str, False),
-    "threads": ("threads", int, False),
-    "min-cardinality": ("min_cardinality", int, False),
-    "label-mode": ("label_mode", bool, False),
+# file/flag key -> (field name, element parser, is_list, flag help)
+_KEYS: dict[str, tuple[str, type, bool, str | None]] = {
+    "dataset": ("dataset", str, True, "hyperedge-list file (repeatable)"),
+    "methods": ("methods", str, True, "comma list from: " + ",".join(ALL_KINDS)),
+    "alpha": ("alpha", float, True, "comma list of kept-vertex fractions in (0,1)"),
+    "lambda": ("fakes_per_missing", int, False, "fake hyperedges per missing one"),
+    "rho": ("rho", float, True, "comma list of observed fractions in (0,1)"),
+    "trials": ("trials", int, False, None),
+    "seed": ("seed", int, False, None),
+    "k-grid": ("k_grid", int, True, "comma list of walk lengths"),
+    "beta-grid": ("beta_grid", float, True, "comma list of Katz damping factors"),
+    "folds": ("folds", int, False, None),
+    "out": ("out", str, False, "output directory"),
+    "threads": ("threads", int, False, "worker processes for run and sweep (default: all cores)"),
+    "min-cardinality": ("min_cardinality", int, False, None),
+    "label-mode": ("label_mode", bool, False, "treat vertex tokens as opaque strings"),
 }
-_FIELD_TO_KEY = {f: k for k, (f, _, _) in _KEYS.items()}
+_FIELD_TO_KEY = {f: k for k, (f, _, _, _) in _KEYS.items()}
 
 
 def _format_value(value) -> str:
@@ -93,7 +90,7 @@ def _format_value(value) -> str:
 
 
 def _parse_value(key: str, text: str):
-    field_name, elem, is_list = _KEYS[key]
+    _, elem, is_list, _ = _KEYS[key]
     if elem is bool:
         low = text.strip().lower()
         if low not in ("true", "false"):

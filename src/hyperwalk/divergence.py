@@ -102,30 +102,18 @@ def divergences(rows: sparse.csr_matrix, groups, weights=None) -> np.ndarray:
 def _stack(dists) -> sparse.csr_matrix:
     """CSR matrix whose row r holds ``dists[r]``, a dense vector or a 1 x n
     sparse row; every row must have the same length n."""
-    indices, values, lengths = [], [], set()
+    rows = []
     for d in dists:
-        if sparse.issparse(d):
-            d = d.tocsr()
-            if not d.has_canonical_format:  # a repeated column would count as its own mass
-                d = d.copy()
-                d.sum_duplicates()
-            idx, val = d.indices, d.data
-        else:
-            d = np.atleast_2d(np.asarray(d, dtype=np.float64))
-            idx = np.flatnonzero(d)
-            val = d.ravel()[idx]
+        d = d if sparse.issparse(d) else np.atleast_2d(np.asarray(d, dtype=np.float64))
         if d.ndim != 2 or d.shape[0] != 1:
             raise ParameterError("a distribution is a dense vector or a 1 x n sparse row")
-        indices.append(idx)
-        values.append(val)
-        lengths.add(d.shape[1])
+        rows.append(sparse.csr_matrix(d))
+    lengths = sorted({r.shape[1] for r in rows})
     if len(lengths) > 1:
-        raise ParameterError(f"distributions over different vertex counts {sorted(lengths)}")
-    indptr = np.concatenate(([0], np.cumsum([len(i) for i in indices])))
-    return sparse.csr_matrix(
-        (np.concatenate(values), np.concatenate(indices), indptr),
-        shape=(len(indices), lengths.pop()),
-    )
+        raise ParameterError(f"distributions over different vertex counts {lengths}")
+    stacked = sparse.vstack(rows, format="csr")
+    stacked.sum_duplicates()  # a repeated column would count as its own mass
+    return stacked
 
 
 def js(p, q) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -37,6 +38,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_K_GRID = (2, 3, 4, 5)
 DEFAULT_BETA_GRID = (0.001, 0.005, 0.01, 0.05, 0.1)
+DEFAULT_FOLDS = 5
 
 # spawn_key tags for deriving per-trial generators from the master seed
 _SPLIT, _NEGATIVES, _CV_WALK, _CV_KATZ = 0, 1, 2, 3
@@ -50,9 +52,11 @@ class SplitSpec:
 
     def __post_init__(self):
         if not 0.0 < self.observed_fraction < 1.0:
-            raise ParameterError("observed_fraction must lie strictly between 0 and 1")
+            raise ParameterError(f"observed fraction rho={self.observed_fraction} is not in (0, 1)")
         if self.trials < 1:
-            raise ParameterError("trials must be >= 1")
+            raise ParameterError(f"trials={self.trials} is not >= 1")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ParameterError(f"seed={self.seed!r} is not an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -62,9 +66,10 @@ class SamplingSpec:
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
-            raise ParameterError("alpha must lie strictly between 0 and 1")
+            raise ParameterError(f"kept-vertex fraction alpha={self.alpha} is not in (0, 1)")
         if self.fakes_per_missing < 1:
-            raise ParameterError("fakes_per_missing must be >= 1")
+            raise ParameterError(
+                f"fakes per missing edge lambda={self.fakes_per_missing} is not >= 1")
 
 
 @dataclass(frozen=True)
@@ -429,7 +434,7 @@ class ExperimentResult:
         }
 
 
-def _resolve_methods(methods) -> list[MethodSpec]:
+def resolve_methods(methods) -> list[MethodSpec]:
     out = []
     for m in methods:
         out.append(m if isinstance(m, MethodSpec) else MethodSpec(kind=str(m)))
@@ -472,7 +477,7 @@ def tune_trial(
     sampling_spec: SamplingSpec,
     methods: Sequence[MethodSpec],
     trial: int,
-    folds: int = 5,
+    folds: int = DEFAULT_FOLDS,
     k_grid: Sequence[int] = DEFAULT_K_GRID,
     beta_grid: Sequence[float] = DEFAULT_BETA_GRID,
 ) -> tuple[Hypergraph, CandidateSet, dict[str, object]]:
@@ -497,12 +502,12 @@ def run_trial(
     sampling_spec: SamplingSpec,
     methods: Sequence[MethodSpec],
     trial: int,
-    folds: int = 5,
+    folds: int = DEFAULT_FOLDS,
     k_grid: Sequence[int] = DEFAULT_K_GRID,
     beta_grid: Sequence[float] = DEFAULT_BETA_GRID,
 ) -> TrialRecord:
     """One full trial: split, sample, cross-validate, score, measure."""
-    methods = _resolve_methods(methods)
+    methods = resolve_methods(methods)
     with naming_trial(trial):
         observed_g, cand, chosen = tune_trial(
             g, split_spec, sampling_spec, methods, trial, folds, k_grid, beta_grid
@@ -538,7 +543,7 @@ def run_experiment(
     split_spec: SplitSpec,
     sampling_spec: SamplingSpec,
     methods,
-    folds: int = 5,
+    folds: int = DEFAULT_FOLDS,
     k_grid: Sequence[int] = DEFAULT_K_GRID,
     beta_grid: Sequence[float] = DEFAULT_BETA_GRID,
     threads: int = 1,
@@ -549,7 +554,7 @@ def run_experiment(
     back in trial order either way, so the result does not depend on the
     worker count.
     """
-    methods = _resolve_methods(methods)
+    methods = resolve_methods(methods)
     args = [
         (g, split_spec, sampling_spec, methods, t, folds, tuple(k_grid), tuple(beta_grid))
         for t in range(split_spec.trials)

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -79,6 +80,11 @@ KATZ_CHUNK_ENTRIES = 2**16
 SCORE_TOL = 1e-12
 
 
+def _is_number(value, kind) -> bool:
+    """Whether ``value`` is a number of the abstract type ``kind``, not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MethodSpec:
     """A scoring method plus its hyperparameters.
@@ -94,18 +100,25 @@ class MethodSpec:
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
-            raise ParameterError(f"unknown method kind {self.kind!r}")
-        if self.k is not None and self.k < 1:
-            raise ParameterError("walk length k must be >= 1")
-        if self.beta is not None and self.beta <= 0:
-            raise ParameterError("katz damping beta must be positive")
+            raise ParameterError(f"unknown method kind {self.kind!r}; choose from {ALL_KINDS}")
+        if self.k is not None and not (_is_number(self.k, numbers.Integral) and self.k >= 1):
+            raise ParameterError(f"walk length k={self.k!r} is not an integer >= 1")
+        if self.beta is not None and not (_is_number(self.beta, numbers.Real) and self.beta > 0):
+            raise ParameterError(f"Katz damping beta={self.beta!r} is not a real number > 0")
 
     def with_param(self, value) -> "MethodSpec":
-        """Copy with the method's tunable parameter set."""
+        """Copy with the method's tunable parameter set.
+
+        An integer of any type becomes an ``int`` and a real damping factor
+        a ``float``, so results hold Python numbers; any other value goes
+        to the constructor's checks as it is.
+        """
+        if _is_number(value, numbers.Integral):
+            value = operator.index(value)
         if self.kind in WALK_KINDS:
-            return replace(self, k=int(value))
+            return replace(self, k=value)
         if self.kind == HKATZ:
-            return replace(self, beta=float(value))
+            return replace(self, beta=float(value) if _is_number(value, numbers.Real) else value)
         return self
 
     @property

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from hyperwalk.cli import main
+from hyperwalk.cli import _config_from_args, build_parser, main
+from hyperwalk.config import _KEYS, from_text
 
 TOY = "1,2,3\n3,4\n2,4\n1,4\n1,3\n2,3\n1,2\n1,2,4\n2,3,4\n1,3,4\n5,1\n5,2\n5,3,4\n"
 
@@ -208,6 +209,55 @@ def test_config_file_with_flag_override(toy_file, tmp_path, capsys):
 def test_missing_dataset_file(tmp_path, capsys):
     assert run_cli("stats", "--dataset", tmp_path / "nope.txt") == 1
     assert "FileNotFound" in capsys.readouterr().err
+
+
+def test_unreadable_files_are_reported_not_raised(tmp_path, capsys):
+    assert run_cli("stats", "--dataset", tmp_path) == 1
+    assert "error: IsADirectoryError: " in capsys.readouterr().err
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"caf\xe9,1\n")
+    assert run_cli("stats", "--dataset", latin, "--label-mode") == 1
+    assert "error: UnicodeDecodeError: " in capsys.readouterr().err
+    assert run_cli("stats", "--config", latin) == 1
+    assert "error: UnicodeDecodeError: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--seed", "-1"],
+        ["run", "--alpha", ""],
+        ["run", "--methods", ""],
+        ["cv", "--methods", "lrw,lrw"],
+    ],
+)
+def test_bad_settings_exit_1_before_running(argv, tmp_path, capsys):
+    golden = Path(__file__).parent / "data" / "golden" / "golden.txt"
+    out = ["--out", tmp_path / "res"] if argv[0] == "run" else []
+    assert run_cli(*argv, "--dataset", golden, "--trials", "1", "--threads", "1", *out) == 1
+    captured = capsys.readouterr()
+    assert "error: ParameterError: " in captured.err
+    assert captured.out == "" and not (tmp_path / "res").exists()
+
+
+# one value per config key, as the file writes it
+KEY_VALUES = {
+    "dataset": "a.txt", "methods": "lrw,hcn", "alpha": "0.3,0.6", "lambda": "4",
+    "rho": "0.7", "trials": "2", "seed": "5", "k-grid": "2,3", "beta-grid": "0.01",
+    "folds": "3", "out": "o", "threads": "2", "min-cardinality": "3", "label-mode": "true",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_KEYS))
+@pytest.mark.parametrize("command", ["stats", "run", "sweep", "cv"])
+def test_every_key_has_a_flag_that_parses_as_the_file(command, key):
+    name, elem, _, _ = _KEYS[key]
+    text = KEY_VALUES[key]
+    flag = [f"--{key}"] if elem is bool else [f"--{key}", text]
+    args = build_parser().parse_args([command, *flag])
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    assert given.keys() == {"command", "verbose", name}
+    assert _config_from_args(args) == from_text(f"{key} = {text}\n")
 
 
 def test_results_json_matches_shipped_schema(toy_file, tmp_path):

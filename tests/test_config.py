@@ -1,6 +1,7 @@
 import pytest
 
 from hyperwalk.config import (
+    _KEYS,
     RunConfig,
     apply_overrides,
     canonical_text,
@@ -74,6 +75,13 @@ def test_validate_flags_bad_fields():
     with pytest.raises(ParameterError):
         RunConfig(**base, folds=1).validate()
     RunConfig(**base).validate()
+
+
+@pytest.mark.parametrize("key", [k for k, (_, _, is_list, _) in _KEYS.items() if is_list])
+def test_every_list_setting_needs_a_value(key):
+    cfg = RunConfig(dataset=("x.txt",)).validate()
+    with pytest.raises(ParameterError, match=f"^{key} needs at least one value"):
+        apply_overrides(cfg, {_KEYS[key][0]: ()}).validate()
 
 
 def test_overrides_skip_none():

@@ -631,6 +631,17 @@ def test_each_method_scores_after_the_last_ones_are_freed(monkeypatch, medium):
     assert len(earlier) == 3
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+def test_split_spec_needs_a_nonnegative_integer_seed(seed):
+    with pytest.raises(ParameterError, match="seed"):
+        SplitSpec(0.8, 1, seed)
+
+
+def test_single_value_walk_grid_is_checked_not_truncated(medium):
+    with pytest.raises(ParameterError, match="k=2.5"):
+        run_experiment(medium, SplitSpec(0.8, 1, 0), SamplingSpec(0.5, 2), [LRW], k_grid=(2.5,))
+
+
 def test_run_experiment_pinned_parameter_skips_cv(medium):
     res = run_experiment(
         medium, SplitSpec(0.8, 1, 5), SamplingSpec(0.5, 2),

@@ -387,10 +387,23 @@ def test_method_spec_validation():
         MethodSpec(LRW, k=0)
     with pytest.raises(ParameterError):
         MethodSpec(HKATZ, beta=-1.0)
+    for value in (2.5, "3", True):
+        with pytest.raises(ParameterError, match="walk length"):
+            MethodSpec(LRW).with_param(value)
     spec = MethodSpec(LRW_JS).with_param(4)
     assert spec.k == 4 and spec.param == 4
     spec = MethodSpec(HKATZ).with_param(0.01)
     assert spec.beta == 0.01
+
+
+def test_with_param_keeps_python_numbers():
+    spec = MethodSpec(LRW).with_param(np.int64(3))
+    assert spec.k == 3 and type(spec.k) is int
+    spec = MethodSpec(HKATZ).with_param(np.float64(0.05))
+    assert spec.beta == 0.05 and type(spec.beta) is float
+    assert type(MethodSpec(HKATZ).with_param(1).beta) is float
+    with pytest.raises(ParameterError, match="damping"):
+        MethodSpec(HKATZ).with_param("0.1")
 
 
 def test_js_vs_gjs_identical_vectors_on_pair_candidates(t1):
