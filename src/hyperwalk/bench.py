@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import divergence, localwalk, projection, scoring, synthetic
+from .errors import ParameterError
 from .hypergraph import Hypergraph
 
 
@@ -59,6 +60,8 @@ def walk_cost_curve(
     for d in degree_grid:
         rng = np.random.default_rng([seed, int(d * 1000), k])
         g = synthetic.regular_cardinality_hypergraph(n, cardinality, d, rng)
+        if g.n < 3:  # divergences are timed on triples of rows
+            raise ParameterError(f"at degree {d} the largest component has {g.n} < 3 vertices")
         p = projection.transition(g)
         sources = rng.choice(g.n, size=min(batch_rows, g.n), replace=False).tolist()
 

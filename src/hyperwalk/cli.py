@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -184,7 +185,26 @@ def cmd_cv(cfg: RunConfig) -> int:
     return 0
 
 
+def _check_bench_flags(args) -> None:
+    """Range rules of bench's own flags, which build no checked library object."""
+    lowest = [
+        ("seed", [args.seed], 0),
+        ("bench-k", args.bench_k, 1),
+        ("bench-cardinality", [args.bench_cardinality], 2),
+        ("bench-vertices", [args.bench_vertices], args.bench_cardinality),
+        ("bench-rows", [args.bench_rows], 3),  # divergences are timed on triples of rows
+    ]
+    for flag, values, low in lowest:
+        for v in values:
+            if v < low:
+                raise ParameterError(f"{flag}={v} is not >= {low}")
+    for d in args.bench_degrees:
+        if not (math.isfinite(d) and d > 0):
+            raise ParameterError(f"bench-degrees value {d} is not a finite number > 0")
+
+
 def cmd_bench(args) -> int:
+    _check_bench_flags(args)
     header = ["k", "degree", "row_seconds", "js_seconds", "gjs_seconds"]
     rows = []
     for k in args.bench_k:

@@ -8,18 +8,20 @@ includes that distribution with positive weight.
 
 One batched kernel, :func:`divergences`, evaluates many groups of rows of a
 CSR matrix R at once.  With C the group-by-row matrix of mixture weights,
-the mixtures are the sparse product C·R, accumulated over the members'
-stored entries into (group, column) cells.  Each member row's terms
-p * log2(p / mix) are taken on that row's own support only and summed per
-row, then weighted per group.  Groups are processed in chunks of about
-``CHUNK_ENTRIES`` stored member entries, which bounds the temporaries; a
-group's value depends only on its own rows, so it is bit-identical
-whichever chunk or batch it lands in.
+the mixtures are the product C·R, accumulated member by member into
+(group, column) cells.  Each member row's terms p * log2(p / mix) are
+taken where p != 0 only, so a stored zero adds nothing, and summed per
+row, then weighted per group.  A group's value depends only on its own
+rows, so it is bit-identical whichever block or batch it lands in.
 
-A chunk of G groups over n columns numbers its cells in one of two ways.
-When its G·n possible cells are at most ``DIRECT_CELLS_PER_ENTRY`` times
-its stored member entries, as for walk rows that cover much of the vertex
-universe, a cell is numbered by its key group·n + column directly.
+Three executors, a dense one and a chunk kernel with two cell numberings,
+share that arithmetic and its order of additions, so they return the same
+floats.  Sparse rows go to the chunk kernel, which works on the members'
+stored entries in chunks of about ``CHUNK_ENTRIES`` of them, numbering
+each chunk's cells in one of two ways.  When a chunk's G·n possible cells
+are at most ``DIRECT_CELLS_PER_ENTRY`` times its stored member entries,
+as for walk rows that cover much of the vertex universe, a cell is
+numbered by its key group·n + column directly.
 Otherwise a stable sort of the keys numbers only the cells that occur.
 The sort stays because on sparse rows direct numbering allocates and
 clears far more cells than there are entries, so its time and memory grow
@@ -28,8 +30,22 @@ support sizes.  On random rows (n = 20k and 100k, t = 2..5, a 2-core Xeon
 VM) direct numbering was faster up to about 24 cells per entry and slower
 from about 32 to 48 (25 times slower at 1000), so the bound of 16 keeps a
 margin below that crossover.  Either way ``bincount`` adds each cell's
-terms in entry order, member by member, so both numberings give the same
-floats.
+terms in entry order, member by member.
+
+Saturated rows go to a dense executor, which copies R to a dense array
+once per call and evaluates blocks of about ``CHUNK_ENTRIES`` cells, with
+no per-entry index arrays.  The mixture adds w_r * p_r member by member
+from 0.0 (an absent cell adds exactly 0.0), and ``np.add.accumulate``
+adds each row's terms in ascending column order, which is the stored
+order of a canonical row, so it runs only when R is canonical (sorted
+indices, no duplicates) and stores at least ``DENSE_MIN_FILL`` of its
+cells.  On rows with random zeros (n = 60, 200 and 2000, t = 2 and 4, a
+2-core Xeon VM) the dense executor was 0.57-0.99 times as fast as the
+chunk kernel at fill 0.5, 0.76-1.21 times at 0.67, 0.94-1.47 times at
+0.75, 1.11-1.61 times at 0.8 and 2.1-2.6 times at 1.0, so the bound is
+0.8, the lowest fill at which it won every case.  The dense copy takes 8
+bytes a cell and the CSR matrix 12 bytes a stored entry, so above a fill
+of 2/3 the copy is never larger than R.
 
 :func:`js` and :func:`js_generalized` are thin wrappers that score one group
 of dense vectors or 1 x n sparse rows, all over the same n vertices.
@@ -43,10 +59,14 @@ from scipy import sparse
 from .errors import ParameterError
 
 WEIGHT_TOL = 1e-12
-# Stored member-row entries evaluated per chunk of groups.
+# Stored member-row entries per chunk of groups (chunk kernel), and cells
+# per block of groups (dense executor).
 CHUNK_ENTRIES = 1 << 14
 # Cell numbering rule: see the module docstring.
 DIRECT_CELLS_PER_ENTRY = 16
+# Executor rule: the dense executor runs on canonical rows that store at
+# least this fraction of their cells (see the module docstring).
+DENSE_MIN_FILL = 0.8
 
 
 def _divergence_chunk(rows: sparse.csr_matrix, groups: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -69,10 +89,38 @@ def _divergence_chunk(rows: sparse.csr_matrix, groups: np.ndarray, w: np.ndarray
         cell[order] = np.cumsum(opens_cell) - 1
     # mix = C·R
     mix = np.bincount(cell, weights=np.repeat(np.tile(w, g), lens) * p)
-    terms = p * np.log2(p / mix[cell])
-    rel = np.bincount(member, weights=terms, minlength=g * t).reshape(g, t)
-    total = np.zeros(g)
-    for r in range(t):
+    rel = np.bincount(member, weights=_terms(p, mix[cell]), minlength=g * t).reshape(g, t)
+    return _weighted_sum(rel, w)
+
+
+def _divergence_dense(dense: np.ndarray, groups: np.ndarray, w: np.ndarray) -> np.ndarray:
+    g, t = groups.shape
+    step = max(1, CHUNK_ENTRIES // (t * dense.shape[1]))
+    total = np.empty(g)
+    for lo in range(0, g, step):
+        p = dense[groups[lo : lo + step]]  # (block, t, n)
+        mix = np.zeros((len(p), dense.shape[1]))
+        for r in range(t):
+            mix += w[r] * p[:, r]
+        # accumulate adds each row's terms left to right, in column order,
+        # as bincount adds a sparse row's stored entries
+        rel = np.add.accumulate(_terms(p, mix[:, None, :]), axis=2)[:, :, -1]
+        total[lo : lo + step] = _weighted_sum(rel, w)
+    return total
+
+
+def _terms(p: np.ndarray, mix: np.ndarray) -> np.ndarray:
+    """p * log2(p / mix), exactly 0.0 where p == 0 (0 * log 0 := 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = p / mix
+        ratio[p == 0.0] = 1.0
+        return p * np.log2(ratio)
+
+
+def _weighted_sum(rel: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_r w_r rel[:, r] per group, added member by member from 0.0."""
+    total = np.zeros(len(rel))
+    for r in range(len(w)):
         total += w[r] * rel[:, r]
     return total
 
@@ -93,6 +141,9 @@ def divergences(rows: sparse.csr_matrix, groups, weights=None) -> np.ndarray:
     w = np.full(t, 1.0 / t) if weights is None else validate_weights(weights, t)
     active = w > 0.0
     groups, w = groups[:, active], w[active]
+    cells = rows.shape[0] * rows.shape[1]
+    if rows.nnz and rows.nnz >= DENSE_MIN_FILL * cells and rows.has_canonical_format:
+        return _divergence_dense(rows.toarray(), groups, w)
     cost = np.diff(rows.indptr)[groups].sum(axis=1)
     chunk_of = (np.cumsum(cost) - cost) // CHUNK_ENTRIES
     bounds = np.flatnonzero(np.diff(chunk_of)) + 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
 
@@ -20,10 +21,28 @@ import pytest
 from hypothesis import strategies as st
 from scipy import sparse
 
+from hyperwalk import divergence
 from hyperwalk.errors import CandidateError, SamplingError
 from hyperwalk.hypergraph import Hypergraph, from_label_edges, largest_component
 
 DATA_DIR = Path(os.environ.get("HYPERWALK_DATA", Path(__file__).parent.parent / "data"))
+
+
+# Module constants that force each executor of divergence.divergences.
+DIVERGENCE_EXECUTORS = {
+    "dense": {"DENSE_MIN_FILL": 0.0},
+    "sorted cells": {"DENSE_MIN_FILL": math.inf, "DIRECT_CELLS_PER_ENTRY": 0},
+    "direct cells": {"DENSE_MIN_FILL": math.inf, "DIRECT_CELLS_PER_ENTRY": 1 << 40},
+}
+
+
+@contextmanager
+def divergence_constants(**constants):
+    """Set module constants of ``hyperwalk.divergence`` for the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in constants.items():
+            patch.setattr(divergence, name, value)
+        yield
 
 
 @pytest.fixture

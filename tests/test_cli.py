@@ -240,6 +240,27 @@ def test_bad_settings_exit_1_before_running(argv, tmp_path, capsys):
     assert captured.out == "" and not (tmp_path / "res").exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--seed", "-1"],
+        ["--bench-k", "2,0"],
+        ["--bench-rows", "2"],
+        ["--bench-cardinality", "1"],
+        ["--bench-vertices", "3", "--bench-cardinality", "4"],
+        ["--bench-degrees", "4,-8"],
+        ["--bench-degrees", "nan"],
+        ["--bench-vertices", "4", "--bench-cardinality", "2", "--bench-degrees", "0.1"],
+    ],
+)
+def test_bad_bench_flags_exit_1_before_running(flags, tmp_path, capsys):
+    small = ["--bench-vertices", "64", "--bench-degrees", "4", "--bench-rows", "8"]
+    assert run_cli("bench", *small, *flags, "--out", tmp_path / "b") == 1
+    captured = capsys.readouterr()
+    assert "error: ParameterError: " in captured.err
+    assert captured.out == "" and not (tmp_path / "b").exists()
+
+
 # one value per config key, as the file writes it
 KEY_VALUES = {
     "dataset": "a.txt", "methods": "lrw,hcn", "alpha": "0.3,0.6", "lambda": "4",

@@ -10,7 +10,7 @@ from hyperwalk import divergence
 from hyperwalk.divergence import divergences, js, js_generalized, validate_weights
 from hyperwalk.errors import ParameterError
 
-from conftest import distributions, js_scalar_oracle
+from conftest import DIVERGENCE_EXECUTORS, distributions, divergence_constants, js_scalar_oracle
 
 
 def test_identical_distributions():
@@ -129,16 +129,31 @@ def test_empty_group_list_gives_empty_scores():
         divergences(rows, np.zeros((0, 2), dtype=int), [0.5, 0.25, 0.25])
 
 
+def test_stored_zeros_add_nothing():
+    # p stores an explicit 0.0 in column 2; 0 * log 0 counts as 0
+    p = sparse.csr_matrix(([0.5, 0.5, 0.0], [0, 1, 2], [0, 3]), shape=(1, 3))
+    q = [1.0, 0.0, 0.0]
+    expected = js_scalar_oracle([0.5, 0.5, 0.0], q)
+    for executor in DIVERGENCE_EXECUTORS.values():
+        with divergence_constants(**executor):
+            assert js(p, q) == pytest.approx(expected, abs=1e-15)
+            assert js(p, q) == js([0.5, 0.5, 0.0], q)
+            assert js_generalized([p, q, q]) == js_generalized([[0.5, 0.5, 0.0], q, q])
+
+
 @st.composite
 def grouped_rows(draw):
-    """Random CSR distributions, (G, t) groups of them and weights with a zero."""
+    """Random CSR distributions, some storing zeros and some with their
+    entries out of column order, (G, t) groups of them and weights with a zero."""
     n = draw(st.integers(1, 12))
     data, indices, indptr = [], [], [0]
     for _ in range(draw(st.integers(1, 8))):
         support = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
-        raw = np.array([draw(st.floats(1e-3, 1.0)) for _ in support])
-        data.extend(raw / raw.sum())
-        indices.extend(support)
+        raw = np.array([draw(st.sampled_from([0.0, 0.5]) | st.floats(1e-3, 1.0)) for _ in support])
+        raw[draw(st.integers(0, len(support) - 1))] = 1.0  # some mass
+        order = slice(None, None, -1 if draw(st.booleans()) else 1)
+        data.extend((raw / raw.sum())[order])
+        indices.extend(support[order])
         indptr.append(len(indices))
     rows = sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, n))
     t = draw(st.integers(2, 5))
@@ -149,13 +164,15 @@ def grouped_rows(draw):
     return rows, groups, raw / raw.sum()
 
 
-@given(case=grouped_rows())
+@given(case=grouped_rows(), chunk=st.integers(1, 64))
 @settings(max_examples=200)
-def test_cell_numberings_agree_bit_for_bit(case):
-    # Numbering cells by sort rank or by key must give the same floats.
-    results = []
-    for cells_per_entry in (0, 1 << 40):  # always sort the cell keys, always number directly
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(divergence, "DIRECT_CELLS_PER_ENTRY", cells_per_entry)
-            results.append(divergences(*case))
-    assert np.array_equal(results[0], results[1])
+def test_executors_agree_bit_for_bit(case, chunk):
+    # The dense executor and both cell numberings of the chunk kernel, in
+    # blocks and chunks down to one group, must give the same floats.  Rows
+    # out of column order are not canonical and so never run dense.
+    expected = divergences(*case)
+    assert not np.isnan(expected).any()
+    for executor in DIVERGENCE_EXECUTORS.values():
+        for chunk_entries in (chunk, divergence.CHUNK_ENTRIES):
+            with divergence_constants(**executor, CHUNK_ENTRIES=chunk_entries):
+                assert np.array_equal(divergences(*case), expected)

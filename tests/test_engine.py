@@ -27,8 +27,10 @@ from hyperwalk.scoring import (
 from hyperwalk.synthetic import random_hypergraph
 
 from conftest import (
+    DIVERGENCE_EXECUTORS,
     adjacency_oracle,
     dense_walk_oracle,
+    divergence_constants,
     gjs_scalar_oracle,
     hypergraphs,
     js_scalar_oracle,
@@ -108,7 +110,7 @@ def test_batched_pair_scores_equal_pair_enumeration(case):
 
 
 @pytest.mark.parametrize("kind", [LRW, LRW_JS, LRW_GJS])
-def test_score_is_independent_of_batch_and_chunking(kind, monkeypatch):
+def test_score_is_independent_of_batch_and_chunking(kind):
     rng = np.random.default_rng(4)
     g = random_hypergraph(30, 60, rng, max_size=5, connected=True)
     cands = [
@@ -118,19 +120,22 @@ def test_score_is_independent_of_batch_and_chunking(kind, monkeypatch):
     rows = walk_matrix_rows(transition(g), range(g.n), 3)
     batch = score_edges_from_rows(kind, cands, rows)
     alone = [score_edges_from_rows(kind, [e], rows)[0] for e in cands]
-    numbered = []
-    for cells_per_entry in (0, 1 << 40):  # always sort the cell keys, always number directly
-        with monkeypatch.context() as patch:
-            patch.setattr(divergence, "DIRECT_CELLS_PER_ENTRY", cells_per_entry)
-            numbered.append(score_edges_from_rows(kind, cands, rows).tolist())
-    monkeypatch.setattr(divergence, "CHUNK_ENTRIES", 1)
-    one_per_chunk = score_edges_from_rows(kind, cands, rows)
-    assert batch.tolist() == alone == one_per_chunk.tolist()
-    assert numbered == [batch.tolist()] * 2
+    forced = []
+    for executor in DIVERGENCE_EXECUTORS.values():
+        for chunk_entries in (1, divergence.CHUNK_ENTRIES):  # one group per block or chunk
+            with divergence_constants(**executor, CHUNK_ENTRIES=chunk_entries):
+                forced.append(score_edges_from_rows(kind, cands, rows).tolist())
+    assert batch.tolist() == alone
+    assert forced == [batch.tolist()] * 6
 
 
 @pytest.mark.parametrize("kind", [LRW_JS, LRW_GJS])
 def test_rows_that_are_not_distributions_raise(kind):
-    rows = WalkRows(sparse.csr_matrix([[2.0, 0.0], [0.0, 3.0], [0.5, 0.5]]), range(3))
-    with pytest.raises(ContractViolation, match=r"\(0, 1\)"):
-        score_edges_from_rows(kind, [(1, 2), (0, 1)], rows)
+    # Row 3's negative entry cancels row 2's mass in the mixture: its term is NaN.
+    rows = WalkRows(sparse.csr_matrix([[2.0, 0.0], [0.0, 3.0], [0.5, 0.5], [1.5, -0.5]]), range(4))
+    for executor in DIVERGENCE_EXECUTORS.values():
+        with divergence_constants(**executor):
+            with pytest.raises(ContractViolation, match=r"\(0, 1\)"):
+                score_edges_from_rows(kind, [(1, 2), (0, 1)], rows)
+            with pytest.raises(ContractViolation, match=r"\(2, 3\).*nan"):
+                score_edges_from_rows(kind, [(1, 2), (2, 3)], rows)
