@@ -16,7 +16,17 @@ import numpy as np
 
 from . import divergence, localwalk, projection, scoring, synthetic
 from .errors import ParameterError
-from .hypergraph import Hypergraph
+
+# Random source pairs (and as many triples) per divergence timing, and
+# timed calls per measurement, of which the fastest counts.
+PAIRS = 200
+REPEATS = 3
+# The shared workload of method_runtimes.
+RUNTIME_VERTICES = 2000
+RUNTIME_DEGREE = 12.0
+RUNTIME_K = 3
+RUNTIME_CANDIDATES = 400
+RUNTIME_CARDINALITY = 4
 
 
 @dataclass(frozen=True)
@@ -27,14 +37,9 @@ class BenchPoint:
     seconds_gjs: float  # per generalized divergence (triples)
 
 
-def _measured_degree(g: Hypergraph) -> float:
-    a = projection.adjacency(g)
-    return float(a.nnz) / g.n
-
-
-def _time(fn, repeats: int) -> float:
+def _time(fn) -> float:
     best = np.inf
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
@@ -47,13 +52,11 @@ def walk_cost_curve(
     k: int,
     cardinality: int = 3,
     batch_rows: int = 512,
-    pairs: int = 200,
-    repeats: int = 3,
     seed: int = 0,
 ) -> list[BenchPoint]:
     """Per-row, per-JS and per-GJS seconds across a degree grid at fixed K.
 
-    Divergences are timed as one batched kernel call over ``pairs`` random
+    Divergences are timed as one batched kernel call over PAIRS random
     source pairs and one over as many triples.
     """
     points = []
@@ -65,23 +68,23 @@ def walk_cost_curve(
         p = projection.transition(g)
         sources = rng.choice(g.n, size=min(batch_rows, g.n), replace=False).tolist()
 
-        secs_batch = _time(lambda: localwalk.walk_matrix_rows(p, sources, k), repeats)
+        secs_batch = _time(lambda: localwalk.walk_matrix_rows(p, sources, k))
         rows = localwalk.walk_matrix_rows(p, sources, k)
 
         pos = rows.positions(sources)
         secs_div = []
         for t in (2, 3):
-            picks = [rng.choice(len(sources), size=t, replace=False) for _ in range(pairs)]
+            picks = [rng.choice(len(sources), size=t, replace=False) for _ in range(PAIRS)]
             groups = pos[np.array(picks)]
-            secs_div.append(_time(lambda: divergence.divergences(rows.matrix, groups), repeats))
+            secs_div.append(_time(lambda: divergence.divergences(rows.matrix, groups)))
         secs_js, secs_gjs = secs_div
 
         points.append(
             BenchPoint(
-                mean_degree=_measured_degree(g),
+                mean_degree=projection.adjacency(g).nnz / g.n,
                 seconds_row=secs_batch / len(sources),
-                seconds_js=secs_js / pairs,
-                seconds_gjs=secs_gjs / pairs,
+                seconds_js=secs_js / PAIRS,
+                seconds_gjs=secs_gjs / PAIRS,
             )
         )
     return points
@@ -96,25 +99,19 @@ def row_cost_slope(points) -> float:
     return loglog_slope([p.mean_degree for p in points], [p.seconds_row for p in points])
 
 
-def method_runtimes(
-    n: int = 2000,
-    mean_degree: float = 12.0,
-    k: int = 3,
-    candidates: int = 400,
-    cardinality: int = 4,
-    seed: int = 0,
-) -> dict[str, float]:
-    """Wall-clock of score_candidates per method on one shared workload."""
+def method_runtimes(seed: int = 0) -> dict[str, float]:
+    """Wall-clock of score_candidates per method on one shared workload,
+    the fastest of REPEATS calls, so no method pays for a cold first call."""
     rng = np.random.default_rng(seed)
-    g = synthetic.regular_cardinality_hypergraph(n, cardinality, mean_degree, rng)
+    g = synthetic.regular_cardinality_hypergraph(
+        RUNTIME_VERTICES, RUNTIME_CARDINALITY, RUNTIME_DEGREE, rng
+    )
     cand = [
-        tuple(sorted(rng.choice(g.n, size=cardinality, replace=False).tolist()))
-        for _ in range(candidates)
+        tuple(sorted(rng.choice(g.n, size=RUNTIME_CARDINALITY, replace=False).tolist()))
+        for _ in range(RUNTIME_CANDIDATES)
     ]
     out = {}
     for kind in (scoring.LRW, scoring.LRW_JS, scoring.LRW_GJS):
-        spec = scoring.MethodSpec(kind, k=k)
-        t0 = time.perf_counter()
-        scoring.score_candidates(spec, g, cand)
-        out[kind] = time.perf_counter() - t0
+        spec = scoring.MethodSpec(kind, k=RUNTIME_K)
+        out[kind] = _time(lambda: scoring.score_candidates(spec, g, cand))
     return out

@@ -16,6 +16,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, bench, experiment, hypergraph
@@ -118,18 +119,11 @@ def cmd_run(cfg: RunConfig) -> int:
         g = _prepare(path, cfg)
         for alpha in cfg.alpha:
             result = _run_experiment(g, cfg, cfg.rho[0], alpha)
-            runs.append({"dataset": _dataset_name(path), **result.to_json_dict()})
-            for kind in result.method_kinds:
-                rows.append(
-                    [
-                        _dataset_name(path),
-                        alpha,
-                        kind,
-                        result.mean_auroc(kind),
-                        result.mean_f1(kind),
-                        result.param_mode(kind),
-                    ]
-                )
+            run = {"dataset": _dataset_name(path), **result.to_json_dict()}
+            runs.append(run)
+            # an aggregate holds auroc_mean, f1_mean and chosen_param_mode, in order
+            rows.extend([run["dataset"], alpha, kind, *agg.values()]
+                        for kind, agg in run["aggregate"].items())
     payload = {"provenance": _provenance(cfg), "runs": runs}
     _write_json(payload, out_dir / "results.json")
     _write_csv(
@@ -260,7 +254,7 @@ def _config_from_args(args) -> RunConfig:
             # repeated --dataset flags read as one comma list
             text = ",".join(given) if key == "dataset" else given
             overrides[name] = config_mod._parse_value(key, text)
-    return config_mod.apply_overrides(cfg, overrides)
+    return replace(cfg, **overrides)
 
 
 def _add_bench_flags(p: argparse.ArgumentParser) -> None:
@@ -313,7 +307,7 @@ def main(argv=None) -> int:
             return handler(args)
         cfg = _config_from_args(args)
         if cfg.threads == 0:
-            cfg = config_mod.apply_overrides(cfg, {"threads": os.cpu_count() or 1})
+            cfg = replace(cfg, threads=os.cpu_count() or 1)
         return handler(cfg.validate())
     except (HyperwalkError, OSError, UnicodeDecodeError) as exc:
         name = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__

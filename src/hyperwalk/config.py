@@ -9,7 +9,7 @@ round-trips losslessly (floats are written with repr).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import experiment
@@ -140,12 +140,6 @@ def load_config(path) -> RunConfig:
 
 def save_config(cfg: RunConfig, path) -> None:
     Path(path).write_text(to_text(cfg), encoding="utf-8")
-
-
-def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
-    """Replace fields from a {field_name: value} dict, skipping Nones."""
-    updates = {k: v for k, v in overrides.items() if v is not None}
-    return replace(cfg, **updates) if updates else cfg
 
 
 # Fields that affect execution but not results; excluded from the hash so

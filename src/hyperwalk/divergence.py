@@ -37,9 +37,9 @@ once per call and evaluates blocks of about ``CHUNK_ENTRIES`` cells, with
 no per-entry index arrays.  The mixture adds w_r * p_r member by member
 from 0.0 (an absent cell adds exactly 0.0), and ``np.add.accumulate``
 adds each row's terms in ascending column order, which is the stored
-order of a canonical row, so it runs only when R is canonical (sorted
-indices, no duplicates) and stores at least ``DENSE_MIN_FILL`` of its
-cells.  On rows with random zeros (n = 60, 200 and 2000, t = 2 and 4, a
+order of a canonical row (sorted indices, no duplicates; R is made
+canonical first), so it runs when R stores at least ``DENSE_MIN_FILL`` of
+its cells.  On rows with random zeros (n = 60, 200 and 2000, t = 2 and 4, a
 2-core Xeon VM) the dense executor was 0.57-0.99 times as fast as the
 chunk kernel at fill 0.5, 0.76-1.21 times at 0.67, 0.94-1.47 times at
 0.75, 1.11-1.61 times at 0.8 and 2.1-2.6 times at 1.0, so the bound is
@@ -64,8 +64,8 @@ WEIGHT_TOL = 1e-12
 CHUNK_ENTRIES = 1 << 14
 # Cell numbering rule: see the module docstring.
 DIRECT_CELLS_PER_ENTRY = 16
-# Executor rule: the dense executor runs on canonical rows that store at
-# least this fraction of their cells (see the module docstring).
+# Executor rule: the dense executor runs on rows that store at least this
+# fraction of their cells (see the module docstring).
 DENSE_MIN_FILL = 0.8
 
 
@@ -130,7 +130,9 @@ def divergences(rows: sparse.csr_matrix, groups, weights=None) -> np.ndarray:
 
     ``groups`` is a (G, t) array of row indices into ``rows``; ``weights``
     (default uniform 1/t; nonnegative, summing to 1) applies to every group.
-    Zero-weight members are left out of the mixture and of the sum.
+    Zero-weight members are left out of the mixture and of the sum.  Rows
+    may store a column more than once or out of order: a copy with the
+    repeats summed and the columns sorted is evaluated then.
     """
     groups = np.asarray(groups, dtype=np.int64)
     if len(groups) == 0:  # an empty list has no t: the weights give it
@@ -141,8 +143,10 @@ def divergences(rows: sparse.csr_matrix, groups, weights=None) -> np.ndarray:
     w = np.full(t, 1.0 / t) if weights is None else validate_weights(weights, t)
     active = w > 0.0
     groups, w = groups[:, active], w[active]
-    cells = rows.shape[0] * rows.shape[1]
-    if rows.nnz and rows.nnz >= DENSE_MIN_FILL * cells and rows.has_canonical_format:
+    if not rows.has_canonical_format:  # a repeated column would count as its own mass
+        rows = rows.copy()
+        rows.sum_duplicates()  # also sorts each row's columns
+    if rows.nnz and rows.nnz >= DENSE_MIN_FILL * rows.shape[0] * rows.shape[1]:
         return _divergence_dense(rows.toarray(), groups, w)
     cost = np.diff(rows.indptr)[groups].sum(axis=1)
     chunk_of = (np.cumsum(cost) - cost) // CHUNK_ENTRIES
@@ -162,9 +166,7 @@ def _stack(dists) -> sparse.csr_matrix:
     lengths = sorted({r.shape[1] for r in rows})
     if len(lengths) > 1:
         raise ParameterError(f"distributions over different vertex counts {lengths}")
-    stacked = sparse.vstack(rows, format="csr")
-    stacked.sum_duplicates()  # a repeated column would count as its own mass
-    return stacked
+    return sparse.vstack(rows, format="csr")
 
 
 def js(p, q) -> float:

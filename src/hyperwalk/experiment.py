@@ -32,7 +32,7 @@ from .errors import (
     TrialDegenerateError,
 )
 from .hypergraph import Edge, Hypergraph, components
-from .scoring import HKATZ, WALK_KINDS, MethodSpec
+from .scoring import HKATZ, WALK_KINDS, MethodSpec, _check_count, _is_number
 
 logger = logging.getLogger(__name__)
 
@@ -44,6 +44,12 @@ DEFAULT_FOLDS = 5
 _SPLIT, _NEGATIVES, _CV_WALK, _CV_KATZ = 0, 1, 2, 3
 
 
+def _check_fraction(name: str, value) -> None:
+    """Raise ParameterError unless ``value`` is a real number in (0, 1)."""
+    if not (_is_number(value, numbers.Real) and 0.0 < value < 1.0):
+        raise ParameterError(f"{name}={value!r} is not a real number in (0, 1)")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     observed_fraction: float = 0.8
@@ -51,11 +57,9 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.observed_fraction < 1.0:
-            raise ParameterError(f"observed fraction rho={self.observed_fraction} is not in (0, 1)")
-        if self.trials < 1:
-            raise ParameterError(f"trials={self.trials} is not >= 1")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        _check_fraction("observed fraction rho", self.observed_fraction)
+        _check_count("trials", self.trials)
+        if not (_is_number(self.seed, numbers.Integral) and self.seed >= 0):
             raise ParameterError(f"seed={self.seed!r} is not an integer >= 0")
 
 
@@ -65,11 +69,8 @@ class SamplingSpec:
     fakes_per_missing: int = 3
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError(f"kept-vertex fraction alpha={self.alpha} is not in (0, 1)")
-        if self.fakes_per_missing < 1:
-            raise ParameterError(
-                f"fakes per missing edge lambda={self.fakes_per_missing} is not >= 1")
+        _check_fraction("kept-vertex fraction alpha", self.alpha)
+        _check_count("fakes per missing edge lambda", self.fakes_per_missing)
 
 
 @dataclass(frozen=True)
@@ -224,14 +225,25 @@ def _check_labels(labels, count: int) -> np.ndarray:
     return labels
 
 
+def _finite_scores(scores) -> np.ndarray:
+    """``scores`` as a float array; a NaN or infinite score raises ParameterError."""
+    scores = np.asarray(scores, dtype=np.float64)
+    bad = ~np.isfinite(scores)
+    if bad.any():
+        first = np.argwhere(bad)[0]  # candidate index last, after a row index if 2-D
+        raise ParameterError(f"score {scores[tuple(first)]} of candidate {first[-1]} is not finite")
+    return scores
+
+
 def auroc(scores, labels):
     """Probability a random positive outscores a random negative (ties 0.5).
 
     ``scores`` may also be a 2-D score array, one row per scoring of the
     same labelled candidates; then one AUROC per row is returned, each the
-    same float as scoring that row alone.
+    same float as scoring that row alone.  A score that is NaN or infinite
+    raises ParameterError.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _finite_scores(scores)
     labels = _check_labels(labels, scores.shape[-1])
     pos = labels == 1
     n_pos = int(pos.sum())
@@ -250,9 +262,10 @@ def select_top(edges: Sequence[Edge], scores, cutoff: int) -> list[int]:
 
     One ``lexsort`` over the negated scores and the edges' vertex columns,
     padded below every vertex id so that an edge sorts before the edges it
-    is a prefix of, as tuples do.
+    is a prefix of, as tuples do.  A score that is NaN or infinite raises
+    ParameterError.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _finite_scores(scores)
     if len(edges) != len(scores):
         raise ParameterError(f"{len(scores)} scores for {len(edges)} candidate edges")
     if cutoff < 0:

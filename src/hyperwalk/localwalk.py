@@ -61,11 +61,7 @@ class WalkRows(Mapping):
         r = int(np.searchsorted(self.sources, source))
         if r == len(self.sources) or self.sources[r] != source:
             raise KeyError(source)
-        lo, hi = self.matrix.indptr[r], self.matrix.indptr[r + 1]
-        return sparse.csr_matrix(
-            (self.matrix.data[lo:hi], self.matrix.indices[lo:hi], [0, hi - lo]),
-            shape=(1, self.matrix.shape[1]),
-        )
+        return self.matrix[r]
 
     def __iter__(self):
         return iter(self.sources.tolist())

@@ -85,6 +85,12 @@ def _is_number(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _check_count(name: str, value) -> None:
+    """Raise ParameterError unless ``value`` is an integer >= 1."""
+    if not (_is_number(value, numbers.Integral) and value >= 1):
+        raise ParameterError(f"{name}={value!r} is not an integer >= 1")
+
+
 @dataclass(frozen=True)
 class MethodSpec:
     """A scoring method plus its hyperparameters.
@@ -101,10 +107,12 @@ class MethodSpec:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ParameterError(f"unknown method kind {self.kind!r}; choose from {ALL_KINDS}")
-        if self.k is not None and not (_is_number(self.k, numbers.Integral) and self.k >= 1):
-            raise ParameterError(f"walk length k={self.k!r} is not an integer >= 1")
-        if self.beta is not None and not (_is_number(self.beta, numbers.Real) and self.beta > 0):
-            raise ParameterError(f"Katz damping beta={self.beta!r} is not a real number > 0")
+        if self.k is not None:
+            _check_count("walk length k", self.k)
+        if self.beta is not None and not (
+            _is_number(self.beta, numbers.Real) and 0 < self.beta < math.inf
+        ):
+            raise ParameterError(f"Katz damping beta={self.beta!r} is not a finite real number > 0")
 
     def with_param(self, value) -> "MethodSpec":
         """Copy with the method's tunable parameter set.
@@ -397,7 +405,7 @@ def katz_pair_table(g: Hypergraph, vertices) -> KatzSpectra | KatzSeries:
     """
     if katz_closed_form(g.n):
         return KatzSpectra(g, vertices)
-    return KatzSeries(g, vertices, KATZ_LMAX)
+    return KatzSeries(g, vertices)
 
 
 class KatzSpectra:
@@ -468,33 +476,23 @@ class KatzSpectra:
 
 
 class KatzSeries:
-    """Katz similarities summed over the first ``l_max`` powers of A,
+    """Katz similarities summed over the first KATZ_LMAX powers of A,
     recomputed for each damping factor."""
 
-    def __init__(self, g: Hypergraph, vertices, l_max: int = KATZ_LMAX):
-        if l_max < 1:
-            raise ParameterError("truncated Katz needs l_max >= 1")
-        self.a, self.l_max = projection.adjacency(g), l_max
+    def __init__(self, g: Hypergraph, vertices):
+        self.a = projection.adjacency(g)
         self.verts, self._select = vertex_rows(vertices, g.n)
 
     def values(self, beta: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Truncated K_beta[i[k], j[k]], with every j[k] a table vertex,
-        read from the dense rows sum_{l<=l_max} beta^l (A^l)[v, :] of the
-        table's vertices."""
+        read from the dense rows sum_{l<=KATZ_LMAX} beta^l (A^l)[v, :] of
+        the table's vertices."""
         damped = (beta * self.a).tocsr()
         x = acc = self._select @ damped
-        for _ in range(self.l_max - 1):
+        for _ in range(KATZ_LMAX - 1):
             x = x @ damped
             acc = acc + x
         return np.asarray(acc.todense())[np.searchsorted(self.verts, j), i]
-
-
-def score_hkatz(edges, table, betas) -> list[np.ndarray]:
-    """Mean pairwise Katz similarity over each edge's vertex pairs, one
-    score array per damping factor of ``betas``, from one
-    :func:`katz_pair_table`.  The edges expand to pairs once."""
-    pairs = _candidates(edges).pairs
-    return [_pair_means(pairs, table.values(beta, pairs.i, pairs.j)) for beta in betas]
 
 
 def neighbor_sets(g: Hypergraph) -> sparse.csr_matrix:
@@ -537,12 +535,12 @@ def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]
             for kind in kinds
         }
     (kind,) = kinds
+    pairs = cands.pairs
     if kind == HKATZ:
         table = katz_pair_table(g, cands.vertices)
-        return {kind: score_hkatz(cands, table, grid)}
+        return {kind: [_pair_means(pairs, table.values(beta, pairs.i, pairs.j)) for beta in grid]}
     if grid != [None]:
         raise ParameterError(f"{kind} has no parameter; its grid is [None], not {grid}")
-    pairs = cands.pairs
     if kind == HCN:
         nbrs = neighbor_sets(g)
         values = np.asarray(nbrs[pairs.i].multiply(nbrs[pairs.j]).sum(axis=1)).ravel()

@@ -55,6 +55,20 @@ def test_repeated_sparse_columns_are_summed():
     assert row.indices.tolist() == [1, 1, 0]  # the caller's row is left as given
 
 
+def test_repeated_entries_are_summed_before_the_divergence():
+    # row 0 is [0.5, 0.5], stored out of column order as 0.5 + 0.25 + 0.25
+    rows = sparse.csr_matrix(([0.5, 0.25, 0.25, 1.0], [1, 0, 0, 0], [0, 3, 4]), shape=(2, 2))
+    expected = js([0.5, 0.5], [1.0, 0.0])
+    assert expected == pytest.approx(0.31127812445913283, abs=1e-15)
+    for executor in DIVERGENCE_EXECUTORS.values():
+        with divergence_constants(**executor):
+            assert divergences(rows, [[0, 1]]).tolist() == [expected]
+            assert divergences(rows, [[0, 1]], [0.25, 0.75])[0] == js_generalized(
+                [[0.5, 0.5], [1.0, 0.0]], [0.25, 0.75]
+            )
+    assert rows.indices.tolist() == [1, 0, 0, 0]  # the caller's matrix is left as given
+
+
 def test_rows_over_different_vertex_counts_raise():
     with pytest.raises(ParameterError):
         js([0.5, 0.5], [1.0, 0.0, 0.0])
@@ -169,7 +183,7 @@ def grouped_rows(draw):
 def test_executors_agree_bit_for_bit(case, chunk):
     # The dense executor and both cell numberings of the chunk kernel, in
     # blocks and chunks down to one group, must give the same floats.  Rows
-    # out of column order are not canonical and so never run dense.
+    # out of column order are evaluated from a sorted copy, by any executor.
     expected = divergences(*case)
     assert not np.isnan(expected).any()
     for executor in DIVERGENCE_EXECUTORS.values():

@@ -1,7 +1,7 @@
 import gc
 import weakref
 from dataclasses import replace
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -349,6 +349,19 @@ def test_metrics_reject_labels_other_than_0_and_1():
     assert auroc(scores, [True, False, False]) == auroc(scores, [1, 0, 0]) == 1.0
 
 
+def test_metrics_reject_non_finite_scores():
+    edges, labels = [(0, 1), (1, 2), (2, 3)], [1, 0, 0]
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ParameterError, match=f"score {bad} of candidate 0 "):
+            auroc([bad, 0.2, 0.1], labels)
+        with pytest.raises(ParameterError, match=f"score {bad} of candidate 1 "):
+            select_top(edges, [0.2, bad, float("nan")], 2)
+        with pytest.raises(ParameterError, match=f"score {bad} of candidate 2 "):
+            f1_at_cutoff(edges, [0.2, 0.1, bad], labels, 1)
+        with pytest.raises(ParameterError, match=f"score {bad} of candidate 1 "):
+            auroc([[0.3, 0.2, 0.1], [0.3, bad, 0.1]], labels)
+
+
 def test_f1_all_positives_on_top():
     edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
     assert f1_at_cutoff(edges, np.array([0.9, 0.8, 0.2, 0.1]), [1, 1, 0, 0], 2) == 1.0
@@ -550,9 +563,8 @@ def test_series_katz_scores_a_whole_run(monkeypatch):
     assert len(tables) >= 2 and all(isinstance(t, scoring.KatzSeries) for t in tables)
     (outcome,) = res.records[0].outcomes
     observed_g, cand = trial_candidates(g, split_spec, sampling_spec, 0)
-    vertices = sorted(set(chain.from_iterable(cand.edges)))
-    table = scoring.KatzSeries(observed_g, vertices)
-    scores = scoring.score_hkatz(cand.edges, table, [outcome.param])[0]
+    scores = scoring.score_grid(["hkatz"], observed_g, cand.edges, [outcome.param])["hkatz"][0]
+    assert isinstance(tables[-1], scoring.KatzSeries)
     assert outcome.auroc == auroc(scores, cand.labels)
     assert outcome.auroc > 0.5
 
@@ -631,10 +643,29 @@ def test_each_method_scores_after_the_last_ones_are_freed(monkeypatch, medium):
     assert len(earlier) == 3
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", True])
 def test_split_spec_needs_a_nonnegative_integer_seed(seed):
     with pytest.raises(ParameterError, match="seed"):
         SplitSpec(0.8, 1, seed)
+
+
+@pytest.mark.parametrize(
+    "spec, args, name",
+    [
+        (SplitSpec, (0.8, 2.5), "trials"),
+        (SplitSpec, (0.8, "3"), "trials"),
+        (SplitSpec, (0.8, True), "trials"),
+        (SplitSpec, ("0.8", 1), "rho"),
+        (SplitSpec, (float("nan"), 1), "rho"),
+        (SamplingSpec, (0.5, 2.5), "lambda"),
+        (SamplingSpec, (0.5, "3"), "lambda"),
+        (SamplingSpec, (True, 3), "alpha"),
+        (SamplingSpec, (1.0, 3), "alpha"),
+    ],
+)
+def test_run_specs_take_integer_counts_and_real_fractions(spec, args, name):
+    with pytest.raises(ParameterError, match=f"{name}="):
+        spec(*args)
 
 
 def test_single_value_walk_grid_is_checked_not_truncated(medium):

@@ -34,7 +34,6 @@ from hyperwalk.scoring import (
     score_candidates,
     score_edges_from_rows,
     score_grid,
-    score_hkatz,
     spectral_radius,
 )
 
@@ -108,22 +107,29 @@ def test_hcn_toy(t1):
     assert candidate_scores(HCN, g2, [(0, 3)]) == [0.0]
 
 
-def test_hkatz_truncated_toy(t1):
-    table = KatzSeries(t1, [0, 3], l_max=2)
+def katz_pair(table, beta, pair) -> float:
+    """A Katz table's similarity of one vertex pair."""
+    i, j = pair
+    return float(table.values(beta, np.array([i]), np.array([j]))[0])
+
+
+def test_hkatz_truncated_toy(t1, monkeypatch):
+    monkeypatch.setattr(scoring, "KATZ_LMAX", 2)
+    table = KatzSeries(t1, [0, 3])
     # beta*a_14 + beta^2*(A^2)_14 = 0 + 0.01*1
-    assert score_hkatz([(0, 3)], table, [0.1])[0][0] == pytest.approx(0.01, abs=1e-15)
+    assert katz_pair(table, 0.1, (0, 3)) == pytest.approx(0.01, abs=1e-15)
 
 
 def test_hkatz_leading_term_is_adjacency(t1):
     beta = 1e-8
     table = KatzSpectra(t1, [0, 1, 2])
-    assert score_hkatz([(0, 1)], table, [beta])[0][0] / beta == pytest.approx(1.0, abs=1e-5)
+    assert katz_pair(table, beta, (0, 1)) / beta == pytest.approx(1.0, abs=1e-5)
 
 
 def test_hkatz_disconnected_pair_zero_closed_form():
     g = from_label_edges([[1, 2], [3, 4]])
     table = KatzSpectra(g, [0, 2])
-    assert score_hkatz([(0, 2)], table, [0.2])[0][0] == 0.0
+    assert katz_pair(table, 0.2, (0, 2)) == 0.0
 
 
 def test_hkatz_closed_rejects_divergent_beta(t1):
@@ -133,16 +139,17 @@ def test_hkatz_closed_rejects_divergent_beta(t1):
         KatzSpectra(t1, [0]).check(1.01 / rho)
 
 
-def test_hkatz_truncated_converges_monotonically_to_closed():
+def test_hkatz_truncated_converges_monotonically_to_closed(monkeypatch):
     rng = np.random.default_rng(5)
     for _ in range(5):
         edges = [rng.choice(10, size=rng.integers(2, 4), replace=False).tolist() for _ in range(8)]
         g = from_label_edges(edges)
         pair = (0, min(1, g.n - 1))
-        closed = score_hkatz([pair], KatzSpectra(g, pair), [0.01])[0][0]
+        closed = katz_pair(KatzSpectra(g, pair), 0.01, pair)
         previous = -np.inf
         for l_max in (1, 2, 4, 8, 16):
-            trunc = score_hkatz([pair], KatzSeries(g, pair, l_max), [0.01])[0][0]
+            monkeypatch.setattr(scoring, "KATZ_LMAX", l_max)
+            trunc = katz_pair(KatzSeries(g, pair), 0.01, pair)
             assert trunc >= previous
             assert trunc <= closed + 1e-12
             previous = trunc
@@ -153,10 +160,10 @@ def test_katz_pair_table_picks_form_by_graph_size(t1, monkeypatch):
     a = adjacency(t1).astype(float)
     beta = 1.01 / spectral_radius(a)  # diverges in closed form
     with pytest.raises(KatzDivergenceError):
-        score_hkatz([(0, 3)], katz_pair_table(t1, [0, 3]), [beta])
+        score_grid([HKATZ], t1, [(0, 3)], [beta])
     monkeypatch.setattr(scoring, "KATZ_CLOSED_MAX_N", t1.n - 1)
     table = katz_pair_table(t1, [0, 3])
-    expected = KatzSeries(t1, [0, 3], KATZ_LMAX)
+    expected = KatzSeries(t1, [0, 3])
     assert list(table.verts) == list(expected.verts) == [0, 3]
     everyone = np.arange(t1.n)
     oracle = katz_series_oracle(a.toarray(), beta, KATZ_LMAX)
@@ -196,16 +203,17 @@ def test_katz_table_matches_dense_oracle(g, data):
         assert np.abs(got - oracle[i, j]).max() <= 1e-12 * np.abs(oracle).max()
         assert np.all(got[comp[i] != comp[j]] == 0.0)
     assert table.lambda_max == pytest.approx(rho, rel=1e-12)
+    scored = [e for e in edges if g.degrees[list(e)].all()]  # candidates avoid isolated vertices
     for beta in (1.001 / rho, 2.0 / rho):
         with pytest.raises(KatzDivergenceError):
             table.check(beta)
         with pytest.raises(KatzDivergenceError):
-            score_hkatz(edges, table, [grid[0], beta])
-    together = score_hkatz(edges, table, grid)
+            score_grid([HKATZ], g, scored, [grid[0], beta])
+    together = score_grid([HKATZ], g, scored, grid)[HKATZ]
     for beta, scores in zip(grid, together):
         alone = katz_pair_table(g, verts)
         assert np.array_equal(alone.values(beta, i, j), table.values(beta, i, j))
-        assert np.array_equal(score_hkatz(edges, alone, [beta])[0], scores)
+        assert np.array_equal(score_grid([HKATZ], g, scored, [beta])[HKATZ][0], scores)
 
 
 def test_converging_betas_drops_divergent_factors(t1, monkeypatch):
@@ -387,6 +395,9 @@ def test_method_spec_validation():
         MethodSpec(LRW, k=0)
     with pytest.raises(ParameterError):
         MethodSpec(HKATZ, beta=-1.0)
+    for beta in (float("inf"), float("nan"), True):
+        with pytest.raises(ParameterError, match="damping"):
+            MethodSpec(HKATZ, beta=beta)
     for value in (2.5, "3", True):
         with pytest.raises(ParameterError, match="walk length"):
             MethodSpec(LRW).with_param(value)
