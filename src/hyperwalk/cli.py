@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__, bench, experiment, hypergraph
 from . import config as config_mod
 from .config import RunConfig
-from .errors import HyperwalkError, ParameterError
+from .errors import HyperwalkError, ParameterError, _check_count
 from .scoring import HKATZ, WALK_KINDS, MethodSpec
 
 
@@ -190,8 +190,7 @@ def _check_bench_flags(args) -> None:
     ]
     for flag, values, low in lowest:
         for v in values:
-            if v < low:
-                raise ParameterError(f"{flag}={v} is not >= {low}")
+            _check_count(flag, v, low)
     for d in args.bench_degrees:
         if not (math.isfinite(d) and d > 0):
             raise ParameterError(f"bench-degrees value {d} is not a finite number > 0")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import experiment
-from .errors import ParameterError
+from .errors import ParameterError, _check_count
 from .scoring import ALL_KINDS, HKATZ, LRW, MethodSpec
 
 
@@ -41,12 +41,9 @@ class RunConfig:
         for key, (name, _, is_list, _) in _KEYS.items():
             if is_list and not getattr(self, name):
                 raise ParameterError(f"{key} needs at least one value")
-        if self.folds < 2:
-            raise ParameterError(f"folds={self.folds} is not >= 2")
-        if self.threads < 0:
-            raise ParameterError(f"threads={self.threads} is not >= 0 (0 = all cores)")
-        if self.min_cardinality < 2:
-            raise ParameterError(f"min-cardinality={self.min_cardinality} is not >= 2")
+        _check_count("folds", self.folds, 2)
+        _check_count("threads", self.threads, 0)  # 0 = all cores
+        _check_count("min-cardinality", self.min_cardinality, 2)
         experiment.resolve_methods(self.methods)
         for rho in self.rho:
             experiment.SplitSpec(rho, self.trials, self.seed)

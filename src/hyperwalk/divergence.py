@@ -7,12 +7,14 @@ never zero where any compared distribution has mass, because the mixture
 includes that distribution with positive weight.
 
 One batched kernel, :func:`divergences`, evaluates many groups of rows of a
-CSR matrix R at once.  With C the group-by-row matrix of mixture weights,
-the mixtures are the product C·R, accumulated member by member into
-(group, column) cells.  Each member row's terms p * log2(p / mix) are
-taken where p != 0 only, so a stored zero adds nothing, and summed per
-row, then weighted per group.  A group's value depends only on its own
-rows, so it is bit-identical whichever block or batch it lands in.
+CSR matrix R at once.  The t members of a group weigh equally: its mixture
+is the mean of its member rows, accumulated member by member into
+(group, column) cells as (1/t) * p.  Each member row's terms
+p * log2(p / mix) are taken where p != 0 only, so a stored zero adds
+nothing, and summed per row, then averaged per group.  A group's value
+depends only on its own rows, so it is bit-identical whichever block or
+batch it lands in.  Every weighting multiplies by the float 1.0 / t, never
+divides by t, so all three executors round alike.
 
 Three executors, a dense one and a chunk kernel with two cell numberings,
 share that arithmetic and its order of additions, so they return the same
@@ -34,7 +36,7 @@ terms in entry order, member by member.
 
 Saturated rows go to a dense executor, which copies R to a dense array
 once per call and evaluates blocks of about ``CHUNK_ENTRIES`` cells, with
-no per-entry index arrays.  The mixture adds w_r * p_r member by member
+no per-entry index arrays.  The mixture adds (1/t) * p_r member by member
 from 0.0 (an absent cell adds exactly 0.0), and ``np.add.accumulate``
 adds each row's terms in ascending column order, which is the stored
 order of a canonical row (sorted indices, no duplicates; R is made
@@ -58,7 +60,6 @@ from scipy import sparse
 
 from .errors import ParameterError
 
-WEIGHT_TOL = 1e-12
 # Stored member-row entries per chunk of groups (chunk kernel), and cells
 # per block of groups (dense executor).
 CHUNK_ENTRIES = 1 << 14
@@ -69,7 +70,7 @@ DIRECT_CELLS_PER_ENTRY = 16
 DENSE_MIN_FILL = 0.8
 
 
-def _divergence_chunk(rows: sparse.csr_matrix, groups: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _divergence_chunk(rows: sparse.csr_matrix, groups: np.ndarray) -> np.ndarray:
     g, t = groups.shape
     starts = rows.indptr[groups.ravel()]
     lens = rows.indptr[groups.ravel() + 1] - starts
@@ -87,13 +88,12 @@ def _divergence_chunk(rows: sparse.csr_matrix, groups: np.ndarray, w: np.ndarray
         opens_cell[1:] = key[order[1:]] != key[order[:-1]]
         cell = np.empty(len(key), dtype=np.int64)
         cell[order] = np.cumsum(opens_cell) - 1
-    # mix = C·R
-    mix = np.bincount(cell, weights=np.repeat(np.tile(w, g), lens) * p)
+    mix = np.bincount(cell, weights=(1.0 / t) * p)
     rel = np.bincount(member, weights=_terms(p, mix[cell]), minlength=g * t).reshape(g, t)
-    return _weighted_sum(rel, w)
+    return _member_mean(rel)
 
 
-def _divergence_dense(dense: np.ndarray, groups: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _divergence_dense(dense: np.ndarray, groups: np.ndarray) -> np.ndarray:
     g, t = groups.shape
     step = max(1, CHUNK_ENTRIES // (t * dense.shape[1]))
     total = np.empty(g)
@@ -101,11 +101,11 @@ def _divergence_dense(dense: np.ndarray, groups: np.ndarray, w: np.ndarray) -> n
         p = dense[groups[lo : lo + step]]  # (block, t, n)
         mix = np.zeros((len(p), dense.shape[1]))
         for r in range(t):
-            mix += w[r] * p[:, r]
+            mix += (1.0 / t) * p[:, r]
         # accumulate adds each row's terms left to right, in column order,
         # as bincount adds a sparse row's stored entries
         rel = np.add.accumulate(_terms(p, mix[:, None, :]), axis=2)[:, :, -1]
-        total[lo : lo + step] = _weighted_sum(rel, w)
+        total[lo : lo + step] = _member_mean(rel)
     return total
 
 
@@ -117,41 +117,43 @@ def _terms(p: np.ndarray, mix: np.ndarray) -> np.ndarray:
         return p * np.log2(ratio)
 
 
-def _weighted_sum(rel: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_r w_r rel[:, r] per group, added member by member from 0.0."""
+def _member_mean(rel: np.ndarray) -> np.ndarray:
+    """(1/t) * rel[:, r] summed over the t members, added member by member from 0.0."""
     total = np.zeros(len(rel))
-    for r in range(len(w)):
-        total += w[r] * rel[:, r]
+    for column in rel.T:
+        total += (1.0 / rel.shape[1]) * column
     return total
 
 
-def divergences(rows: sparse.csr_matrix, groups, weights=None) -> np.ndarray:
-    """Generalized divergence sum_r w_r KL(R[g_r] || sum_r w_r R[g_r]) per group.
+def divergences(rows: sparse.csr_matrix, groups) -> np.ndarray:
+    """Generalized divergence (1/t) sum_r KL(R[g_r] || M) per group, where
+    M = (1/t) sum_r R[g_r] is the equal-weight mixture of its t members.
 
-    ``groups`` is a (G, t) array of row indices into ``rows``; ``weights``
-    (default uniform 1/t; nonnegative, summing to 1) applies to every group.
-    Zero-weight members are left out of the mixture and of the sum.  Rows
-    may store a column more than once or out of order: a copy with the
-    repeats summed and the columns sorted is evaluated then.
+    ``groups`` is a (G, t) array of integer row indices into ``rows``, each
+    in 0..rows.shape[0]-1; anything else raises ParameterError, and an
+    empty list gives an empty array.  Rows may store a column more than
+    once or out of order: a copy with the repeats summed and the columns
+    sorted is evaluated then.
     """
-    groups = np.asarray(groups, dtype=np.int64)
-    if len(groups) == 0:  # an empty list has no t: the weights give it
-        if weights is not None:
-            validate_weights(weights, groups.shape[1] if groups.ndim == 2 else np.size(weights))
+    try:
+        groups = np.asarray(groups)
+    except ValueError:
+        raise ParameterError("groups of different sizes do not make a 2-D array") from None
+    if groups.shape[:1] == (0,):  # no groups
         return np.zeros(0)
-    t = groups.shape[1]
-    w = np.full(t, 1.0 / t) if weights is None else validate_weights(weights, t)
-    active = w > 0.0
-    groups, w = groups[:, active], w[active]
+    if not (groups.ndim == 2 and groups.size and groups.dtype.kind in "iu"
+            and groups.min() >= 0 and groups.max() < rows.shape[0]):
+        raise ParameterError(f"groups are not a 2-D array of row indices in 0..{rows.shape[0] - 1}")
+    groups = groups.astype(np.int64, copy=False)
     if not rows.has_canonical_format:  # a repeated column would count as its own mass
         rows = rows.copy()
         rows.sum_duplicates()  # also sorts each row's columns
     if rows.nnz and rows.nnz >= DENSE_MIN_FILL * rows.shape[0] * rows.shape[1]:
-        return _divergence_dense(rows.toarray(), groups, w)
+        return _divergence_dense(rows.toarray(), groups)
     cost = np.diff(rows.indptr)[groups].sum(axis=1)
     chunk_of = (np.cumsum(cost) - cost) // CHUNK_ENTRIES
     bounds = np.flatnonzero(np.diff(chunk_of)) + 1
-    return np.concatenate([_divergence_chunk(rows, part, w) for part in np.split(groups, bounds)])
+    return np.concatenate([_divergence_chunk(rows, part) for part in np.split(groups, bounds)])
 
 
 def _stack(dists) -> sparse.csr_matrix:
@@ -174,25 +176,15 @@ def js(p, q) -> float:
     return float(divergences(_stack([p, q]), [[0, 1]])[0])
 
 
-def validate_weights(weights, t: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (t,):
-        raise ParameterError(f"expected {t} weights, got shape {w.shape}")
-    if np.any(w < 0.0):
-        raise ParameterError("mixture weights must be nonnegative")
-    if abs(w.sum() - 1.0) > WEIGHT_TOL:
-        raise ParameterError("mixture weights must sum to 1")
-    return w
+def js_generalized(dists) -> float:
+    """Generalized Jensen-Shannon divergence of t >= 2 distributions, each
+    weighing 1/t in the mixture.
 
-
-def js_generalized(dists, weights=None) -> float:
-    """Generalized Jensen-Shannon divergence of t >= 2 weighted distributions.
-
-    With uniform weights (the default) the t = 2 case reduces exactly to
-    :func:`js`.  The result is bounded above by log2(t).
+    The t = 2 case reduces exactly to :func:`js`.  The result is bounded
+    above by log2(t).
     """
     dists = list(dists)
     t = len(dists)
     if t < 2:
         raise ParameterError("generalized divergence needs at least two distributions")
-    return float(divergences(_stack(dists), [list(range(t))], weights)[0])
+    return float(divergences(_stack(dists), [list(range(t))])[0])

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one number rule
+for integer settings."""
+
+import numbers
 
 
 class HyperwalkError(Exception):
@@ -43,3 +46,14 @@ class TrialDegenerateError(HyperwalkError):
 
 class MetricUndefinedError(HyperwalkError):
     """A ranking metric was requested on single-class input."""
+
+
+def _is_number(value, kind) -> bool:
+    """Whether ``value`` is a number of the abstract type ``kind``, not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value, low: int = 1) -> None:
+    """Raise ParameterError unless ``value`` is an integer >= ``low``."""
+    if not (_is_number(value, numbers.Integral) and value >= low):
+        raise ParameterError(f"{name}={value!r} is not an integer >= {low}")

@@ -30,9 +30,11 @@ from .errors import (
     ParameterError,
     SamplingError,
     TrialDegenerateError,
+    _check_count,
+    _is_number,
 )
 from .hypergraph import Edge, Hypergraph, components
-from .scoring import HKATZ, WALK_KINDS, MethodSpec, _check_count, _is_number
+from .scoring import HKATZ, WALK_KINDS, MethodSpec
 
 logger = logging.getLogger(__name__)
 
@@ -59,8 +61,7 @@ class SplitSpec:
     def __post_init__(self):
         _check_fraction("observed fraction rho", self.observed_fraction)
         _check_count("trials", self.trials)
-        if not (_is_number(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ParameterError(f"seed={self.seed!r} is not an integer >= 0")
+        _check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -268,8 +269,7 @@ def select_top(edges: Sequence[Edge], scores, cutoff: int) -> list[int]:
     scores = _finite_scores(scores)
     if len(edges) != len(scores):
         raise ParameterError(f"{len(scores)} scores for {len(edges)} candidate edges")
-    if cutoff < 0:
-        raise ParameterError(f"cutoff {cutoff} is negative")
+    _check_count("cutoff", cutoff, 0)
     sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
     flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=int(sizes.sum()))
     columns = np.full((len(edges), sizes.max(initial=0)), flat.min(initial=0) - 1)
@@ -285,7 +285,8 @@ def f1_at_cutoff(edges: Sequence[Edge], scores, labels, cutoff: int) -> float:
     all collapse to TP / cutoff.
     """
     labels = _check_labels(labels, len(scores))
-    if not 1 <= cutoff <= len(labels):
+    _check_count("cutoff", cutoff)
+    if cutoff > len(labels):
         raise ParameterError(f"cutoff {cutoff} outside 1..{len(labels)}")
     top = select_top(edges, scores, cutoff)
     tp = int(labels[top].sum())
@@ -322,14 +323,14 @@ def cross_validate(
     smaller value.
     """
     observed = g.edges
-    if folds < 2:
-        raise ParameterError("cross-validation needs at least 2 folds")
+    _check_count("folds", folds, 2)
     if len(observed) < folds:
         raise ParameterError(f"{len(observed)} observed edges cannot fill {folds} folds")
     kinds = [m.kind for m in methods]
     if not (kinds and set(kinds) <= set(WALK_KINDS)) and kinds != [HKATZ]:
         raise ParameterError(f"cannot tune method kinds {kinds} together")
-    grid = sorted(set(grid))
+    # each value as the method takes it: checked, and an int k or a float beta
+    grid = sorted({methods[0].with_param(value).param for value in grid})
     if len(grid) == 1:
         return {k: grid[0] for k in kinds}
     if kinds == [HKATZ]:
@@ -490,9 +491,9 @@ def tune_trial(
     sampling_spec: SamplingSpec,
     methods: Sequence[MethodSpec],
     trial: int,
-    folds: int = DEFAULT_FOLDS,
-    k_grid: Sequence[int] = DEFAULT_K_GRID,
-    beta_grid: Sequence[float] = DEFAULT_BETA_GRID,
+    folds: int,
+    k_grid: Sequence[int],
+    beta_grid: Sequence[float],
 ) -> tuple[Hypergraph, CandidateSet, dict[str, object]]:
     """Observed hypergraph and candidate set of one trial (see
     :func:`trial_candidates`), plus the cross-validated parameter of every
@@ -515,9 +516,9 @@ def run_trial(
     sampling_spec: SamplingSpec,
     methods: Sequence[MethodSpec],
     trial: int,
-    folds: int = DEFAULT_FOLDS,
-    k_grid: Sequence[int] = DEFAULT_K_GRID,
-    beta_grid: Sequence[float] = DEFAULT_BETA_GRID,
+    folds: int,
+    k_grid: Sequence[int],
+    beta_grid: Sequence[float],
 ) -> TrialRecord:
     """One full trial: split, sample, cross-validate, score, measure."""
     methods = resolve_methods(methods)
@@ -568,6 +569,7 @@ def run_experiment(
     worker count.
     """
     methods = resolve_methods(methods)
+    _check_count("threads", threads, 0)
     args = [
         (g, split_spec, sampling_spec, methods, t, folds, tuple(k_grid), tuple(beta_grid))
         for t in range(split_spec.trials)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .errors import EmptyHypergraphError, ParameterError, ParseError
+from .errors import EmptyHypergraphError, ParameterError, ParseError, _check_count
 
 Edge = tuple[int, ...]
 
@@ -120,8 +120,7 @@ def from_label_edges(
     collapses duplicate vertex sets, and maps sorted unique labels to dense
     0-based ids.
     """
-    if min_cardinality < 2:
-        raise ValueError("min_cardinality must be at least 2")
+    _check_count("min_cardinality", min_cardinality, 2)
     kept = []
     for e in label_edges:
         members = frozenset(e)

@@ -57,6 +57,7 @@ from scipy.sparse.linalg import eigsh
 
 from . import divergence, localwalk, projection
 from .errors import CandidateError, ContractViolation, KatzDivergenceError, ParameterError
+from .errors import _check_count, _is_number
 from .hypergraph import Edge, Hypergraph, components, vertex_rows
 
 LRW = "lrw"
@@ -78,17 +79,6 @@ KATZ_LMAX = 8
 KATZ_CHUNK_ENTRIES = 2**16
 # Walk scores within this distance of [0, 1] are rounding and get clipped.
 SCORE_TOL = 1e-12
-
-
-def _is_number(value, kind) -> bool:
-    """Whether ``value`` is a number of the abstract type ``kind``, not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _check_count(name: str, value) -> None:
-    """Raise ParameterError unless ``value`` is an integer >= 1."""
-    if not (_is_number(value, numbers.Integral) and value >= 1):
-        raise ParameterError(f"{name}={value!r} is not an integer >= 1")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ def random_hypergraph(
     n: int,
     m: int,
     rng: np.random.Generator,
-    min_size: int = 2,
     max_size: int = 4,
     connected: bool = False,
 ) -> Hypergraph:
@@ -25,7 +24,7 @@ def random_hypergraph(
         raise ValueError("need at least max_size vertices")
     edges = []
     for _ in range(m):
-        size = int(rng.integers(min_size, max_size + 1))
+        size = int(rng.integers(2, max_size + 1))
         edges.append(rng.choice(n, size=size, replace=False).tolist())
     g = from_label_edges(edges)
     return largest_component(g) if connected else g

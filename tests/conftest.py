@@ -165,16 +165,16 @@ def js_scalar_oracle(p, q) -> float:
     return total
 
 
-def gjs_scalar_oracle(dists, weights=None) -> float:
-    """Direct scalar evaluation of the base-2 generalized divergence."""
-    t = len(dists)
-    w = [1.0 / t] * t if weights is None else list(weights)
+def gjs_scalar_oracle(dists) -> float:
+    """Direct scalar evaluation of the base-2 generalized divergence, each
+    distribution weighing 1/t in the mixture."""
+    w = 1.0 / len(dists)
     total = 0.0
     for column in zip(*dists):
-        mix = sum(wi * pi for wi, pi in zip(w, column))
-        for wi, pi in zip(w, column):
-            if wi > 0 and pi > 0:
-                total += wi * pi * math.log2(pi / mix)
+        mix = sum(w * pi for pi in column)
+        for pi in column:
+            if pi > 0:
+                total += w * pi * math.log2(pi / mix)
     return total
 
 

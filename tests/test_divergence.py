@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from hyperwalk import divergence
-from hyperwalk.divergence import divergences, js, js_generalized, validate_weights
+from hyperwalk.divergence import divergences, js, js_generalized
 from hyperwalk.errors import ParameterError
 
 from conftest import DIVERGENCE_EXECUTORS, distributions, divergence_constants, js_scalar_oracle
@@ -63,9 +63,6 @@ def test_repeated_entries_are_summed_before_the_divergence():
     for executor in DIVERGENCE_EXECUTORS.values():
         with divergence_constants(**executor):
             assert divergences(rows, [[0, 1]]).tolist() == [expected]
-            assert divergences(rows, [[0, 1]], [0.25, 0.75])[0] == js_generalized(
-                [[0.5, 0.5], [1.0, 0.0]], [0.25, 0.75]
-            )
     assert rows.indices.tolist() == [1, 0, 0, 0]  # the caller's matrix is left as given
 
 
@@ -102,45 +99,24 @@ def test_generalized_bound_and_permutation_invariance(p, q, r):
     base = js_generalized([p, q, r])
     assert -1e-12 <= base <= math.log2(3) + 1e-12
     assert js_generalized([r, p, q]) == pytest.approx(base, abs=1e-12)
-    # weights permute together with the distributions
-    w = [0.5, 0.3, 0.2]
-    assert js_generalized([p, q, r], w) == pytest.approx(
-        js_generalized([q, r, p], [0.3, 0.2, 0.5]), abs=1e-12
-    )
-
-
-def test_zero_weight_distribution_is_ignored():
-    p = [1.0, 0.0]
-    q = [0.0, 1.0]
-    val = js_generalized([p, q], [1.0, 0.0])
-    assert math.isfinite(val)
-    assert val == pytest.approx(0.0, abs=1e-15)  # mixture equals p itself
 
 
 def test_parameter_errors():
     with pytest.raises(ParameterError):
         js_generalized([[1.0, 0.0]])
-    with pytest.raises(ParameterError):
-        js_generalized([[1.0, 0.0]] * 2, [0.9, 0.2])
-    with pytest.raises(ParameterError):
-        js_generalized([[1.0, 0.0]] * 2, [1.2, -0.2])
-    with pytest.raises(ParameterError):
-        validate_weights([0.5], 2)
-    rows = sparse.csr_matrix(np.eye(2))
-    for weights in ([1.5, -0.5], [0.2, 0.2], [0.5, 0.25, 0.25]):
-        with pytest.raises(ParameterError):
-            divergences(rows, [[0, 1]], weights)
+    # saturated rows take the dense executor, sparse ones the chunk kernel
+    for rows in (sparse.csr_matrix(np.full((3, 3), 1 / 3)), sparse.csr_matrix(np.eye(3))):
+        for groups in ([[0, -1]], [[0, 3]], [[0, 1.7]], [0, 1], [[True, False]], [[]], 0):
+            with pytest.raises(ParameterError, match="2-D array of row indices in 0..2"):
+                divergences(rows, groups)
+        with pytest.raises(ParameterError, match="2-D array"):
+            divergences(rows, [[0, 1], [2]])
 
 
 def test_empty_group_list_gives_empty_scores():
     rows = sparse.csr_matrix(np.eye(2))
     for groups in ([], np.zeros((0, 2), dtype=int)):
         assert divergences(rows, groups).shape == (0,)
-        assert divergences(rows, groups, [0.25, 0.75]).shape == (0,)
-        with pytest.raises(ParameterError):
-            divergences(rows, groups, [0.5, 0.6])
-    with pytest.raises(ParameterError):
-        divergences(rows, np.zeros((0, 2), dtype=int), [0.5, 0.25, 0.25])
 
 
 def test_stored_zeros_add_nothing():
@@ -158,7 +134,7 @@ def test_stored_zeros_add_nothing():
 @st.composite
 def grouped_rows(draw):
     """Random CSR distributions, some storing zeros and some with their
-    entries out of column order, (G, t) groups of them and weights with a zero."""
+    entries out of column order, and (G, t) groups of them."""
     n = draw(st.integers(1, 12))
     data, indices, indptr = [], [], [0]
     for _ in range(draw(st.integers(1, 8))):
@@ -173,9 +149,7 @@ def grouped_rows(draw):
     t = draw(st.integers(2, 5))
     member = st.integers(0, rows.shape[0] - 1)
     groups = draw(st.lists(st.lists(member, min_size=t, max_size=t), min_size=1, max_size=20))
-    raw = np.array([draw(st.floats(1e-3, 1.0)) for _ in range(t)])
-    raw[draw(st.integers(0, t - 1))] = 0.0
-    return rows, groups, raw / raw.sum()
+    return rows, groups
 
 
 @given(case=grouped_rows(), chunk=st.integers(1, 64))

@@ -332,7 +332,7 @@ def test_f1_rejects_edge_count_mismatch():
 
 
 def test_select_top_rejects_a_negative_cutoff():
-    with pytest.raises(ParameterError, match="cutoff -1"):
+    with pytest.raises(ParameterError, match="cutoff=-1"):
         select_top([(0, 1), (0, 2), (1, 2)], [0.1, 0.5, 0.3], -1)
     assert select_top([(0, 1), (0, 2), (1, 2)], [0.1, 0.5, 0.3], 0) == []
 
@@ -649,6 +649,10 @@ def test_split_spec_needs_a_nonnegative_integer_seed(seed):
         SplitSpec(0.8, 1, seed)
 
 
+_PLANTED = planted_hypergraph(40, 80, np.random.default_rng(0))
+_ONE_TRIAL = (_PLANTED, SplitSpec(0.8, 1, 0), SamplingSpec(0.5, 2))
+
+
 @pytest.mark.parametrize(
     "spec, args, name",
     [
@@ -661,6 +665,16 @@ def test_split_spec_needs_a_nonnegative_integer_seed(seed):
         (SamplingSpec, (0.5, "3"), "lambda"),
         (SamplingSpec, (True, 3), "alpha"),
         (SamplingSpec, (1.0, 3), "alpha"),
+        # the library's own settings follow the same rules
+        (run_experiment, (*_ONE_TRIAL, [LRW], 2.5), "folds"),
+        (run_experiment, (*_ONE_TRIAL, [LRW], 2, (2, 3), (0.01,), 2.5), "threads"),
+        (run_experiment, (*_ONE_TRIAL, [LRW], 2, (True, 3)), "k"),
+        (run_experiment, (*_ONE_TRIAL, ["hkatz"], 2, (2,), (-0.1, 0.01)), "beta"),
+        (f1_at_cutoff, ([(0, 1), (0, 2)], [0.5, 0.4], [1, 0], 2.5), "cutoff"),
+        (f1_at_cutoff, ([(0, 1), (0, 2)], [0.5, 0.4], [1, 0], True), "cutoff"),
+        (select_top, ([(0, 1), (0, 2)], [0.5, 0.4], True), "cutoff"),
+        (from_label_edges, ([[0, 1, 2]], 2.5), "min_cardinality"),
+        (from_label_edges, ([[0, 1, 2]], 1), "min_cardinality"),
     ],
 )
 def test_run_specs_take_integer_counts_and_real_fractions(spec, args, name):
