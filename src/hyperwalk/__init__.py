@@ -13,7 +13,6 @@ from .experiment import (
     cross_validate,
     f1_at_cutoff,
     run_experiment,
-    sample_negatives,
     split,
 )
 from .hypergraph import Hypergraph, largest_component, load, loads, save, stats
@@ -43,7 +42,6 @@ __all__ = [
     "load",
     "loads",
     "run_experiment",
-    "sample_negatives",
     "save",
     "score_candidates",
     "split",

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
+
 import numpy as np
 
 from . import divergence, localwalk, projection, scoring, synthetic
@@ -37,12 +39,16 @@ class BenchPoint:
     seconds_gjs: float  # per generalized divergence (triples)
 
 
-def _time(fn) -> float:
-    best = np.inf
+def _time(*fns) -> list[float]:
+    """Fastest of REPEATS calls of each function.  Each round calls every
+    function once in turn, so a burst of load on the machine falls on all
+    of them alike rather than on one function's block of calls."""
+    best = [np.inf] * len(fns)
     for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
     return best
 
 
@@ -68,7 +74,7 @@ def walk_cost_curve(
         p = projection.transition(g)
         sources = rng.choice(g.n, size=min(batch_rows, g.n), replace=False).tolist()
 
-        secs_batch = _time(lambda: localwalk.walk_matrix_rows(p, sources, k))
+        (secs_batch,) = _time(lambda: localwalk.walk_matrix_rows(p, sources, k))
         rows = localwalk.walk_matrix_rows(p, sources, k)
 
         pos = rows.positions(sources)
@@ -76,7 +82,7 @@ def walk_cost_curve(
         for t in (2, 3):
             picks = [rng.choice(len(sources), size=t, replace=False) for _ in range(PAIRS)]
             groups = pos[np.array(picks)]
-            secs_div.append(_time(lambda: divergence.divergences(rows.matrix, groups)))
+            secs_div.extend(_time(lambda: divergence.divergences(rows.matrix, groups)))
         secs_js, secs_gjs = secs_div
 
         points.append(
@@ -101,7 +107,8 @@ def row_cost_slope(points) -> float:
 
 def method_runtimes(seed: int = 0) -> dict[str, float]:
     """Wall-clock of score_candidates per method on one shared workload,
-    the fastest of REPEATS calls, so no method pays for a cold first call."""
+    the fastest of REPEATS calls, so no method pays for a cold first call;
+    the methods take turns within each round (see :func:`_time`)."""
     rng = np.random.default_rng(seed)
     g = synthetic.regular_cardinality_hypergraph(
         RUNTIME_VERTICES, RUNTIME_CARDINALITY, RUNTIME_DEGREE, rng
@@ -110,8 +117,7 @@ def method_runtimes(seed: int = 0) -> dict[str, float]:
         tuple(sorted(rng.choice(g.n, size=RUNTIME_CARDINALITY, replace=False).tolist()))
         for _ in range(RUNTIME_CANDIDATES)
     ]
-    out = {}
-    for kind in (scoring.LRW, scoring.LRW_JS, scoring.LRW_GJS):
-        spec = scoring.MethodSpec(kind, k=RUNTIME_K)
-        out[kind] = _time(lambda: scoring.score_candidates(spec, g, cand))
-    return out
+    kinds = (scoring.LRW, scoring.LRW_JS, scoring.LRW_GJS)
+    calls = [partial(scoring.score_candidates, scoring.MethodSpec(kind, k=RUNTIME_K), g, cand)
+             for kind in kinds]
+    return dict(zip(kinds, _time(*calls)))

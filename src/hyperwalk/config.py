@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import experiment
 from .errors import ParameterError, _check_count
-from .scoring import ALL_KINDS, HKATZ, LRW, MethodSpec
+from .scoring import ALL_KINDS
 
 
 @dataclass(frozen=True)
@@ -36,23 +36,18 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """Check every setting: a list setting needs at least one value,
-        folds, threads and min-cardinality are checked here, and every
-        other value must build the library object that will carry it."""
+        min-cardinality is checked here, and every other value must pass
+        the library check that will carry it."""
         for key, (name, _, is_list, _) in _KEYS.items():
             if is_list and not getattr(self, name):
                 raise ParameterError(f"{key} needs at least one value")
-        _check_count("folds", self.folds, 2)
-        _check_count("threads", self.threads, 0)  # 0 = all cores
+        experiment.check_run_settings(self.folds, self.threads, self.k_grid, self.beta_grid)
         _check_count("min-cardinality", self.min_cardinality, 2)
         experiment.resolve_methods(self.methods)
         for rho in self.rho:
             experiment.SplitSpec(rho, self.trials, self.seed)
         for alpha in self.alpha:
             experiment.SamplingSpec(alpha, self.fakes_per_missing)
-        for k in self.k_grid:
-            MethodSpec(LRW, k=k)
-        for beta in self.beta_grid:
-            MethodSpec(HKATZ, beta=beta)
         return self
 
 

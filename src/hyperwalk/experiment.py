@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ from .errors import (
     _is_number,
 )
 from .hypergraph import Edge, Hypergraph, components
-from .scoring import HKATZ, WALK_KINDS, MethodSpec
+from .scoring import HKATZ, LRW, WALK_KINDS, MethodSpec
 
 logger = logging.getLogger(__name__)
 
@@ -142,23 +141,20 @@ def replacement_count(edge_size: int, alpha: float) -> int:
     return min(max(math.floor((1.0 - alpha) * edge_size + 0.5), 1), edge_size - 1)
 
 
-def sample_negatives(
-    edge: Edge,
-    g: Hypergraph,
-    observed: Sequence[Edge],
+def build_candidates(
+    observed_g: Hypergraph,
+    missing: Sequence[Edge],
     spec: SamplingSpec,
     rng: np.random.Generator,
-    forbidden: set[Edge] | None = None,
-    active: np.ndarray | None = None,
-) -> tuple[list[Edge], int]:
-    """Fake hyperedges for one missing edge, by replacing vertices.
+) -> CandidateSet:
+    """Candidate set: the missing edges plus fakes_per_missing fakes each,
+    sampled against the observed hypergraph ``observed_g``.
 
-    Replacements are drawn from vertices outside the edge that are not
-    isolated in the observed set: those of the mask ``active``, which by
-    default is computed from ``observed``.  A fake equal (as a set) to an
-    observed, missing, or previously sampled edge is resampled up to 100
-    times, then accepted with the collision counted.  Returns (fakes,
-    collisions).
+    A fake replaces vertices of its missing edge with vertices outside
+    that edge that are not isolated in ``observed_g``.  A fake equal (as a
+    set) to an observed, missing, or previously sampled edge is resampled
+    up to 100 times, then accepted with the collision counted.  A missing
+    edge with fewer eligible vertices than it needs raises SamplingError.
 
     Random-number contract: every attempt makes exactly two calls on
     ``rng``, first ``rng.choice(len(edge), size=r, replace=False)`` for
@@ -167,52 +163,32 @@ def sample_negatives(
     vertices (the same draws as ``rng.choice(eligible, ...)``), with r from
     :func:`replacement_count`.  Nothing else reads the generator.
     """
-    if forbidden is None:
-        forbidden = set(observed)
-    if active is None:
-        active = g.with_edges(observed).degrees > 0
-    members = [int(v) for v in edge]
-    size = len(members)
-    r = replacement_count(size, spec.alpha)
-    mask = active.copy()
-    mask[members] = False
-    eligible = np.flatnonzero(mask)
-    pool = len(eligible)
-    if pool < r:
-        raise SamplingError(f"edge {edge}: need {r} replacement vertices, only {pool} eligible")
-    fakes: list[Edge] = []
-    collisions = 0
-    for _ in range(spec.fakes_per_missing):
-        for attempt in range(100):
-            drop = rng.choice(size, size=r, replace=False).tolist()
-            repl = eligible[rng.choice(pool, size=r, replace=False)].tolist()
-            fake = tuple(sorted([v for k, v in enumerate(members) if k not in drop] + repl))
-            if fake not in forbidden:
-                break
-        else:
-            collisions += 1
-            logger.warning("edge %s: accepted colliding fake %s after 100 attempts", edge, fake)
-        forbidden.add(fake)
-        fakes.append(fake)
-    return fakes, collisions
-
-
-def build_candidates(
-    observed_g: Hypergraph,
-    missing: Sequence[Edge],
-    spec: SamplingSpec,
-    rng: np.random.Generator,
-) -> CandidateSet:
-    """Candidate set: the missing edges plus fakes_per_missing fakes each,
-    sampled against the observed hypergraph."""
     forbidden: set[Edge] = set(observed_g.edges) | set(missing)
     active = observed_g.degrees > 0
     negatives: list[Edge] = []
     collisions = 0
-    for e in missing:
-        fakes, c = sample_negatives(e, observed_g, observed_g.edges, spec, rng, forbidden, active)
-        negatives.extend(fakes)
-        collisions += c
+    for edge in missing:
+        members = [int(v) for v in edge]
+        size = len(members)
+        r = replacement_count(size, spec.alpha)
+        mask = active.copy()
+        mask[members] = False
+        eligible = np.flatnonzero(mask)
+        pool = len(eligible)
+        if pool < r:
+            raise SamplingError(f"edge {edge}: need {r} replacement vertices, only {pool} eligible")
+        for _ in range(spec.fakes_per_missing):
+            for attempt in range(100):
+                drop = rng.choice(size, size=r, replace=False).tolist()
+                repl = eligible[rng.choice(pool, size=r, replace=False)].tolist()
+                fake = tuple(sorted([v for k, v in enumerate(members) if k not in drop] + repl))
+                if fake not in forbidden:
+                    break
+            else:
+                collisions += 1
+                logger.warning("edge %s: accepted colliding fake %s after 100 attempts", edge, fake)
+            forbidden.add(fake)
+            negatives.append(fake)
     return CandidateSet(tuple(missing), tuple(negatives), collisions)
 
 
@@ -369,7 +345,6 @@ class MethodOutcome:
     param: object
     auroc: float
     f1: float
-    seconds: float
 
 
 @dataclass(frozen=True)
@@ -384,11 +359,8 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    rho: float
-    alpha: float
-    fakes_per_missing: int
-    trials: int
-    seed: int
+    split_spec: SplitSpec
+    sampling_spec: SamplingSpec
     method_kinds: tuple[str, ...]
     records: tuple[TrialRecord, ...]
 
@@ -406,16 +378,11 @@ class ExperimentResult:
         uniq = sorted(set(params))
         return max(uniq, key=lambda v: (params.count(v), -uniq.index(v)))
 
-    def to_json_dict(self, include_timings: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         """Deterministic JSON form: per-trial records plus an aggregate block."""
         per_trial = []
         for r in self.records:
-            methods = {}
-            for o in r.outcomes:
-                entry = {"param": o.param, "auroc": o.auroc, "f1": o.f1}
-                if include_timings:
-                    entry["seconds"] = o.seconds
-                methods[o.kind] = entry
+            methods = {o.kind: {"param": o.param, "auroc": o.auroc, "f1": o.f1} for o in r.outcomes}
             per_trial.append(
                 {
                     "trial": r.trial,
@@ -436,11 +403,11 @@ class ExperimentResult:
         }
         return {
             "config": {
-                "rho": self.rho,
-                "alpha": self.alpha,
-                "lambda": self.fakes_per_missing,
-                "trials": self.trials,
-                "seed": self.seed,
+                "rho": self.split_spec.observed_fraction,
+                "alpha": self.sampling_spec.alpha,
+                "lambda": self.sampling_spec.fakes_per_missing,
+                "trials": self.split_spec.trials,
+                "seed": self.split_spec.seed,
                 "methods": list(self.method_kinds),
             },
             "trials": per_trial,
@@ -455,6 +422,19 @@ def resolve_methods(methods) -> list[MethodSpec]:
     if len({m.kind for m in out}) != len(out):
         raise ParameterError("duplicate method kinds in one run")
     return out
+
+
+def check_run_settings(folds: int, threads: int, k_grid: Sequence, beta_grid: Sequence) -> None:
+    """Raise ParameterError unless ``folds`` >= 2, ``threads`` >= 0 and
+    each grid holds at least one value, each of which its methods take
+    (see :meth:`~hyperwalk.scoring.MethodSpec.with_param`)."""
+    _check_count("folds", folds, 2)
+    _check_count("threads", threads, 0)
+    for name, kind, grid in (("k_grid", LRW, k_grid), ("beta_grid", HKATZ, beta_grid)):
+        if len(grid) == 0:
+            raise ParameterError(f"{name} needs at least one value")
+        for value in grid:
+            MethodSpec(kind).with_param(value)
 
 
 def trial_candidates(
@@ -521,7 +501,6 @@ def run_trial(
     beta_grid: Sequence[float],
 ) -> TrialRecord:
     """One full trial: split, sample, cross-validate, score, measure."""
-    methods = resolve_methods(methods)
     with naming_trial(trial):
         observed_g, cand, chosen = tune_trial(
             g, split_spec, sampling_spec, methods, trial, folds, k_grid, beta_grid
@@ -531,7 +510,6 @@ def run_trial(
         outcomes = []
         for m in methods:
             spec_m = m.with_param(chosen[m.kind]) if m.kind in chosen else m
-            t0 = time.perf_counter()
             # the scored list dies here, before the next method scores
             scores = np.array(
                 [s.score for s in scoring.score_candidates(spec_m, observed_g, edges)],
@@ -539,9 +517,7 @@ def run_trial(
             )
             res_auroc = auroc(scores, labels)
             res_f1 = f1_at_cutoff(edges, scores, labels, cutoff=len(cand.positives))
-            outcomes.append(
-                MethodOutcome(m.kind, spec_m.param, res_auroc, res_f1, time.perf_counter() - t0)
-            )
+            outcomes.append(MethodOutcome(m.kind, spec_m.param, res_auroc, res_f1))
     return TrialRecord(
         trial=trial,
         n_observed=observed_g.m,
@@ -566,10 +542,11 @@ def run_experiment(
 
     Trials are independent and may run in parallel processes; records come
     back in trial order either way, so the result does not depend on the
-    worker count.
+    worker count.  Every setting is checked before any trial runs (see
+    :func:`check_run_settings`), whether or not a method is tuned.
     """
     methods = resolve_methods(methods)
-    _check_count("threads", threads, 0)
+    check_run_settings(folds, threads, k_grid, beta_grid)
     args = [
         (g, split_spec, sampling_spec, methods, t, folds, tuple(k_grid), tuple(beta_grid))
         for t in range(split_spec.trials)
@@ -580,11 +557,8 @@ def run_experiment(
     else:
         records = [run_trial(*a) for a in args]
     return ExperimentResult(
-        rho=split_spec.observed_fraction,
-        alpha=sampling_spec.alpha,
-        fakes_per_missing=sampling_spec.fakes_per_missing,
-        trials=split_spec.trials,
-        seed=split_spec.seed,
+        split_spec=split_spec,
+        sampling_spec=sampling_spec,
         method_kinds=tuple(m.kind for m in methods),
         records=tuple(records),
     )

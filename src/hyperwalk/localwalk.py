@@ -20,13 +20,12 @@ snapshot is taken.
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Mapping
 
 import numpy as np
 from scipy import sparse
 
-from .errors import ContractViolation, ParameterError
+from .errors import ContractViolation, ParameterError, _check_count
 from .hypergraph import vertex_rows
 
 DROP_TOL = 1e-15
@@ -106,11 +105,14 @@ def walk_matrix_rows_multi(P: sparse.csr_matrix, sources, ks) -> dict[int, WalkR
     Returns ``{K: rows}`` for each K in ``ks``, where ``rows`` maps each
     source to its row.  The running sum of propagated rows is snapshotted
     at every requested K, so the cost is a single sweep up to max(ks).
-    Raises ParameterError for a K that is not an integer >= 1 or a source
-    that is not a vertex id of P (see :func:`~hyperwalk.hypergraph.vertex_rows`).
+    Raises ParameterError for an empty ``ks``, a K that is not an integer
+    >= 1 (a bool is not one) or a source that is not a vertex id of P (see
+    :func:`~hyperwalk.hypergraph.vertex_rows`).
     """
-    if len(ks) == 0 or not all(isinstance(k, numbers.Integral) and k >= 1 for k in ks):
-        raise ParameterError(f"walk lengths {list(ks)} are not all integers >= 1")
+    if len(ks) == 0:
+        raise ParameterError("no walk length given")
+    for k in ks:
+        _check_count("walk length K", k)
     ks = sorted(set(map(int, ks)))
     src, x = vertex_rows(sources, P.shape[0])
     stuck = src[(P @ np.ones(P.shape[1]))[src] == 0.0]

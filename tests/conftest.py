@@ -238,14 +238,12 @@ def f1_set_oracle(edges, scores, labels, cutoff: int) -> float:
     return float(2 * precision * recall / (precision + recall))
 
 
-def negatives_oracle(edge, g, observed, spec, rng, forbidden=None, active=None):
+def negatives_oracle(edge, g, spec, rng, forbidden, active):
     """Fakes for one missing edge by the per-fake loop: a fresh eligibility
     mask per edge, ``np.delete`` of the dropped slots, and ``rng.choice``
-    over the eligible vertices themselves.  Returns (fakes, collisions)."""
-    if forbidden is None:
-        forbidden = set(observed)
-    if active is None:
-        active = g.with_edges(observed).degrees > 0
+    over the eligible vertices themselves.  ``forbidden`` is the set of
+    edges a fake must avoid, which the fakes join; ``active`` marks the
+    vertices a fake may take.  Returns (fakes, collisions)."""
     size = len(edge)
     r = min(max(math.floor((1.0 - spec.alpha) * size + 0.5), 1), size - 1)
     in_edge = np.zeros(g.n, dtype=bool)

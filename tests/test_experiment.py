@@ -25,7 +25,6 @@ from hyperwalk.experiment import (
     f1_at_cutoff,
     replacement_count,
     run_experiment,
-    sample_negatives,
     select_top,
     split,
     trial_candidates,
@@ -111,7 +110,7 @@ def test_replacement_count_rules():
     assert replacement_count(6, 0.5) == 3
 
 
-def test_sample_negatives_shape_and_validity(medium):
+def test_build_candidates_shape_and_validity(medium):
     observed, missing = split(medium, SplitSpec(0.8, 1, seed=2), 0)
     rng = np.random.default_rng(0)
     spec = SamplingSpec(alpha=0.5, fakes_per_missing=3)
@@ -119,7 +118,7 @@ def test_sample_negatives_shape_and_validity(medium):
     for e in observed:
         deg[list(e)] += 1
     edge = missing[0]
-    fakes, collisions = sample_negatives(edge, medium, observed, spec, rng)
+    fakes = build_candidates(medium.with_edges(observed), [edge], spec, rng).negatives
     assert len(fakes) == 3
     r = replacement_count(len(edge), 0.5)
     for fake in fakes:
@@ -129,11 +128,11 @@ def test_sample_negatives_shape_and_validity(medium):
         assert fake not in set(observed)
 
 
-def test_sample_negatives_needs_enough_replacements():
+def test_build_candidates_needs_enough_replacements():
     g = from_label_edges([[1, 2, 3]])
     rng = np.random.default_rng(0)
     with pytest.raises(SamplingError):
-        sample_negatives((0, 1, 2), g, g.edges, SamplingSpec(0.5, 1), rng)
+        build_candidates(g, [(0, 1, 2)], SamplingSpec(0.5, 1), rng)
 
 
 def test_collision_acceptance_on_saturated_graph():
@@ -141,12 +140,9 @@ def test_collision_acceptance_on_saturated_graph():
     edges = [[i, j] for i in range(1, 5) for j in range(i + 1, 5)]
     g = from_label_edges(edges)
     rng = np.random.default_rng(0)
-    forbidden = set(g.edges)
-    fakes, collisions = sample_negatives(
-        g.edges[0], g, g.edges, SamplingSpec(0.5, 2), rng, forbidden
-    )
-    assert len(fakes) == 2
-    assert collisions == 2
+    cand = build_candidates(g, [g.edges[0]], SamplingSpec(0.5, 2), rng)
+    assert len(cand.negatives) == 2
+    assert cand.collisions == 2
 
 
 def test_build_candidates_counts_and_cleanliness(medium):
@@ -200,7 +196,7 @@ def test_build_candidates_matches_negatives_oracle(kind, n, m, seed, rho, alpha,
     try:
         for e in missing:
             f, c = negatives_oracle(
-                e, observed_g, observed, spec, oracle_rng, forbidden, observed_g.degrees > 0
+                e, observed_g, spec, oracle_rng, forbidden, observed_g.degrees > 0
             )
             negatives.extend(f)
             collisions += c
@@ -216,16 +212,6 @@ def test_build_candidates_matches_negatives_oracle(kind, n, m, seed, rho, alpha,
         if kind == "complete":
             assert collisions > 0
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
-
-
-def test_sample_negatives_defaults_match_oracle(medium):
-    observed, missing = split(medium, SplitSpec(0.8, 1, seed=2), 0)
-    spec = SamplingSpec(alpha=0.3, fakes_per_missing=4)
-    for edge in missing:
-        rng, oracle_rng = np.random.default_rng(7), np.random.default_rng(7)
-        got = sample_negatives(edge, medium, observed, spec, rng)
-        assert got == negatives_oracle(edge, medium, observed, spec, oracle_rng)
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 @given(g=hypergraphs(max_n=12, max_m=14, connected=True))
@@ -675,11 +661,22 @@ _ONE_TRIAL = (_PLANTED, SplitSpec(0.8, 1, 0), SamplingSpec(0.5, 2))
         (select_top, ([(0, 1), (0, 2)], [0.5, 0.4], True), "cutoff"),
         (from_label_edges, ([[0, 1, 2]], 2.5), "min_cardinality"),
         (from_label_edges, ([[0, 1, 2]], 1), "min_cardinality"),
+        # checked before any trial, also when no method is tuned
+        (run_experiment, (*_ONE_TRIAL, ["hcn"], 2.5), "folds"),
+        (run_experiment, (*_ONE_TRIAL, ["hcn"], 2, (True,)), "k"),
+        (run_experiment, (*_ONE_TRIAL, ["hcn"], 2, (2,), (-1.0,)), "beta"),
+        (run_experiment, (*_ONE_TRIAL, [MethodSpec(LRW, k=4)], 2, ("x",)), "k"),
     ],
 )
 def test_run_specs_take_integer_counts_and_real_fractions(spec, args, name):
     with pytest.raises(ParameterError, match=f"{name}="):
         spec(*args)
+
+
+@pytest.mark.parametrize("grids", [((), (0.01,)), ((2,), ())])
+def test_run_experiment_needs_a_value_in_each_grid(grids):
+    with pytest.raises(ParameterError, match="needs at least one value"):
+        run_experiment(*_ONE_TRIAL, ["hkatz"], 2, *grids)
 
 
 def test_single_value_walk_grid_is_checked_not_truncated(medium):
@@ -711,5 +708,3 @@ def test_json_dict_shape(medium):
     assert set(d) == {"config", "trials", "aggregate"}
     assert d["config"]["lambda"] == 2
     assert d["trials"][0]["methods"]["hcn"].keys() == {"param", "auroc", "f1"}
-    with_timing = res.to_json_dict(include_timings=True)
-    assert "seconds" in with_timing["trials"][0]["methods"]["hcn"]

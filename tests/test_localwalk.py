@@ -42,7 +42,7 @@ def test_rejects_bad_source(t1):
         walk_matrix_rows(transition(t1), [99], 2)
 
 
-@pytest.mark.parametrize("ks", [[2.5], ["3"], [2, 3.0], [0], [-1], [True, 0], []])
+@pytest.mark.parametrize("ks", [[2.5], ["3"], [2, 3.0], [0], [-1], [True, 0], [], [True]])
 def test_rejects_walk_lengths_that_are_not_integers_from_1(t1, ks):
     with pytest.raises(ParameterError):
         walk_matrix_rows_multi(transition(t1), [0], ks)
