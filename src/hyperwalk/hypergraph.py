@@ -121,12 +121,7 @@ def from_label_edges(
     0-based ids.
     """
     _check_count("min_cardinality", min_cardinality, 2)
-    kept = []
-    for e in label_edges:
-        members = frozenset(e)
-        if len(members) >= min_cardinality:
-            kept.append(members)
-    kept = set(kept)
+    kept = {e for e in map(frozenset, label_edges) if len(e) >= min_cardinality}
     if not kept:
         raise EmptyHypergraphError("no hyperedges remain after filtering")
     labels = sorted({v for e in kept for v in e})
@@ -137,12 +132,8 @@ def from_label_edges(
 
 def loads(text: str, label_mode: bool = False, min_cardinality: int = 2) -> Hypergraph:
     """Parse hyperedge-list text (one edge per line, ',' or whitespace separated)."""
-    raw_edges = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        tokens = _parse_line(line, number, label_mode)
-        if tokens:
-            raw_edges.append(tokens)
-    return from_label_edges(raw_edges, min_cardinality)
+    lines = enumerate(text.splitlines(), start=1)
+    return from_label_edges([_parse_line(t, n, label_mode) for n, t in lines], min_cardinality)
 
 
 def load(path, label_mode: bool = False, min_cardinality: int = 2) -> Hypergraph:
@@ -200,6 +191,7 @@ def largest_component(g: Hypergraph) -> Hypergraph:
     Every hyperedge lies entirely inside one component, so induced edges are
     exactly those whose first vertex belongs to the winning component.  Ties
     in component size are broken toward the smallest minimum original label.
+    A connected g is returned itself, as hypergraphs are immutable.
     """
     if g.m == 0:
         raise EmptyHypergraphError("cannot take a component of an empty hypergraph")
@@ -208,6 +200,8 @@ def largest_component(g: Hypergraph) -> Hypergraph:
     # smallest vertex id; ids are assigned in label order, so that is also
     # the smallest minimum label.
     keep = labels == int(np.argmax(np.bincount(labels, minlength=g.n)))
+    if keep.all():
+        return g
     # ascending renumbering keeps vertex order, so the kept edges stay
     # strictly increasing and in lexicographic order
     new_id = (np.cumsum(keep) - 1).tolist()

@@ -6,7 +6,9 @@ length uniformly from 1..K, and takes that many steps.  Rows are computed
 only for requested source vertices, by propagating one-hot rows through P,
 so nothing of size n x n is ever materialized.
 
-One propagation sweep serves every requested K.  Each K snapshot is kept
+One propagation sweep serves every requested K.  A row depends only on
+its source, so sweeping the sources in blocks gives the same rows as one
+sweep over all of them.  Each K snapshot is kept
 as a single CSR matrix, one row per source (:class:`WalkRows`); the batched
 scorers and divergence kernels read it directly, and indexing it by a
 source vertex yields that row as a 1 x n CSR matrix.
@@ -94,6 +96,19 @@ def _extract_rows(mat: sparse.csr_matrix, sources: np.ndarray, scale: float) -> 
     return WalkRows(out, sources)
 
 
+def walk_lengths(ks) -> list[int]:
+    """The distinct walk lengths of ``ks`` in ascending order, as ints.
+
+    Raises ParameterError for an empty ``ks`` or a K that is not an
+    integer >= 1 (a bool is not one).
+    """
+    if len(ks) == 0:
+        raise ParameterError("no walk length given")
+    for k in ks:
+        _check_count("walk length K", k)
+    return sorted(set(map(int, ks)))
+
+
 def walk_matrix_rows(P: sparse.csr_matrix, sources, K: int) -> WalkRows:
     """Rows of (1/K) * (P + P^2 + ... + P^K) for the given source vertices."""
     return walk_matrix_rows_multi(P, sources, [K])[K]
@@ -105,15 +120,11 @@ def walk_matrix_rows_multi(P: sparse.csr_matrix, sources, ks) -> dict[int, WalkR
     Returns ``{K: rows}`` for each K in ``ks``, where ``rows`` maps each
     source to its row.  The running sum of propagated rows is snapshotted
     at every requested K, so the cost is a single sweep up to max(ks).
-    Raises ParameterError for an empty ``ks``, a K that is not an integer
-    >= 1 (a bool is not one) or a source that is not a vertex id of P (see
+    Raises ParameterError for walk lengths that :func:`walk_lengths`
+    rejects or a source that is not a vertex id of P (see
     :func:`~hyperwalk.hypergraph.vertex_rows`).
     """
-    if len(ks) == 0:
-        raise ParameterError("no walk length given")
-    for k in ks:
-        _check_count("walk length K", k)
-    ks = sorted(set(map(int, ks)))
+    ks = walk_lengths(ks)
     src, x = vertex_rows(sources, P.shape[0])
     stuck = src[(P @ np.ones(P.shape[1]))[src] == 0.0]
     if len(stuck):

@@ -19,7 +19,11 @@ matrix as ranks in that union, and, built only when a method reads them,
 the vertex pairs in ``combinations`` order (one ``triu_indices`` block
 per cardinality) and the distinct pairs.  The candidate checks of
 :func:`score_candidates` run on the same cardinality blocks.  A walk method maps the ranks
-onto one K's walk rows with a single row lookup.  Each method computes
+onto one K's walk rows with a single row lookup.  lrw alone sweeps its
+walk rows WALK_BLOCK_ENTRIES // n sources at a time and keeps only each
+pair's s_ij + s_ji, so its memory grows with the candidate pairs and the
+block; any other walk family shares one full sweep, as lrw-js and
+lrw-gjs need both rows of a pair at once.  Each method computes
 all pair values at once: exact gathers from the walk-row CSR matrix
 (lrw), from the sparse resource-allocation product (hpra) or from the
 Katz table (hkatz); row products of the binary adjacency (hcn); or one
@@ -79,6 +83,12 @@ KATZ_LMAX = 8
 KATZ_CHUNK_ENTRIES = 2**16
 # Walk scores within this distance of [0, 1] are rounding and get clipped.
 SCORE_TOL = 1e-12
+# Walk-row cells (sources x n) that lrw sweeps at a time when scored alone.
+# On the score-wide benchmark graph (n = 5983, 2-core VM), 2^21 cells (350
+# sources a block) cut the run's peak RSS from 186 to 130 MB with run_s flat.
+# Smaller blocks cost lrw CPU time (2^20: +14%, 2^19: +27% against one block);
+# larger ones (2^22, 2^23) saved none measurably.
+WALK_BLOCK_ENTRIES = 2**21
 
 
 @dataclass(frozen=True)
@@ -308,7 +318,24 @@ def _unit_interval(scores: np.ndarray, edges) -> np.ndarray:
 
 def _gather(mat: sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Stored entries mat[rows[k], cols[k]] (0.0 where nothing is stored)."""
-    return np.asarray(mat[rows, cols]).ravel()
+    return np.asarray(mat[rows, cols]).ravel() if len(rows) else np.zeros(0)
+
+
+def _walk_mass(cands: _Candidates, lo: int, hi: int, snapshots) -> None:
+    """Add lrw's walk mass from walk-row snapshots that hold a row for
+    every candidate vertex of rank lo..hi-1.
+
+    ``snapshots`` holds (rows, totals) pairs, ``totals`` one float per pair
+    of ``cands.pairs``.  A pair whose i has such a rank gets s_ij, the
+    mass at column j of i's row, and one whose j has one gets s_ji.  From
+    0.0, the two additions give the float s_ij + s_ji in either order.
+    """
+    pairs = cands.pairs
+    for rows, totals in snapshots:
+        pos = rows.positions(cands.vertices[lo:hi])
+        for r, col in ((pairs.ri - lo, pairs.j), (pairs.rj - lo, pairs.i)):
+            sel = np.flatnonzero((r >= 0) & (r < len(pos)))
+            totals[sel] += _gather(rows.matrix, pos[r[sel]], col[sel])
 
 
 def score_edges_from_rows(kind: str, edges, rows: localwalk.WalkRows) -> np.ndarray:
@@ -316,18 +343,21 @@ def score_edges_from_rows(kind: str, edges, rows: localwalk.WalkRows) -> np.ndar
     which hold a row for every vertex of the edges.
 
     ``edges`` is a list of edges, or the expanded batch that
-    :func:`score_grid` shares among its calls; either way the candidates'
-    vertices are looked up in ``rows`` once.  lrw averages the symmetrized
-    walk mass s_ij + s_ji, read by exact gathers; lrw-js evaluates the
-    divergence of each distinct vertex pair once, in one batched kernel
-    call; lrw-gjs passes every candidate's rows as one group, normalized
-    by log2 t.
+    :func:`score_grid` shares among its calls.  lrw averages the
+    symmetrized walk mass s_ij + s_ji, read by exact gathers; lrw-js
+    evaluates the divergence of each distinct vertex pair once, in one
+    batched kernel call; lrw-gjs passes every candidate's rows as one
+    group, normalized by log2 t.
     """
     if kind not in WALK_KINDS:
         raise ParameterError(f"{kind!r} is not a walk method")
     cands = _candidates(edges)
     if not len(cands):
         return np.zeros(0)
+    if kind == LRW:
+        totals = np.zeros(len(cands.pairs.i))
+        _walk_mass(cands, 0, len(cands.vertices), [(rows, totals)])
+        return _pair_means(cands.pairs, totals)
     pos = rows.positions(cands.vertices)
     mat = rows.matrix
     if kind == LRW_GJS:
@@ -336,10 +366,6 @@ def score_edges_from_rows(kind: str, edges, rows: localwalk.WalkRows) -> np.ndar
             scores[idx] = 1.0 - divergence.divergences(mat, pos[ranks]) / math.log2(t)
         return _unit_interval(scores, cands)
     pairs = cands.pairs
-    if kind == LRW:
-        return _pair_means(
-            pairs, _gather(mat, pos[pairs.ri], pairs.j) + _gather(mat, pos[pairs.rj], pairs.i)
-        )
     distinct, inverse = cands.distinct_pairs
     values = divergence.divergences(mat, pos[distinct])[inverse]
     return _unit_interval(1.0 - _pair_means(pairs, values), cands)
@@ -502,6 +528,24 @@ def hpra_pair_table(g: Hypergraph, vertices) -> sparse.csr_matrix:
     return (xw + (xw @ sparse.diags(dinv)) @ w).tocsr()
 
 
+def _lrw_grid(p: sparse.csr_matrix, cands: _Candidates, grid: list) -> list[np.ndarray]:
+    """lrw scores of ``cands`` for each walk length of ``grid``, from walk
+    rows swept WALK_BLOCK_ENTRIES // n candidate vertices (at least one)
+    at a time.
+
+    A walk row depends only on its source, so a block's rows are those of
+    one full sweep.  Only each pair's s_ij + s_ji outlives the block, and
+    the means are the floats that one full sweep gives.
+    """
+    totals = {k: np.zeros(len(cands.pairs.i)) for k in localwalk.walk_lengths(grid)}
+    step = max(1, WALK_BLOCK_ENTRIES // p.shape[0])
+    for lo in range(0, len(cands.vertices), step):
+        block = localwalk.walk_matrix_rows_multi(p, cands.vertices[lo : lo + step], list(totals))
+        _walk_mass(cands, lo, lo + step, [(rows, totals[k]) for k, rows in block.items()])
+        del block  # dropped before the next block is swept
+    return [_pair_means(cands.pairs, totals[k]) for k in grid]
+
+
 def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]:
     """Scores of canonical candidate ``edges`` on ``g`` under each method
     of one family, one score array per value of ``grid``, in grid order.
@@ -511,7 +555,9 @@ def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]
     grid is ``[None]``.  Walk rows, the Katz table and resource-allocation
     rows are computed once, for the union of the edges' vertices: the walk
     methods share one propagation sweep up to the largest K, and hkatz one
-    table for every damping factor.
+    table for every damping factor.  lrw alone sweeps that union in blocks
+    of sources and gathers each block's walk mass before the next (see
+    :func:`_lrw_grid`); the scores are the same floats.
     """
     kinds, grid = list(kinds), list(grid)
     if not kinds or (len(kinds) > 1 and not set(kinds) <= set(WALK_KINDS)):
@@ -519,6 +565,8 @@ def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]
     cands = _candidates(edges, g)
     if kinds[0] in WALK_KINDS:
         p = projection.transition(g, allow_isolated=True)
+        if set(kinds) == {LRW}:
+            return {LRW: _lrw_grid(p, cands, grid)}
         rows_by_k = localwalk.walk_matrix_rows_multi(p, cands.vertices, grid)
         return {
             kind: [score_edges_from_rows(kind, cands, rows_by_k[k]) for k in grid]

@@ -108,6 +108,7 @@ def test_largest_component_picks_bigger():
 
 def test_largest_component_identity_when_connected(t1):
     assert largest_component(t1) == t1
+    assert largest_component(t1) is t1
 
 
 def test_largest_component_three_chain():

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -36,6 +37,7 @@ from hyperwalk.scoring import (
     score_grid,
     spectral_radius,
 )
+from hyperwalk.synthetic import random_hypergraph
 
 from conftest import candidate_checks_oracle, hypergraphs, katz_dense_oracle, katz_series_oracle
 
@@ -266,6 +268,40 @@ def test_score_grid_walk_kinds_match_each_k_alone(g, data):
         rows = walk_matrix_rows(p, vertices, k)
         for kind, scores in zip(WALK_KINDS, column):
             assert np.array_equal(scores, score_edges_from_rows(kind, edges, rows))
+
+
+@given(g=hypergraphs(max_n=14, max_m=14), data=st.data(), block=st.sampled_from([1, 2, 7]))
+@settings(max_examples=40, deadline=None)
+def test_score_grid_lrw_blocks_match_one_full_sweep(g, data, block):
+    present = np.flatnonzero(g.degrees > 0).tolist()
+    candidate = st.sets(st.sampled_from(present), min_size=2, max_size=min(5, len(present)))
+    drawn = data.draw(st.lists(candidate.map(lambda e: tuple(sorted(e))), min_size=1, max_size=12))
+    edges = drawn + data.draw(st.lists(st.sampled_from(drawn), max_size=4))  # repeated candidates
+    grid = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))  # any order, repeats
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scoring, "WALK_BLOCK_ENTRIES", block * g.n)  # `block` sources per sweep
+        got = score_grid([LRW], g, edges, grid)[LRW]
+    p = transition(g, allow_isolated=True)
+    vertices = sorted({v for e in edges for v in e})
+    for k, scores in zip(grid, got):
+        rows = walk_matrix_rows(p, vertices, k)
+        assert np.array_equal(scores, score_edges_from_rows(LRW, edges, rows))
+
+
+def test_lrw_memory_grows_with_the_block_not_the_sources(monkeypatch):
+    g = random_hypergraph(400, 1600, np.random.default_rng(0), max_size=4, connected=True)
+    edges = list(g.edges)  # every vertex of a connected graph is in some candidate
+
+    def peak(sources):
+        monkeypatch.setattr(scoring, "WALK_BLOCK_ENTRIES", sources * g.n)
+        tracemalloc.start()
+        try:
+            score_grid([LRW], g, edges, [2, 3])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16) < peak(g.n) / 2
 
 
 def test_score_grid_rejects_mixed_families_and_grids(t1):
