@@ -9,7 +9,6 @@ share across workers.
 from __future__ import annotations
 
 import numbers
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
@@ -20,7 +19,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .errors import EmptyHypergraphError, ParameterError, ParseError, _check_count
+from .errors import EmptyHypergraphError, ParameterError, ParseError, _check_count, _is_number
 
 Edge = tuple[int, ...]
 
@@ -29,9 +28,11 @@ class Hypergraph:
     """Vertex universe plus deduplicated hyperedges over dense 0-based ids.
 
     ``labels[v]`` is the original label of vertex ``v``.  Edges are
-    strictly increasing vertex tuples, given without duplicates in
-    lexicographic order (the constructor rejects anything else), so
-    iteration order is deterministic.  Construction does not forbid isolated
+    strictly increasing tuples of integer vertex ids, given without
+    duplicates in lexicographic order (the constructor rejects anything
+    else), so iteration order is deterministic.  ``members`` holds every
+    edge's vertex ids concatenated edge by edge and ``cardinalities`` each
+    edge's size, both int64.  Construction does not forbid isolated
     vertices: split hypergraphs used during evaluation keep the full vertex
     universe.
     """
@@ -40,16 +41,43 @@ class Hypergraph:
         if labels is not None and len(labels) != n:
             raise ValueError(f"{len(labels)} labels for {n} vertices")
         self.n = n
-        self.edges: tuple[Edge, ...] = tuple(tuple(e) for e in edges)
+        self.edges: tuple[Edge, ...] = tuple(map(tuple, edges))
         self.labels = tuple(labels) if labels is not None else tuple(range(n))
-        for e in self.edges:
-            if len(e) < 2:
-                raise ValueError(f"hyperedge {e} has fewer than two vertices")
-            if not all(map(operator.lt, e, e[1:])):
-                raise ValueError(f"hyperedge {e} is not a strictly increasing vertex tuple")
-            if e[0] < 0 or e[-1] >= n:
-                raise ValueError(f"hyperedge {e} outside vertex range 0..{n - 1}")
-        if not all(map(operator.lt, self.edges, self.edges[1:])):
+        self.cardinalities = np.fromiter(map(len, self.edges), np.int64, len(self.edges))
+        flat = list(chain.from_iterable(self.edges))
+        kinds = set(map(type, flat))
+        if not all(issubclass(k, numbers.Integral) and not issubclass(k, bool) for k in kinds):
+            bad = next(e for e in self.edges if not all(_is_number(v, numbers.Integral) for v in e))
+            raise ValueError(f"hyperedge {bad} has a vertex that is not an integer id")
+        try:
+            self.members = np.fromiter(flat, np.int64, len(flat))
+        except OverflowError:
+            # some vertex lies beyond int64, so a check below fails; Python
+            # objects keep the order the checks compare
+            self.members = np.array(flat, dtype=object)
+        self._check_edges()
+
+    def _check_edges(self) -> None:
+        """Raise ValueError naming the first edge that is not a strictly
+        increasing tuple of at least two ids in 0..n-1; failing that, raise
+        one unless the edges strictly ascend in lexicographic order."""
+        v, sizes, m = self.members, self.cardinalities, self.m
+        edge_of = np.repeat(np.arange(m), sizes)
+        falls = (v[1:] <= v[:-1]) & (edge_of[1:] == edge_of[:-1])
+        unsorted = np.bincount(edge_of[1:][falls], minlength=m) > 0
+        outside = np.bincount(edge_of[(v < 0) | (v >= self.n)], minlength=m) > 0
+        faults = [
+            (sizes < 2, "has fewer than two vertices"),
+            (unsorted, "is not a strictly increasing vertex tuple"),
+            (outside, f"outside vertex range 0..{self.n - 1}"),
+        ]
+        bad = np.logical_or.reduce([mask for mask, _ in faults])
+        if bad.any():
+            i = int(np.argmax(bad))
+            reason = next(text for mask, text in faults if mask[i])
+            raise ValueError(f"hyperedge {self.edges[i]} {reason}")
+        starts = np.cumsum(sizes) - sizes
+        if not (_tuple_signs(v, starts, sizes, np.arange(m - 1), np.arange(1, m)) < 0).all():
             raise ValueError("hyperedges are not distinct and in lexicographic order")
 
     @property
@@ -57,18 +85,9 @@ class Hypergraph:
         return len(self.edges)
 
     @cached_property
-    def members(self) -> np.ndarray:
-        """Vertex ids of all hyperedges, concatenated edge by edge."""
-        return np.fromiter(chain.from_iterable(self.edges), dtype=np.int64)
-
-    @cached_property
     def degrees(self) -> np.ndarray:
         """Number of incident hyperedges per vertex (hyperdegree)."""
         return np.bincount(self.members, minlength=self.n)
-
-    @cached_property
-    def cardinalities(self) -> np.ndarray:
-        return np.array([len(e) for e in self.edges], dtype=np.int64)
 
     def with_edges(self, edges: Iterable[Edge]) -> "Hypergraph":
         """Same vertex universe and labels, different edge list."""
@@ -94,21 +113,88 @@ class HypergraphStats:
     mean_cardinality: float
 
 
-def _parse_line(raw: str, number: int, label_mode: bool) -> list:
-    text = raw.strip()
-    if not text or text.startswith("#"):
-        return []
-    tokens = [t.strip() for t in (text.split(",") if "," in text else text.split())]
-    tokens = [t for t in tokens if t]
-    if label_mode:
-        return tokens
-    out = []
-    for t in tokens:
+def _tuple_signs(values, starts, sizes, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sign of the tuple comparison of row ``a[i]`` with row ``b[i]``, where
+    row r is the ``sizes[r]`` entries of ``values`` from ``starts[r]``."""
+    common = np.minimum(sizes[a], sizes[b])
+    pair = np.repeat(np.arange(len(a)), common)
+    step = np.arange(len(pair)) - np.repeat(np.cumsum(common) - common, common)
+    diff = np.sign(values[starts[a][pair] + step] - values[starts[b][pair] + step])
+    signs = np.sign(sizes[a] - sizes[b])  # rows equal up to the shorter one
+    differs = np.flatnonzero(diff)
+    # pair ascends, so a pair's first differing entry starts its run
+    first = differs[np.diff(pair[differs], prepend=-1) != 0]
+    signs[pair[first]] = diff[first]
+    return signs
+
+
+def _tuple_order(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Row indices in the tuple order of their rows, a prefix first: one
+    stable sort per column, from the last, of the rows that reach it."""
+    if values.max(initial=0) < 2**16:
+        values = values.astype(np.uint16)  # numpy's stable sort is a radix sort on these
+    by_size = np.argsort(sizes, kind="stable")
+    first = np.searchsorted(sizes[by_size], np.arange(sizes.max(initial=0) + 2))
+    order = by_size[:0]
+    for j in range(sizes.max(initial=0) - 1, -1, -1):
+        # rows ending at column j sort first among those that reach it
+        order = np.concatenate([by_size[first[j + 1]:first[j + 2]], order])
+        order = order[np.argsort(values[starts[order] + j], kind="stable")]
+    return order
+
+
+def _edge_tuples(members: np.ndarray, sizes: np.ndarray) -> list[Edge]:
+    """Python int tuples of ``sizes[i]`` consecutive ``members`` each."""
+    edges = np.empty(len(sizes), dtype=object)
+    starts = np.cumsum(sizes) - sizes
+    for size in np.unique(sizes).tolist():
+        at = np.flatnonzero(sizes == size)
+        # zip over one list per column builds each tuple without a row list
+        columns = members[starts[at, None] + np.arange(size)].T.tolist()
+        edges[at] = np.fromiter(zip(*columns), dtype=object, count=len(at))
+    return edges.tolist()
+
+
+def _label_array(flat: list) -> np.ndarray:
+    """Labels as int64 when all are ints that fit, else as Python objects.
+
+    Object arrays keep Python's order and equality for strings and for ints
+    beyond int64; numpy's fixed-width ``U`` strings would drop trailing NULs.
+    """
+    if set(map(type, flat)) <= {int}:
         try:
-            out.append(int(t))
-        except ValueError:
-            raise ParseError(number, f"non-integer vertex token {t!r}") from None
-    return out
+            return np.fromiter(flat, np.int64, len(flat))
+        except OverflowError:
+            pass
+    return np.fromiter(flat, dtype=object, count=len(flat))
+
+
+def _canonical(flat: list, sizes: np.ndarray, min_cardinality: int) -> Hypergraph:
+    """The hypergraph of labelled edges given as ``sizes[i]`` consecutive
+    labels of ``flat`` each: repeated labels within an edge collapse, edges
+    with fewer than ``min_cardinality`` distinct labels and repeated label
+    sets are dropped, and the labels of kept edges are numbered in sorted
+    order."""
+    _check_count("min_cardinality", min_cardinality, 2)
+    labels, ids = np.unique(_label_array(flat), return_inverse=True)
+    # sorted (edge, label) keys order each edge's ids; equal neighbours are repeats
+    width = max(len(labels), 1)
+    keys = np.sort(np.repeat(np.arange(len(sizes)), sizes) * width + ids)
+    edge_of, ids = np.divmod(keys[np.diff(keys, prepend=-1) != 0], width)
+    sizes = np.bincount(edge_of, minlength=len(sizes))
+    kept = sizes >= min_cardinality
+    ids, sizes = ids[kept[edge_of]], sizes[kept]
+    if not len(sizes):
+        raise EmptyHypergraphError("no hyperedges remain after filtering")
+    starts = np.cumsum(sizes) - sizes
+    order = _tuple_order(ids, starts, sizes)
+    order = order[np.r_[True, _tuple_signs(ids, starts, sizes, order[:-1], order[1:]) != 0]]
+    sizes = sizes[order]
+    ids = ids[np.repeat(starts[order] - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())]
+    used = np.zeros(len(labels), dtype=bool)
+    used[ids] = True
+    edges = _edge_tuples((np.cumsum(used) - 1)[ids], sizes)
+    return Hypergraph(int(used.sum()), edges, labels[used].tolist())
 
 
 def from_label_edges(
@@ -120,31 +206,71 @@ def from_label_edges(
     collapses duplicate vertex sets, and maps sorted unique labels to dense
     0-based ids.
     """
-    _check_count("min_cardinality", min_cardinality, 2)
-    kept = {e for e in map(frozenset, label_edges) if len(e) >= min_cardinality}
-    if not kept:
-        raise EmptyHypergraphError("no hyperedges remain after filtering")
-    labels = sorted({v for e in kept for v in e})
-    index = {lab: i for i, lab in enumerate(labels)}
-    edges = sorted(tuple(sorted(index[v] for v in e)) for e in kept)
-    return Hypergraph(len(labels), edges, labels)
+    edges = list(map(tuple, label_edges))
+    sizes = np.fromiter(map(len, edges), np.int64, len(edges))
+    return _canonical(list(chain.from_iterable(edges)), sizes, min_cardinality)
 
 
 def loads(text: str, label_mode: bool = False, min_cardinality: int = 2) -> Hypergraph:
-    """Parse hyperedge-list text (one edge per line, ',' or whitespace separated)."""
-    lines = enumerate(text.splitlines(), start=1)
-    return from_label_edges([_parse_line(t, n, label_mode) for n, t in lines], min_cardinality)
+    """Parse hyperedge-list text: one edge per line, ',' or whitespace separated.
+
+    Lines are those of ``str.splitlines``, so CR, CRLF and the other Unicode
+    line boundaries end a line as LF does.  Blank lines and lines starting
+    with '#' are skipped.  A line holding a ',' is split at commas, any
+    other at whitespace; tokens are stripped and empty ones dropped.
+    """
+    tokens: list[str] = []
+    counts: list[int] = []
+    line_numbers: list[int] = []
+    count, line_number = counts.append, line_numbers.append
+    for number, line in enumerate(map(str.strip, text.splitlines()), start=1):
+        if line and line[0] != "#":
+            parts = line.split(",") if "," in line else line.split()
+            tokens += parts
+            count(len(parts))
+            line_number(number)
+    tokens = list(map(str.strip, tokens))
+    filled = np.fromiter(map(bool, tokens), dtype=bool, count=len(tokens))
+    # every line holds at least one raw token, so the starts strictly ascend
+    starts = np.cumsum(counts, dtype=np.int64) - np.array(counts, dtype=np.int64)
+    sizes = np.add.reduceat(filled, starts, dtype=np.int64)
+    tokens = list(compress(tokens, filled))
+    if not label_mode:
+        try:
+            tokens = list(map(int, tokens))
+        except ValueError:
+            ends = np.cumsum(sizes)
+            for i, token in enumerate(tokens):
+                try:
+                    int(token)
+                except ValueError:
+                    number = line_numbers[int(np.searchsorted(ends, i, side="right"))]
+                    raise ParseError(number, f"non-integer vertex token {token!r}") from None
+    return _canonical(tokens, sizes, min_cardinality)
 
 
 def load(path, label_mode: bool = False, min_cardinality: int = 2) -> Hypergraph:
-    """Load a hyperedge-list file (UTF-8, '#' comments, LF or CRLF)."""
+    """Load a hyperedge-list file (UTF-8; the format of :func:`loads`)."""
     return loads(Path(path).read_text(encoding="utf-8"), label_mode, min_cardinality)
 
 
 def save(g: Hypergraph, path) -> None:
     """Write the canonical form: comma-separated original labels, vertices
-    ascending within an edge, edges in lexicographic order."""
-    lines = [",".join(str(g.labels[v]) for v in e) for e in g.edges]
+    ascending within an edge, edges in lexicographic order.
+
+    Raises ParameterError, before anything is written, for a label that
+    :func:`load` would not read back as written: one whose ``str`` is empty,
+    has surrounding whitespace, holds a ',' or a line boundary of
+    ``str.splitlines``, or starts a line with '#'.
+    """
+    text = [str(label) for label in g.labels]
+    first = np.zeros(g.n, dtype=bool)
+    first[g.members[np.cumsum(g.cardinalities) - g.cardinalities]] = True
+    for v in np.unique(g.members).tolist():
+        s = text[v]
+        if s.splitlines() != [s] or s != s.strip() or "," in s or (first[v] and s[0] == "#"):
+            raise ParameterError(f"label {g.labels[v]!r} would not load back as written")
+    lines = [",".join(text[v] for v in e) for e in g.edges]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -204,10 +330,10 @@ def largest_component(g: Hypergraph) -> Hypergraph:
         return g
     # ascending renumbering keeps vertex order, so the kept edges stay
     # strictly increasing and in lexicographic order
-    new_id = (np.cumsum(keep) - 1).tolist()
-    kept = keep.tolist()
-    edges = [tuple(new_id[v] for v in e) for e in g.edges if kept[e[0]]]
-    return Hypergraph(int(keep.sum()), edges, list(compress(g.labels, kept)))
+    kept = keep[g.members[np.cumsum(g.cardinalities) - g.cardinalities]]
+    members = (np.cumsum(keep) - 1)[g.members[np.repeat(kept, g.cardinalities)]]
+    edges = _edge_tuples(members, g.cardinalities[kept])
+    return Hypergraph(int(keep.sum()), edges, list(compress(g.labels, keep.tolist())))
 
 
 def stats(g: Hypergraph) -> HypergraphStats:

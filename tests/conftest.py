@@ -22,7 +22,13 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from hyperwalk import divergence
-from hyperwalk.errors import CandidateError, SamplingError
+from hyperwalk.errors import (
+    CandidateError,
+    EmptyHypergraphError,
+    ParameterError,
+    ParseError,
+    SamplingError,
+)
 from hyperwalk.hypergraph import Hypergraph, from_label_edges, largest_component
 
 DATA_DIR = Path(os.environ.get("HYPERWALK_DATA", Path(__file__).parent.parent / "data"))
@@ -176,6 +182,41 @@ def gjs_scalar_oracle(dists) -> float:
             if pi > 0:
                 total += w * pi * math.log2(pi / mix)
     return total
+
+
+def load_oracle(text: str, label_mode: bool, min_cardinality) -> tuple[int, tuple, tuple]:
+    """The reference loader: ``(n, edges, labels)`` of ``loads(text, label_mode,
+    min_cardinality)``, raising the same errors with the same messages.
+
+    Each line is parsed on its own and each edge is a frozenset; the labels
+    are numbered by ``sorted`` and the edges ordered by ``sorted`` on tuples.
+    """
+    edges = []
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = [t.strip() for t in (line.split(",") if "," in line else line.split())]
+        tokens = [t for t in tokens if t]
+        if not label_mode:
+            for i, t in enumerate(tokens):
+                try:
+                    tokens[i] = int(t)
+                except ValueError:
+                    raise ParseError(number, f"non-integer vertex token {t!r}") from None
+        edges.append(frozenset(tokens))
+    if not (
+        isinstance(min_cardinality, numbers.Integral)
+        and not isinstance(min_cardinality, bool)
+        and min_cardinality >= 2
+    ):
+        raise ParameterError(f"min_cardinality={min_cardinality!r} is not an integer >= 2")
+    kept = {e for e in edges if len(e) >= min_cardinality}
+    if not kept:
+        raise EmptyHypergraphError("no hyperedges remain after filtering")
+    labels = sorted({v for e in kept for v in e})
+    index = {label: i for i, label in enumerate(labels)}
+    return len(labels), tuple(sorted(tuple(sorted(index[v] for v in e)) for e in kept)), tuple(labels)
 
 
 def components_oracle(g: Hypergraph) -> list[int]:

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from hyperwalk.errors import EmptyHypergraphError, ParameterError, ParseError
+from hyperwalk.errors import EmptyHypergraphError, HyperwalkError, ParameterError, ParseError
 from hyperwalk.hypergraph import (
     Hypergraph,
     components,
@@ -18,7 +21,7 @@ from hyperwalk.hypergraph import (
 
 from hyperwalk.projection import adjacency
 
-from conftest import components_oracle, hypergraphs
+from conftest import components_oracle, hypergraphs, load_oracle
 
 
 def test_basic_parse():
@@ -60,6 +63,56 @@ def test_integer_mode_rejects_text_with_line_number():
     assert err.value.line_number == 2
 
 
+# Every line boundary of str.splitlines, so lone CR and the Unicode ones too.
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"]
+INT_TOKENS = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.sampled_from(["", " 3 ", "+4", "007", "1_0", str(2**63), str(2**64 + 1), str(-(2**63) - 1)]),
+)
+# inner spaces, a trailing NUL and digits that only compare equal as ints
+LABEL_TOKENS = st.sampled_from(["a", "b", "c", "a b", "b\x00", " c ", "é", "1", "01", ""])
+
+
+@st.composite
+def edge_list_texts(draw):
+    """(text, label_mode) with separators mixed per line, empty tokens,
+    comments, blank lines, every line boundary, repeated vertices, repeated
+    vertex sets, ints beyond int64 and, now and then, a bad integer token."""
+    label_mode = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["edge", "edge", "edge", "comment", "blank"]))
+        if kind == "comment":
+            line = draw(st.sampled_from(["#", "# 1,2", "  #x y"]))
+        elif kind == "blank":
+            line = draw(st.sampled_from(["", "  ", "\t"]))
+        else:
+            tokens = draw(st.lists(LABEL_TOKENS if label_mode else INT_TOKENS, min_size=1, max_size=5))
+            if not label_mode and draw(st.integers(0, 9)) == 0:
+                tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(["x", "1.5", "1 2"])))
+            line = draw(st.sampled_from([",", ", ", " ,", " ", "\t", "  "])).join(tokens)
+        lines.append(line + draw(st.sampled_from(LINE_ENDS)))
+    return "".join(lines), label_mode
+
+
+@given(edge_list_texts(), st.sampled_from([2, 2, 2, 3, 3, np.int64(3), 1, 2.0, True]))
+@settings(max_examples=300)
+def test_loads_matches_the_reference_loader(drawn, min_cardinality):
+    text, label_mode = drawn
+    try:
+        n, edges, labels = load_oracle(text, label_mode, min_cardinality)
+    except HyperwalkError as expected:
+        with pytest.raises(HyperwalkError) as got:
+            loads(text, label_mode, min_cardinality)
+        assert type(got.value) is type(expected)
+        assert str(got.value) == str(expected)
+        assert getattr(got.value, "line_number", None) == getattr(expected, "line_number", None)
+        return
+    g = loads(text, label_mode, min_cardinality)
+    assert (g.n, g.edges, g.labels) == (n, edges, labels)
+    assert list(map(type, g.labels)) == list(map(type, labels))
+
+
 def test_empty_after_filter():
     with pytest.raises(EmptyHypergraphError):
         loads("7\n# nothing\n")
@@ -82,6 +135,9 @@ def test_min_cardinality_filter():
         [(2,)],
         [(0, 1), (0, 1)],
         [(1, 2), (0, 1)],
+        [(0.5, 1)],
+        [(True, 2)],
+        [(0, 1.0)],
     ],
 )
 def test_constructor_rejects_malformed_edges(edges):
@@ -89,7 +145,7 @@ def test_constructor_rejects_malformed_edges(edges):
     # would be missed by set lookups of its canonical form, such as the
     # sampler's forbidden set; a repeated edge would count twice in m and
     # the degrees; an unsorted edge list would make iteration order depend
-    # on the caller
+    # on the caller; a float or bool vertex would be stored as another id
     with pytest.raises(ValueError):
         Hypergraph(3, edges)
 
@@ -199,6 +255,16 @@ def test_label_mode_save_load_roundtrip(tmp_path):
     back = load(path, label_mode=True)
     original = {frozenset(g.labels[v] for v in e) for e in g.edges}
     assert original == {frozenset(back.labels[v] for v in e) for e in back.edges}
+
+
+@pytest.mark.parametrize("label", [" z", "#x", "a,b", "a\nb", ""])
+def test_save_refuses_labels_that_do_not_load_back(tmp_path, label):
+    # each label sorts before "y", so it also starts its line
+    g = from_label_edges([[label, "y"]])
+    path = tmp_path / "g.txt"
+    with pytest.raises(ParameterError, match=re.escape(repr(label))):
+        save(g, path)
+    assert not path.exists()
 
 
 def test_vertex_rows_sorts_deduplicates_and_selects():
