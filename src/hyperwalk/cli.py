@@ -21,13 +21,9 @@ from pathlib import Path
 
 from . import __version__, bench, experiment, hypergraph
 from . import config as config_mod
-from .config import RunConfig
+from .config import RunConfig, dataset_name
 from .errors import HyperwalkError, ParameterError, _check_count
 from .scoring import HKATZ, WALK_KINDS, MethodSpec
-
-
-def _dataset_name(path: str) -> str:
-    return Path(path).stem
 
 
 def _dataset_checksum(path: str) -> str:
@@ -55,7 +51,7 @@ def cmd_stats(cfg: RunConfig) -> int:
     for path in cfg.dataset:
         g = _prepare(path, cfg)
         s = hypergraph.stats(g)
-        rows.append([_dataset_name(path), s.n, s.m, s.mean_degree, s.mean_cardinality])
+        rows.append([dataset_name(path), s.n, s.m, s.mean_degree, s.mean_cardinality])
     header = ["dataset", "vertices", "hyperedges", "mean_degree", "mean_size"]
     _print_table(header, rows, ("", "", "", ".2f", ".2f"))
     return 0
@@ -66,7 +62,7 @@ def _provenance(cfg: RunConfig) -> dict:
         "version": __version__,
         "config_hash": config_mod.config_hash(cfg),
         "seed": cfg.seed,
-        "datasets": {_dataset_name(p): _dataset_checksum(p) for p in cfg.dataset},
+        "datasets": {dataset_name(p): _dataset_checksum(p) for p in cfg.dataset},
     }
 
 
@@ -119,7 +115,7 @@ def cmd_run(cfg: RunConfig) -> int:
         g = _prepare(path, cfg)
         for alpha in cfg.alpha:
             result = _run_experiment(g, cfg, cfg.rho[0], alpha)
-            run = {"dataset": _dataset_name(path), **result.to_json_dict()}
+            run = {"dataset": dataset_name(path), **result.to_json_dict()}
             runs.append(run)
             # an aggregate holds auroc_mean, f1_mean and chosen_param_mode, in order
             rows.extend([run["dataset"], alpha, kind, *agg.values()]
@@ -174,7 +170,7 @@ def cmd_cv(cfg: RunConfig) -> int:
                     _, _, chosen = experiment.tune_trial(g, split_spec, sampling, specs, trial,
                                                          cfg.folds, cfg.k_grid, cfg.beta_grid)
                 for kind in tunable:
-                    rows.append([_dataset_name(path), alpha, trial, kind, chosen[kind]])
+                    rows.append([dataset_name(path), alpha, trial, kind, chosen[kind]])
     _print_table(["dataset", "alpha", "trial", "method", "chosen"], rows, ("", "g", "", "", "g"))
     return 0
 

@@ -36,11 +36,19 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """Check every setting: a list setting needs at least one value,
-        min-cardinality is checked here, and every other value must pass
-        the library check that will carry it."""
+        no two datasets may share a name, min-cardinality is checked here,
+        and every other value must pass the library check that will carry
+        it."""
         for key, (name, _, is_list, _) in _KEYS.items():
             if is_list and not getattr(self, name):
                 raise ParameterError(f"{key} needs at least one value")
+        names = list(map(dataset_name, self.dataset))
+        for k, name in enumerate(names):
+            if name in names[:k]:
+                raise ParameterError(
+                    f"datasets {self.dataset[names.index(name)]} and {self.dataset[k]} "
+                    f"share the name {name!r}, which labels their results"
+                )
         experiment.check_run_settings(self.folds, self.threads, self.k_grid, self.beta_grid)
         _check_count("min-cardinality", self.min_cardinality, 2)
         experiment.resolve_methods(self.methods)
@@ -49,6 +57,11 @@ class RunConfig:
         for alpha in self.alpha:
             experiment.SamplingSpec(alpha, self.fakes_per_missing)
         return self
+
+
+def dataset_name(path: str) -> str:
+    """The name a dataset's results carry: its file name without suffix."""
+    return Path(path).stem
 
 
 # file/flag key -> (field name, element parser, is_list, flag help)
@@ -111,7 +124,9 @@ def to_text(cfg: RunConfig) -> str:
 
 
 def from_text(text: str) -> RunConfig:
-    updates = {}
+    """The config of file text ``text``; a key given twice raises
+    ParameterError naming both lines."""
+    updates, seen = {}, {}
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -122,6 +137,9 @@ def from_text(text: str) -> RunConfig:
         key = key.strip()
         if key not in _KEYS:
             raise ParameterError(f"config line {number}: unknown key {key!r}")
+        if key in seen:
+            raise ParameterError(f"config lines {seen[key]} and {number} both set {key!r}")
+        seen[key] = number
         updates[_KEYS[key][0]] = _parse_value(key, value)
     return RunConfig(**updates)
 

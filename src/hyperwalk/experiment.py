@@ -32,7 +32,7 @@ from .errors import (
     _check_count,
     _is_number,
 )
-from .hypergraph import Edge, Hypergraph, components
+from .hypergraph import Edge, Hypergraph, _tuple_order, components
 from .scoring import HKATZ, LRW, WALK_KINDS, MethodSpec
 
 logger = logging.getLogger(__name__)
@@ -235,12 +235,12 @@ def auroc(scores, labels):
 
 def select_top(edges: Sequence[Edge], scores, cutoff: int) -> list[int]:
     """Indices of the cutoff best candidates: score descending, then
-    canonical edge encoding ascending.
+    canonical edge encoding ascending, as tuples compare.
 
-    One ``lexsort`` over the negated scores and the edges' vertex columns,
-    padded below every vertex id so that an edge sorts before the edges it
-    is a prefix of, as tuples do.  A score that is NaN or infinite raises
-    ParameterError.
+    The edges are put in tuple order by the loader's
+    :func:`~hyperwalk.hypergraph._tuple_order`, then one stable sort of the
+    negated scores over that order breaks score ties by it.  A score that
+    is NaN or infinite raises ParameterError.
     """
     scores = _finite_scores(scores)
     if len(edges) != len(scores):
@@ -248,9 +248,8 @@ def select_top(edges: Sequence[Edge], scores, cutoff: int) -> list[int]:
     _check_count("cutoff", cutoff, 0)
     sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
     flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=int(sizes.sum()))
-    columns = np.full((len(edges), sizes.max(initial=0)), flat.min(initial=0) - 1)
-    columns[np.arange(columns.shape[1]) < sizes[:, None]] = flat
-    return np.lexsort((*columns.T[::-1], -scores))[:cutoff].tolist()
+    order = _tuple_order(flat, np.cumsum(sizes) - sizes, sizes)
+    return order[np.argsort(-scores[order], kind="stable")][:cutoff].tolist()
 
 
 def f1_at_cutoff(edges: Sequence[Edge], scores, labels, cutoff: int) -> float:

@@ -9,6 +9,7 @@ share across workers.
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
@@ -76,8 +77,7 @@ class Hypergraph:
             i = int(np.argmax(bad))
             reason = next(text for mask, text in faults if mask[i])
             raise ValueError(f"hyperedge {self.edges[i]} {reason}")
-        starts = np.cumsum(sizes) - sizes
-        if not (_tuple_signs(v, starts, sizes, np.arange(m - 1), np.arange(1, m)) < 0).all():
+        if not all(map(operator.lt, self.edges, self.edges[1:])):
             raise ValueError("hyperedges are not distinct and in lexicographic order")
 
     @property
@@ -113,25 +113,11 @@ class HypergraphStats:
     mean_cardinality: float
 
 
-def _tuple_signs(values, starts, sizes, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sign of the tuple comparison of row ``a[i]`` with row ``b[i]``, where
-    row r is the ``sizes[r]`` entries of ``values`` from ``starts[r]``."""
-    common = np.minimum(sizes[a], sizes[b])
-    pair = np.repeat(np.arange(len(a)), common)
-    step = np.arange(len(pair)) - np.repeat(np.cumsum(common) - common, common)
-    diff = np.sign(values[starts[a][pair] + step] - values[starts[b][pair] + step])
-    signs = np.sign(sizes[a] - sizes[b])  # rows equal up to the shorter one
-    differs = np.flatnonzero(diff)
-    # pair ascends, so a pair's first differing entry starts its run
-    first = differs[np.diff(pair[differs], prepend=-1) != 0]
-    signs[pair[first]] = diff[first]
-    return signs
-
-
 def _tuple_order(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Row indices in the tuple order of their rows, a prefix first: one
-    stable sort per column, from the last, of the rows that reach it."""
-    if values.max(initial=0) < 2**16:
+    """Row indices in the tuple order of their rows, a prefix first and
+    equal rows in index order: one stable sort per column, from the last,
+    of the rows that reach it."""
+    if 0 <= values.min(initial=0) and values.max(initial=0) < 2**16:
         values = values.astype(np.uint16)  # numpy's stable sort is a radix sort on these
     by_size = np.argsort(sizes, kind="stable")
     first = np.searchsorted(sizes[by_size], np.arange(sizes.max(initial=0) + 2))
@@ -188,12 +174,13 @@ def _canonical(flat: list, sizes: np.ndarray, min_cardinality: int) -> Hypergrap
         raise EmptyHypergraphError("no hyperedges remain after filtering")
     starts = np.cumsum(sizes) - sizes
     order = _tuple_order(ids, starts, sizes)
-    order = order[np.r_[True, _tuple_signs(ids, starts, sizes, order[:-1], order[1:]) != 0]]
     sizes = sizes[order]
     ids = ids[np.repeat(starts[order] - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())]
     used = np.zeros(len(labels), dtype=bool)
     used[ids] = True
     edges = _edge_tuples((np.cumsum(used) - 1)[ids], sizes)
+    # in tuple order, a repeated label set equals its predecessor
+    edges = list(compress(edges, map(operator.ne, edges, [(), *edges])))
     return Hypergraph(int(used.sum()), edges, labels[used].tolist())
 
 
@@ -266,7 +253,7 @@ def save(g: Hypergraph, path) -> None:
     text = [str(label) for label in g.labels]
     first = np.zeros(g.n, dtype=bool)
     first[g.members[np.cumsum(g.cardinalities) - g.cardinalities]] = True
-    for v in np.unique(g.members).tolist():
+    for v in np.flatnonzero(g.degrees).tolist():
         s = text[v]
         if s.splitlines() != [s] or s != s.strip() or "," in s or (first[v] and s[0] == "#"):
             raise ParameterError(f"label {g.labels[v]!r} would not load back as written")

@@ -17,22 +17,23 @@ every walk length and method of the call shares that expansion: the
 sorted union of the candidates' vertices, each cardinality's vertex
 matrix as ranks in that union, and, built only when a method reads them,
 the vertex pairs in ``combinations`` order (one ``triu_indices`` block
-per cardinality) and the distinct pairs.  The candidate checks of
-:func:`score_candidates` run on the same cardinality blocks.  A walk method maps the ranks
-onto one K's walk rows with a single row lookup.  lrw alone sweeps its
-walk rows WALK_BLOCK_ENTRIES // n sources at a time and keeps only each
-pair's s_ij + s_ji, so its memory grows with the candidate pairs and the
-block; any other walk family shares one full sweep, as lrw-js and
-lrw-gjs need both rows of a pair at once.  Each method computes
-all pair values at once: exact gathers from the walk-row CSR matrix
-(lrw), from the sparse resource-allocation product (hpra) or from the
-Katz table (hkatz); row products of the binary adjacency (hcn); or one
-batched divergence kernel call over the distinct pairs (lrw-js).
-lrw-gjs passes each candidate's rows to the kernel as one group.  One
-helper, :func:`_pair_means`, then averages the pair values of every
-candidate, adding them slot by slot in pair order so each mean is the same
-float as a one-pair-at-a-time loop.  The divergence kernel bounds its
-temporaries with a fixed per-chunk entry budget (see
+per cardinality, so no candidate is padded to the largest) and the
+distinct pairs.  The candidate checks of :func:`score_candidates` run on
+the same cardinality blocks.  A walk method maps the ranks onto one K's
+walk rows with a single row lookup.  lrw alone sweeps its walk rows
+WALK_BLOCK_ENTRIES // n sources at a time and keeps only each pair's
+s_ij + s_ji, so its memory grows with the candidate pairs and the block;
+any other walk family shares one full sweep, as lrw-js and lrw-gjs need
+both rows of a pair at once.  Each method computes all pair values at
+once: exact gathers from the walk-row CSR matrix (lrw), from the sparse
+resource-allocation product (hpra) or from the Katz table (hkatz); row
+products of the binary adjacency (hcn); or one batched divergence kernel
+call over the distinct pairs (lrw-js).  lrw-gjs passes each candidate's
+rows to the kernel as one group.  One helper, :func:`_pair_means`, then
+averages the pair values of every candidate, one cardinality block at a
+time, adding each candidate's pairs left to right so each mean is the
+same float as a one-pair-at-a-time loop.  The divergence kernel bounds
+its temporaries with a fixed per-chunk entry budget (see
 :mod:`hyperwalk.divergence`).
 
 The closed-form Katz table decomposes the adjacency once per connected
@@ -146,21 +147,17 @@ class ScoredEdge:
 
 
 class _Pairs(NamedTuple):
-    """Vertex pairs of a batch of candidates.
-
-    Pair p of candidate c is ``(i[slots[c, p]], j[slots[c, p]])``, with
-    i < j and pairs listed in ``combinations`` order; ``slots`` is -1 past
-    a candidate's last pair.  ``ri`` and ``rj`` are the ranks of i and j
-    among the candidates' vertices, and ``sizes`` holds the candidates'
-    cardinalities.
+    """Vertex pairs of a batch of candidates, i < j, listed block by block
+    as in :attr:`_Candidates.blocks` and, within a block of cardinality t,
+    candidate by candidate, each candidate's t(t - 1)/2 pairs in
+    ``combinations`` order.  ``ri`` and ``rj`` are the ranks of i and j
+    among the candidates' vertices.
     """
 
     i: np.ndarray
     j: np.ndarray
     ri: np.ndarray
     rj: np.ndarray
-    slots: np.ndarray
-    sizes: np.ndarray
 
 
 class _Candidates(Sequence):
@@ -228,19 +225,13 @@ class _Candidates(Sequence):
 
     @cached_property
     def pairs(self) -> _Pairs:
-        width = max((t * (t - 1) // 2 for t, _, _ in self.blocks), default=0)
-        slots = np.full((len(self), width), -1, dtype=np.int64)
-        first, second = [], []
-        base = 0
-        for t, idx, ranks in self.blocks:
+        first, second = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for t, _, ranks in self.blocks:
             iu, ju = np.triu_indices(t, 1)
             first.append(ranks[:, iu].ravel())
             second.append(ranks[:, ju].ravel())
-            slots[idx, : len(iu)] = base + np.arange(len(idx) * len(iu)).reshape(len(idx), len(iu))
-            base += len(idx) * len(iu)
-        empty = np.zeros(0, dtype=np.int64)
-        ri, rj = np.concatenate(first or [empty]), np.concatenate(second or [empty])
-        return _Pairs(self.vertices[ri], self.vertices[rj], ri, rj, slots, self.sizes)
+        ri, rj = np.concatenate(first), np.concatenate(second)
+        return _Pairs(self.vertices[ri], self.vertices[rj], ri, rj)
 
     @cached_property
     def distinct_pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -286,18 +277,25 @@ def _candidates(edges, g: Hypergraph | None = None) -> _Candidates:
     return edges if isinstance(edges, _Candidates) else _Candidates(edges, g)
 
 
-def _pair_means(pairs: _Pairs, values: np.ndarray) -> np.ndarray:
-    """Mean of per-pair ``values`` over each candidate's pairs.
+def _pair_means(cands: _Candidates, values: np.ndarray) -> np.ndarray:
+    """Mean of per-pair ``values``, one per pair of ``cands.pairs``, over
+    each candidate's pairs.
 
-    Pair terms are added slot by slot, left to right, then scaled by
-    2 / (t(t - 1)), so each mean is the same float as summing the
-    candidate's pairs one by one in ``combinations`` order.
+    Each cardinality block's pairs are one (candidates, t(t - 1)/2) slice
+    of ``values``; its columns are added left to right from 0.0, then
+    scaled by 2 / (t(t - 1)), so each mean is the same float as summing
+    the candidate's pairs one by one in ``combinations`` order.
     """
-    padded = np.append(np.asarray(values, dtype=np.float64), 0.0)  # slot -1 reads 0.0
-    total = np.zeros(len(pairs.slots))
-    for col in pairs.slots.T:
-        total += padded[col]
-    return total * 2.0 / (pairs.sizes * (pairs.sizes - 1))
+    means = np.empty(len(cands))
+    start = 0
+    for t, idx, _ in cands.blocks:
+        block = values[start : start + len(idx) * t * (t - 1) // 2].reshape(len(idx), -1)
+        start += block.size
+        total = np.zeros(len(idx))
+        for col in block.T:
+            total += col
+        means[idx] = total * 2.0 / (t * (t - 1))
+    return means
 
 
 def _unit_interval(scores: np.ndarray, edges) -> np.ndarray:
@@ -357,7 +355,7 @@ def score_edges_from_rows(kind: str, edges, rows: localwalk.WalkRows) -> np.ndar
     if kind == LRW:
         totals = np.zeros(len(cands.pairs.i))
         _walk_mass(cands, 0, len(cands.vertices), [(rows, totals)])
-        return _pair_means(cands.pairs, totals)
+        return _pair_means(cands, totals)
     pos = rows.positions(cands.vertices)
     mat = rows.matrix
     if kind == LRW_GJS:
@@ -365,10 +363,9 @@ def score_edges_from_rows(kind: str, edges, rows: localwalk.WalkRows) -> np.ndar
         for t, idx, ranks in cands.blocks:
             scores[idx] = 1.0 - divergence.divergences(mat, pos[ranks]) / math.log2(t)
         return _unit_interval(scores, cands)
-    pairs = cands.pairs
     distinct, inverse = cands.distinct_pairs
     values = divergence.divergences(mat, pos[distinct])[inverse]
-    return _unit_interval(1.0 - _pair_means(pairs, values), cands)
+    return _unit_interval(1.0 - _pair_means(cands, values), cands)
 
 
 def spectral_radius(a: sparse.csr_matrix) -> float:
@@ -543,7 +540,7 @@ def _lrw_grid(p: sparse.csr_matrix, cands: _Candidates, grid: list) -> list[np.n
         block = localwalk.walk_matrix_rows_multi(p, cands.vertices[lo : lo + step], list(totals))
         _walk_mass(cands, lo, lo + step, [(rows, totals[k]) for k, rows in block.items()])
         del block  # dropped before the next block is swept
-    return [_pair_means(cands.pairs, totals[k]) for k in grid]
+    return [_pair_means(cands, totals[k]) for k in grid]
 
 
 def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]:
@@ -576,7 +573,7 @@ def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]
     pairs = cands.pairs
     if kind == HKATZ:
         table = katz_pair_table(g, cands.vertices)
-        return {kind: [_pair_means(pairs, table.values(beta, pairs.i, pairs.j)) for beta in grid]}
+        return {kind: [_pair_means(cands, table.values(beta, pairs.i, pairs.j)) for beta in grid]}
     if grid != [None]:
         raise ParameterError(f"{kind} has no parameter; its grid is [None], not {grid}")
     if kind == HCN:
@@ -585,7 +582,7 @@ def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]
     else:
         table = hpra_pair_table(g, cands.vertices)  # row r is vertex cands.vertices[r]
         values = _gather(table, pairs.rj, pairs.i)
-    return {kind: [_pair_means(pairs, values)]}
+    return {kind: [_pair_means(cands, values)]}
 
 
 def score_candidates(method: MethodSpec, g: Hypergraph, candidates) -> list[ScoredEdge]:

@@ -65,6 +65,20 @@ def test_bad_value_rejected():
         from_text("label-mode = maybe\n")
 
 
+def test_key_given_twice_rejected():
+    with pytest.raises(ParameterError, match="lines 2 and 4 both set 'trials'"):
+        from_text("seed = 1\ntrials = 3\n# again\ntrials = 5\n")
+
+
+def test_datasets_sharing_a_name_rejected():
+    # results.json and results.csv label each run by the file's stem
+    with pytest.raises(ParameterError, match="a/x.txt and b/x.txt share the name 'x'"):
+        RunConfig(dataset=("a/x.txt", "y.txt", "b/x.txt")).validate()
+    with pytest.raises(ParameterError, match="share the name 'x'"):
+        RunConfig(dataset=("x.txt", "x.csv")).validate()
+    RunConfig(dataset=("a/x.txt", "b/y.txt")).validate()
+
+
 def test_validate_flags_bad_fields():
     with pytest.raises(ParameterError):
         RunConfig().validate()  # no dataset

@@ -387,8 +387,10 @@ def test_f1_tie_break_canonical_edge_order():
 @settings(max_examples=150, deadline=None)
 def test_select_top_matches_sorted_key(data):
     # few vertices and cardinalities 2..4: prefixes such as (1, 2) and
-    # (1, 2, 3), repeated edges, exact ties and 0.0 against -0.0
-    edge = st.lists(st.integers(0, 5), min_size=2, max_size=4, unique=True).map(
+    # (1, 2, 3), repeated edges, exact ties and 0.0 against -0.0; ids below
+    # 0 or from 2^16 up take the int64 sort, the others the uint16 radix sort
+    vertex = st.integers(-2, 5) | st.integers(2**16 - 2, 2**16 + 3)
+    edge = st.lists(vertex, min_size=2, max_size=4, unique=True).map(
         lambda e: tuple(sorted(e))
     )
     edges = data.draw(st.lists(edge, min_size=1, max_size=25))

@@ -39,7 +39,13 @@ from hyperwalk.scoring import (
 )
 from hyperwalk.synthetic import random_hypergraph
 
-from conftest import candidate_checks_oracle, hypergraphs, katz_dense_oracle, katz_series_oracle
+from conftest import (
+    candidate_checks_oracle,
+    hypergraphs,
+    katz_dense_oracle,
+    katz_series_oracle,
+    select_top_oracle,
+)
 
 
 def score(kind, edge, rows) -> float:
@@ -302,6 +308,36 @@ def test_lrw_memory_grows_with_the_block_not_the_sources(monkeypatch):
             tracemalloc.stop()
 
     assert peak(16) < peak(g.n) / 2
+
+
+def test_one_large_candidate_pads_no_other():
+    # 3000 triples and one candidate of 100 vertices: a layout padded to the
+    # largest candidate would hold 3001 x 4950 pair slots (119 MB) and
+    # 3001 x 100 vertex columns (2.4 MB)
+    from hyperwalk.experiment import select_top
+
+    rng = np.random.default_rng(0)
+    g = random_hypergraph(3000, 1500, rng, max_size=3)
+    used = np.flatnonzero(g.degrees)
+    edges = [tuple(sorted(rng.choice(used, 3, replace=False).tolist())) for _ in range(3000)]
+    edges.append(tuple(used[:100].tolist()))
+    pair_bytes = 8 * sum(len(e) * (len(e) - 1) // 2 for e in edges)
+    token_bytes = 8 * sum(map(len, edges))
+    scores = rng.random(len(edges))
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    got, cn_peak = peak(lambda: score_grid([HCN], g, edges, [None])[HCN][0])
+    assert cn_peak < 64 * pair_bytes
+    assert got[-1] == score_grid([HCN], g, edges[-1:], [None])[HCN][0][0]
+    top, top_peak = peak(lambda: select_top(edges, scores, len(edges)))
+    assert top_peak < 16 * token_bytes
+    assert top == select_top_oracle(edges, scores, len(edges))
 
 
 def test_score_grid_rejects_mixed_families_and_grids(t1):
