@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import divergence, localwalk, projection, scoring, synthetic
-from .errors import ParameterError
+from .errors import ParameterError, _check_count, _check_positive
 
 # Random source pairs (and as many triples) per divergence timing, and
 # timed calls per measurement, of which the fastest counts.
@@ -63,8 +63,16 @@ def walk_cost_curve(
     """Per-row, per-JS and per-GJS seconds across a degree grid at fixed K.
 
     Divergences are timed as one batched kernel call over PAIRS random
-    source pairs and one over as many triples.
+    source pairs and one over as many triples.  Raises ParameterError
+    unless the seed is an integer >= 0, batch_rows one >= 3 and every
+    degree a finite real number > 0; the graph generator checks n and the
+    cardinality, and the walk k.
     """
+    _check_count("seed", seed, 0)
+    _check_count("batch_rows", batch_rows, 3)  # divergences are timed on triples of rows
+    degree_grid = list(degree_grid)
+    for d in degree_grid:
+        _check_positive("degree", d)
     points = []
     for d in degree_grid:
         rng = np.random.default_rng([seed, int(d * 1000), k])
@@ -108,7 +116,9 @@ def row_cost_slope(points) -> float:
 def method_runtimes(seed: int = 0) -> dict[str, float]:
     """Wall-clock of score_candidates per method on one shared workload,
     the fastest of REPEATS calls, so no method pays for a cold first call;
-    the methods take turns within each round (see :func:`_time`)."""
+    the methods take turns within each round (see :func:`_time`).  Raises
+    ParameterError unless the seed is an integer >= 0."""
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     g = synthetic.regular_cardinality_hypergraph(
         RUNTIME_VERTICES, RUNTIME_CARDINALITY, RUNTIME_DEGREE, rng

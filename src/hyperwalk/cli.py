@@ -13,7 +13,6 @@ import csv
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import replace
@@ -22,7 +21,7 @@ from pathlib import Path
 from . import __version__, bench, experiment, hypergraph
 from . import config as config_mod
 from .config import RunConfig, dataset_name
-from .errors import HyperwalkError, ParameterError, _check_count
+from .errors import HyperwalkError, ParameterError
 from .scoring import HKATZ, WALK_KINDS, MethodSpec
 
 
@@ -175,29 +174,10 @@ def cmd_cv(cfg: RunConfig) -> int:
     return 0
 
 
-def _check_bench_flags(args) -> None:
-    """Range rules of bench's own flags, which build no checked library object."""
-    lowest = [
-        ("seed", [args.seed], 0),
-        ("bench-k", args.bench_k, 1),
-        ("bench-cardinality", [args.bench_cardinality], 2),
-        ("bench-vertices", [args.bench_vertices], args.bench_cardinality),
-        ("bench-rows", [args.bench_rows], 3),  # divergences are timed on triples of rows
-    ]
-    for flag, values, low in lowest:
-        for v in values:
-            _check_count(flag, v, low)
-    for d in args.bench_degrees:
-        if not (math.isfinite(d) and d > 0):
-            raise ParameterError(f"bench-degrees value {d} is not a finite number > 0")
-
-
 def cmd_bench(args) -> int:
-    _check_bench_flags(args)
-    header = ["k", "degree", "row_seconds", "js_seconds", "gjs_seconds"]
-    rows = []
-    for k in args.bench_k:
-        points = bench.walk_cost_curve(
+    # every curve is measured before any is printed, so a bad flag prints nothing
+    curves = {
+        k: bench.walk_cost_curve(
             n=args.bench_vertices,
             degree_grid=args.bench_degrees,
             k=k,
@@ -205,6 +185,11 @@ def cmd_bench(args) -> int:
             batch_rows=args.bench_rows,
             seed=args.seed,
         )
+        for k in args.bench_k
+    }
+    header = ["k", "degree", "row_seconds", "js_seconds", "gjs_seconds"]
+    rows = []
+    for k, points in curves.items():
         rows.extend([k, p.mean_degree, p.seconds_row, p.seconds_js, p.seconds_gjs] for p in points)
         degs = [p.mean_degree for p in points]
         print(
@@ -226,29 +211,31 @@ def cmd_bench(args) -> int:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    """``--config`` plus one flag per config key, stored under its field
-    name as the file's text; ``--dataset`` repeats and a bool key is a switch."""
-    p.add_argument("--config", help="flat key = value config file")
+    """``--config`` plus one flag per config key, each given text stored in
+    a list under its field name; a bool key is a switch."""
+    p.add_argument("--config", action="append", help="flat key = value config file")
     for key, (name, elem, _, help_text) in config_mod._KEYS.items():
-        if key == "dataset":
-            p.add_argument(f"--{key}", dest=name, action="append", help=help_text)
-        elif elem is bool:
-            p.add_argument(f"--{key}", dest=name, action="store_const", const="true", help=help_text)
+        if elem is bool:
+            p.add_argument(f"--{key}", dest=name, action="append_const", const="true", help=help_text)
         else:
-            p.add_argument(f"--{key}", dest=name, help=help_text)
+            p.add_argument(f"--{key}", dest=name, action="append", help=help_text)
 
 
 def _config_from_args(args) -> RunConfig:
     """The config file, if any, with every given flag parsed as its file
-    value would be; ``--dataset`` repeats and ``--label-mode`` is a switch."""
-    cfg = config_mod.load_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    for key, (name, _, _, _) in config_mod._KEYS.items():
-        given = getattr(args, name)
-        if given is not None:
-            # repeated --dataset flags read as one comma list
-            text = ",".join(given) if key == "dataset" else given
-            overrides[name] = config_mod._parse_value(key, text)
+    value would be.  Repeated ``--dataset`` flags read as one comma list;
+    any other flag given twice raises ParameterError, as a key set twice
+    in the file does."""
+    given = {key: getattr(args, name) or [] for key, (name, *_) in config_mod._KEYS.items()}
+    for key, texts in [("config", args.config or []), *given.items()]:
+        if len(texts) > 1 and key != "dataset":
+            raise ParameterError(f"flag --{key} is given {len(texts)} times")
+    cfg = config_mod.load_config(args.config[0]) if args.config else RunConfig()
+    overrides = {
+        config_mod._KEYS[key][0]: config_mod._parse_value(key, ",".join(texts))
+        for key, texts in given.items()
+        if texts
+    }
     return replace(cfg, **overrides)
 
 

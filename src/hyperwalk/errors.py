@@ -1,6 +1,7 @@
-"""Exception hierarchy shared across the package, and the one number rule
-for integer settings."""
+"""Exception hierarchy shared across the package, and the number rules
+for integer and positive real settings."""
 
+import math
 import numbers
 
 
@@ -57,3 +58,9 @@ def _check_count(name: str, value, low: int = 1) -> None:
     """Raise ParameterError unless ``value`` is an integer >= ``low``."""
     if not (_is_number(value, numbers.Integral) and value >= low):
         raise ParameterError(f"{name}={value!r} is not an integer >= {low}")
+
+
+def _check_positive(name: str, value) -> None:
+    """Raise ParameterError unless ``value`` is a finite real number > 0."""
+    if not (_is_number(value, numbers.Real) and 0 < value < math.inf):
+        raise ParameterError(f"{name}={value!r} is not a finite real number > 0")

@@ -16,24 +16,26 @@ Scoring is batched.  :func:`score_grid` expands its candidates once, and
 every walk length and method of the call shares that expansion: the
 sorted union of the candidates' vertices, each cardinality's vertex
 matrix as ranks in that union, and, built only when a method reads them,
-the vertex pairs in ``combinations`` order (one ``triu_indices`` block
-per cardinality, so no candidate is padded to the largest) and the
-distinct pairs.  The candidate checks of :func:`score_candidates` run on
-the same cardinality blocks.  A walk method maps the ranks onto one K's
-walk rows with a single row lookup.  lrw alone sweeps its walk rows
-WALK_BLOCK_ENTRIES // n sources at a time and keeps only each pair's
-s_ij + s_ji, so its memory grows with the candidate pairs and the block;
-any other walk family shares one full sweep, as lrw-js and lrw-gjs need
-both rows of a pair at once.  Each method computes all pair values at
-once: exact gathers from the walk-row CSR matrix (lrw), from the sparse
-resource-allocation product (hpra) or from the Katz table (hkatz); row
-products of the binary adjacency (hcn); or one batched divergence kernel
-call over the distinct pairs (lrw-js).  lrw-gjs passes each candidate's
-rows to the kernel as one group.  One helper, :func:`_pair_means`, then
-averages the pair values of every candidate, one cardinality block at a
-time, adding each candidate's pairs left to right so each mean is the
-same float as a one-pair-at-a-time loop.  The divergence kernel bounds
-its temporaries with a fixed per-chunk entry budget (see
+one pair list: the distinct vertex pairs, and the row among them of each
+candidate pair in ``combinations`` order (one ``triu_indices`` block per
+cardinality, so no candidate is padded to the largest).  Every pair
+index evaluates each distinct pair once.  The candidate checks of
+:func:`score_candidates` run on the same cardinality blocks.  A walk
+method maps the ranks onto one K's walk rows with a single row lookup.
+lrw alone sweeps its walk rows WALK_BLOCK_ENTRIES // n sources at a time
+and keeps only each pair's s_ij + s_ji, so its memory grows with the
+candidate pairs and the block; any other walk family shares one full
+sweep, as lrw-js and lrw-gjs need both rows of a pair at once.  Each
+method computes the values of all distinct pairs at once: exact gathers
+from the walk-row CSR matrix (lrw), from the sparse resource-allocation
+product (hpra) or from the Katz table (hkatz); row products of the
+binary adjacency (hcn); or one batched divergence kernel call (lrw-js).
+lrw-gjs passes each candidate's rows to the kernel as one group.  One
+helper, :func:`_pair_means`, then spreads the values over the candidate
+pairs and averages them per candidate, one cardinality block at a time,
+adding each candidate's pairs left to right so each mean is the same
+float as a one-pair-at-a-time loop.  The divergence kernel bounds its
+temporaries with a fixed per-chunk entry budget (see
 :mod:`hyperwalk.divergence`).
 
 The closed-form Katz table decomposes the adjacency once per connected
@@ -54,7 +56,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg, sparse
@@ -62,7 +63,7 @@ from scipy.sparse.linalg import eigsh
 
 from . import divergence, localwalk, projection
 from .errors import CandidateError, ContractViolation, KatzDivergenceError, ParameterError
-from .errors import _check_count, _is_number
+from .errors import _check_count, _check_positive, _is_number
 from .hypergraph import Edge, Hypergraph, components, vertex_rows
 
 LRW = "lrw"
@@ -110,10 +111,8 @@ class MethodSpec:
             raise ParameterError(f"unknown method kind {self.kind!r}; choose from {ALL_KINDS}")
         if self.k is not None:
             _check_count("walk length k", self.k)
-        if self.beta is not None and not (
-            _is_number(self.beta, numbers.Real) and 0 < self.beta < math.inf
-        ):
-            raise ParameterError(f"Katz damping beta={self.beta!r} is not a finite real number > 0")
+        if self.beta is not None:
+            _check_positive("Katz damping beta", self.beta)
 
     def with_param(self, value) -> "MethodSpec":
         """Copy with the method's tunable parameter set.
@@ -146,20 +145,6 @@ class ScoredEdge:
     method: MethodSpec
 
 
-class _Pairs(NamedTuple):
-    """Vertex pairs of a batch of candidates, i < j, listed block by block
-    as in :attr:`_Candidates.blocks` and, within a block of cardinality t,
-    candidate by candidate, each candidate's t(t - 1)/2 pairs in
-    ``combinations`` order.  ``ri`` and ``rj`` are the ranks of i and j
-    among the candidates' vertices.
-    """
-
-    i: np.ndarray
-    j: np.ndarray
-    ri: np.ndarray
-    rj: np.ndarray
-
-
 class _Candidates(Sequence):
     """A checked batch of candidate edges and their expansion, shared by
     every method and parameter value that scores the batch.
@@ -169,8 +154,8 @@ class _Candidates(Sequence):
     of their vertices, and ``blocks`` holds, for each cardinality t, the
     indices of the candidates of size t and their sorted vertices as ranks
     in ``vertices``.  Because ranks ascend with vertex ids, they order
-    pairs and groups exactly as the vertex ids do.  The vertex pairs and
-    the distinct pairs are built on first use only.
+    pairs and groups exactly as the vertex ids do.  The vertex pairs are
+    built on first use only.
 
     Every candidate must be a set of at least two integer vertex ids and,
     when the graph ``g`` is given, use only vertices present in it.  The
@@ -224,22 +209,19 @@ class _Candidates(Sequence):
         return len(self.sizes)
 
     @cached_property
-    def pairs(self) -> _Pairs:
-        first, second = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct rank pairs (i < j) in ascending order, as a (U, 2)
+        array, and the row in it of each candidate pair.  The candidate
+        pairs are listed block by block as in ``blocks`` and, within a
+        block of cardinality t, candidate by candidate, each candidate's
+        t(t - 1)/2 pairs in ``combinations`` order."""
+        n = len(self.vertices)
+        keys = [np.zeros(0, dtype=np.int64)]
         for t, _, ranks in self.blocks:
             iu, ju = np.triu_indices(t, 1)
-            first.append(ranks[:, iu].ravel())
-            second.append(ranks[:, ju].ravel())
-        ri, rj = np.concatenate(first), np.concatenate(second)
-        return _Pairs(self.vertices[ri], self.vertices[rj], ri, rj)
-
-    @cached_property
-    def distinct_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct rank pairs in ascending order, as a (U, 2) array,
-        and the row of each pair of ``pairs`` in it."""
-        n = len(self.vertices)
-        keys, inverse = np.unique(self.pairs.ri * n + self.pairs.rj, return_inverse=True)
-        return np.stack([keys // n, keys % n], axis=1), inverse
+            keys.append((ranks[:, iu] * n + ranks[:, ju]).ravel())
+        keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+        return np.stack(np.divmod(keys, n), axis=1), inverse
 
 
 def _vertex_ids(flat: list, kinds: set[type]) -> np.ndarray:
@@ -278,14 +260,16 @@ def _candidates(edges, g: Hypergraph | None = None) -> _Candidates:
 
 
 def _pair_means(cands: _Candidates, values: np.ndarray) -> np.ndarray:
-    """Mean of per-pair ``values``, one per pair of ``cands.pairs``, over
-    each candidate's pairs.
+    """Mean of per-pair ``values``, one per distinct pair of
+    ``cands.pairs``, over each candidate's pairs.
 
-    Each cardinality block's pairs are one (candidates, t(t - 1)/2) slice
-    of ``values``; its columns are added left to right from 0.0, then
-    scaled by 2 / (t(t - 1)), so each mean is the same float as summing
-    the candidate's pairs one by one in ``combinations`` order.
+    The values are first spread over the candidate pairs.  Each
+    cardinality block's pairs are then one (candidates, t(t - 1)/2) slice;
+    its columns are added left to right from 0.0, then scaled by
+    2 / (t(t - 1)), so each mean is the same float as summing the
+    candidate's pairs one by one in ``combinations`` order.
     """
+    values = values[cands.pairs[1]]
     means = np.empty(len(cands))
     start = 0
     for t, idx, _ in cands.blocks:
@@ -323,15 +307,17 @@ def _walk_mass(cands: _Candidates, lo: int, hi: int, snapshots) -> None:
     """Add lrw's walk mass from walk-row snapshots that hold a row for
     every candidate vertex of rank lo..hi-1.
 
-    ``snapshots`` holds (rows, totals) pairs, ``totals`` one float per pair
-    of ``cands.pairs``.  A pair whose i has such a rank gets s_ij, the
-    mass at column j of i's row, and one whose j has one gets s_ji.  From
-    0.0, the two additions give the float s_ij + s_ji in either order.
+    ``snapshots`` holds (rows, totals) pairs, ``totals`` one float per
+    distinct pair of ``cands.pairs``.  A pair whose i has such a rank gets
+    s_ij, the mass at column j of i's row, and one whose j has one gets
+    s_ji.  From 0.0, the two additions give the float s_ij + s_ji in
+    either order.
     """
-    pairs = cands.pairs
+    ri, rj = ranks = cands.pairs[0].T
+    i, j = cands.vertices[ranks]
     for rows, totals in snapshots:
         pos = rows.positions(cands.vertices[lo:hi])
-        for r, col in ((pairs.ri - lo, pairs.j), (pairs.rj - lo, pairs.i)):
+        for r, col in ((ri - lo, j), (rj - lo, i)):
             sel = np.flatnonzero((r >= 0) & (r < len(pos)))
             totals[sel] += _gather(rows.matrix, pos[r[sel]], col[sel])
 
@@ -342,9 +328,9 @@ def score_edges_from_rows(kind: str, edges, rows: localwalk.WalkRows) -> np.ndar
 
     ``edges`` is a list of edges, or the expanded batch that
     :func:`score_grid` shares among its calls.  lrw averages the
-    symmetrized walk mass s_ij + s_ji, read by exact gathers; lrw-js
-    evaluates the divergence of each distinct vertex pair once, in one
-    batched kernel call; lrw-gjs passes every candidate's rows as one
+    symmetrized walk mass s_ij + s_ji, read by exact gathers, and lrw-js
+    the pair divergences of one batched kernel call, each distinct vertex
+    pair evaluated once; lrw-gjs passes every candidate's rows as one
     group, normalized by log2 t.
     """
     if kind not in WALK_KINDS:
@@ -353,7 +339,7 @@ def score_edges_from_rows(kind: str, edges, rows: localwalk.WalkRows) -> np.ndar
     if not len(cands):
         return np.zeros(0)
     if kind == LRW:
-        totals = np.zeros(len(cands.pairs.i))
+        totals = np.zeros(len(cands.pairs[0]))
         _walk_mass(cands, 0, len(cands.vertices), [(rows, totals)])
         return _pair_means(cands, totals)
     pos = rows.positions(cands.vertices)
@@ -363,8 +349,7 @@ def score_edges_from_rows(kind: str, edges, rows: localwalk.WalkRows) -> np.ndar
         for t, idx, ranks in cands.blocks:
             scores[idx] = 1.0 - divergence.divergences(mat, pos[ranks]) / math.log2(t)
         return _unit_interval(scores, cands)
-    distinct, inverse = cands.distinct_pairs
-    values = divergence.divergences(mat, pos[distinct])[inverse]
+    values = divergence.divergences(mat, pos[cands.pairs[0]])
     return _unit_interval(1.0 - _pair_means(cands, values), cands)
 
 
@@ -498,14 +483,14 @@ class KatzSeries:
 
     def values(self, beta: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Truncated K_beta[i[k], j[k]], with every j[k] a table vertex,
-        read from the dense rows sum_{l<=KATZ_LMAX} beta^l (A^l)[v, :] of
-        the table's vertices."""
+        gathered from the sparse rows sum_{l<=KATZ_LMAX} beta^l (A^l)[v, :]
+        of the table's vertices."""
         damped = (beta * self.a).tocsr()
         x = acc = self._select @ damped
         for _ in range(KATZ_LMAX - 1):
             x = x @ damped
             acc = acc + x
-        return np.asarray(acc.todense())[np.searchsorted(self.verts, j), i]
+        return _gather(acc, np.searchsorted(self.verts, j), i)
 
 
 def neighbor_sets(g: Hypergraph) -> sparse.csr_matrix:
@@ -534,7 +519,7 @@ def _lrw_grid(p: sparse.csr_matrix, cands: _Candidates, grid: list) -> list[np.n
     one full sweep.  Only each pair's s_ij + s_ji outlives the block, and
     the means are the floats that one full sweep gives.
     """
-    totals = {k: np.zeros(len(cands.pairs.i)) for k in localwalk.walk_lengths(grid)}
+    totals = {k: np.zeros(len(cands.pairs[0])) for k in localwalk.walk_lengths(grid)}
     step = max(1, WALK_BLOCK_ENTRIES // p.shape[0])
     for lo in range(0, len(cands.vertices), step):
         block = localwalk.walk_matrix_rows_multi(p, cands.vertices[lo : lo + step], list(totals))
@@ -570,18 +555,19 @@ def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]
             for kind in kinds
         }
     (kind,) = kinds
-    pairs = cands.pairs
+    ranks = cands.pairs[0].T
+    i, j = cands.vertices[ranks]
     if kind == HKATZ:
         table = katz_pair_table(g, cands.vertices)
-        return {kind: [_pair_means(cands, table.values(beta, pairs.i, pairs.j)) for beta in grid]}
+        return {kind: [_pair_means(cands, table.values(beta, i, j)) for beta in grid]}
     if grid != [None]:
         raise ParameterError(f"{kind} has no parameter; its grid is [None], not {grid}")
     if kind == HCN:
         nbrs = neighbor_sets(g)
-        values = np.asarray(nbrs[pairs.i].multiply(nbrs[pairs.j]).sum(axis=1)).ravel()
+        values = np.asarray(nbrs[i].multiply(nbrs[j]).sum(axis=1)).ravel()
     else:
         table = hpra_pair_table(g, cands.vertices)  # row r is vertex cands.vertices[r]
-        values = _gather(table, pairs.rj, pairs.i)
+        values = _gather(table, ranks[1], i)
     return {kind: [_pair_means(cands, values)]}
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import _check_count, _check_positive
 from .hypergraph import Hypergraph, from_label_edges, largest_component
 
 
@@ -40,8 +41,13 @@ def regular_cardinality_hypergraph(
 
     Each edge of cardinality c adds about c*(c-1)/n to every vertex's
     expected clique-expansion degree, so m = n*d / (c*(c-1)) edges land the
-    mean pairwise degree near d.
+    mean pairwise degree near d.  Raises ParameterError unless the
+    cardinality is an integer >= 2, n an integer >= the cardinality and the
+    degree a finite real number > 0.
     """
+    _check_count("cardinality", cardinality, 2)
+    _check_count("n", n, cardinality)
+    _check_positive("mean_pair_degree", mean_pair_degree)
     c = cardinality
     m = max(int(round(n * mean_pair_degree / (c * (c - 1)))), 1)
     draws = rng.integers(0, n, size=(m, c))

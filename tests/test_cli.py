@@ -1,11 +1,17 @@
 import csv
 import json
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import hyperwalk
+from hyperwalk import bench, synthetic
 from hyperwalk.cli import _config_from_args, build_parser, main
 from hyperwalk.config import _KEYS, from_text
+from hyperwalk.errors import ParameterError
 
 TOY = "1,2,3\n3,4\n2,4\n1,4\n1,3\n2,3\n1,2\n1,2,4\n2,3,4\n1,3,4\n5,1\n5,2\n5,3,4\n"
 
@@ -261,6 +267,42 @@ def test_bad_bench_flags_exit_1_before_running(flags, tmp_path, capsys):
     assert captured.out == "" and not (tmp_path / "b").exists()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bench.walk_cost_curve(n=64, degree_grid=[4], k=2, seed=-1),
+        lambda: bench.walk_cost_curve(n=64, degree_grid=[4, -4], k=2),
+        lambda: bench.walk_cost_curve(n=64, degree_grid=[float("nan")], k=2),
+        lambda: bench.walk_cost_curve(n=64, degree_grid=[4], k=2, batch_rows=2),
+        lambda: bench.method_runtimes(seed=-1),
+        lambda: synthetic.regular_cardinality_hypergraph(10, 1, 4.0, np.random.default_rng(0)),
+        lambda: synthetic.regular_cardinality_hypergraph(10, 3, 0.0, np.random.default_rng(0)),
+    ],
+    ids=["seed", "negative-degree", "nan-degree", "rows", "runtimes-seed",
+         "cardinality", "zero-degree"],
+)
+def test_bench_range_rules_live_in_the_library(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
+def test_too_few_vertices_for_the_cardinality_raise_rather_than_loop():
+    # 3 distinct vertices cannot be drawn out of 2: run in a child process,
+    # so a missing rule fails on the timeout instead of hanging the suite
+    code = (
+        "from hyperwalk import bench\n"
+        "from hyperwalk.errors import ParameterError\n"
+        "try:\n"
+        "    bench.walk_cost_curve(n=2, degree_grid=[4], k=2, cardinality=3)\n"
+        "except ParameterError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = Path(hyperwalk.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                          text=True, timeout=20, check=True)
+    assert done.stdout == "n=2 is not an integer >= 3\n"
+
+
 # one value per config key, as the file writes it
 KEY_VALUES = {
     "dataset": "a.txt", "methods": "lrw,hcn", "alpha": "0.3,0.6", "lambda": "4",
@@ -323,3 +365,23 @@ def test_repeated_dataset_flags_read_as_one_list(toy_file, tmp_path, capsys):
     assert [line.split()[0] for line in repeated.splitlines()[1:]] == ["toy", "t1"]
     assert run_cli("stats", "--dataset", f"{toy_file},{t1}") == 0
     assert capsys.readouterr().out == repeated
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--trials", "3", "--trials", "5"],
+        ["--k-grid", "2", "--k-grid", "3,4"],
+        ["--label-mode", "--label-mode"],
+        ["--config", "{conf}", "--config", "{conf}"],
+    ],
+)
+def test_repeated_flags_raise_naming_the_flag(flags, tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("trials = 1\n")
+    golden = Path(__file__).parent / "data" / "golden" / "golden.txt"
+    argv = [f.format(conf=conf) for f in flags]
+    assert run_cli("run", "--dataset", golden, *argv, "--out", tmp_path / "res") == 1
+    captured = capsys.readouterr()
+    assert f"error: ParameterError: flag {flags[0]} is given 2 times" in captured.err
+    assert captured.out == "" and not (tmp_path / "res").exists()

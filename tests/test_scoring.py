@@ -182,6 +182,45 @@ def test_katz_pair_table_picks_form_by_graph_size(t1, monkeypatch):
         assert np.abs(got - oracle[:, v]).max() <= 1e-12 * np.abs(oracle).max()
 
 
+def test_katz_series_gathers_what_its_dense_rows_hold():
+    # a path 0 - 1 - ... - 11: vertices 0 and 11 are 11 > KATZ_LMAX hops apart
+    g = from_label_edges([[v, v + 1] for v in range(11)])
+    table = KatzSeries(g, [0, 3, 11])
+    beta = 0.2
+    damped = (beta * table.a).tocsr()
+    x = acc = table._select @ damped
+    for _ in range(KATZ_LMAX - 1):
+        x = x @ damped
+        acc = acc + x
+    dense = acc.toarray()  # row r holds the series of table vertex verts[r]
+    i = np.tile(np.arange(g.n), 3)
+    j = np.repeat(table.verts, g.n)
+    got = table.values(beta, i, j)
+    assert np.array_equal(got, dense[np.searchsorted(table.verts, j), i])
+    assert table.values(beta, np.array([0]), np.array([11]))[0] == 0.0
+    assert got[(i == 3) & (j == 0)][0] > 0.0
+
+
+@pytest.mark.parametrize("kind", [LRW, LRW_JS, LRW_GJS, HCN, HKATZ, HPRA])
+def test_each_distinct_pair_is_evaluated_once(kind, monkeypatch):
+    g = from_label_edges([[0, 1, 2], [1, 3], [2, 3, 4], [0, 4]])
+    edges = [(0, 1, 2), (0, 1, 3), (0, 1)]  # 7 candidate pairs, 5 distinct
+    param = 2 if kind in WALK_KINDS else 0.01 if kind == HKATZ else None
+    asked = []
+    values = KatzSpectra.values
+
+    def counted(table, beta, i, j):
+        asked.append(len(i))
+        return values(table, beta, i, j)
+
+    monkeypatch.setattr(KatzSpectra, "values", counted)
+    batch = score_grid([kind], g, edges, [param])[kind][0]
+    if kind == HKATZ:
+        assert asked == [5]
+    alone = [score_grid([kind], g, [e], [param])[kind][0][0] for e in edges]
+    assert np.array_equal(batch, alone)
+
+
 @st.composite
 def shuffled_unions(draw):
     """Disjoint union of two random hypergraphs and one isolated vertex,
