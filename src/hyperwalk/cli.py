@@ -65,10 +65,6 @@ def _provenance(cfg: RunConfig) -> dict:
     }
 
 
-def _write_json(obj: dict, path: Path) -> None:
-    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
-
-
 def _fmt(value) -> str:
     return "" if value is None else str(value)
 
@@ -120,7 +116,7 @@ def cmd_run(cfg: RunConfig) -> int:
             rows.extend([run["dataset"], alpha, kind, *agg.values()]
                         for kind, agg in run["aggregate"].items())
     payload = {"provenance": _provenance(cfg), "runs": runs}
-    _write_json(payload, out_dir / "results.json")
+    (out_dir / "results.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     _write_csv(
         ["dataset", "alpha", "method", "auroc_mean", "f1_mean", "chosen_param_mode"],
         rows,
@@ -175,6 +171,16 @@ def cmd_cv(cfg: RunConfig) -> int:
 
 
 def cmd_bench(args) -> int:
+    # each flag is a list of the values given (see _add_bench_flags): one
+    # given twice is refused, as a config flag is, and one not given takes
+    # its default
+    defaults = {"bench_vertices": 8192, "bench_degrees": [8.0, 16.0, 32.0], "bench_k": [2],
+                "bench_cardinality": 3, "bench_rows": 512, "seed": 0, "out": None}
+    for name, default in defaults.items():
+        given = getattr(args, name) or [default]
+        if len(given) > 1:
+            raise ParameterError(f"flag --{name.replace('_', '-')} is given {len(given)} times")
+        setattr(args, name, given[0])
     # every curve is measured before any is printed, so a bad flag prints nothing
     curves = {
         k: bench.walk_cost_curve(
@@ -240,14 +246,14 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _add_bench_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bench-vertices", type=int, default=8192)
-    p.add_argument("--bench-degrees", type=lambda s: [float(x) for x in s.split(",")],
-                   default=[8.0, 16.0, 32.0])
-    p.add_argument("--bench-k", type=lambda s: [int(x) for x in s.split(",")], default=[2])
-    p.add_argument("--bench-cardinality", type=int, default=3)
-    p.add_argument("--bench-rows", type=int, default=512)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="output directory for bench.csv")
+    """bench's own flags, each given value appended to a list, as a
+    config flag's text is; :func:`cmd_bench` reads them."""
+    numbers = lambda kind: lambda s: [kind(x) for x in s.split(",")]
+    for flag, kind in (("--bench-vertices", int), ("--bench-degrees", numbers(float)),
+                       ("--bench-k", numbers(int)), ("--bench-cardinality", int),
+                       ("--bench-rows", int), ("--seed", int)):
+        p.add_argument(flag, type=kind, action="append")
+    p.add_argument("--out", action="append", help="output directory for bench.csv")
 
 
 # subcommand -> (handler, help); bench reads its own flags, the others a RunConfig

@@ -6,18 +6,37 @@ length uniformly from 1..K, and takes that many steps.  Rows are computed
 only for requested source vertices, by propagating one-hot rows through P,
 so nothing of size n x n is ever materialized.
 
-One propagation sweep serves every requested K.  A row depends only on
-its source, so sweeping the sources in blocks gives the same rows as one
-sweep over all of them.  Each K snapshot is kept
-as a single CSR matrix, one row per source (:class:`WalkRows`); the batched
-scorers and divergence kernels read it directly, and indexing it by a
-source vertex yields that row as a 1 x n CSR matrix.
+One propagation sweep (:func:`walk_sums`) serves every requested K: it
+yields the running sum of propagated rows as it reaches each K, and
+:func:`extract_rows` turns that sum into the K's walk rows.  A row
+depends only on its source, so sweeping the sources in blocks gives the
+same rows as one sweep over all of them.  :func:`walk_matrix_rows_multi`
+keeps each K snapshot as a single CSR matrix, one row per source
+(:class:`WalkRows`); the batched scorers and divergence kernels read it
+directly, and indexing it by a source vertex yields that row as a 1 x n
+CSR matrix.
 
 Besides the snapshots it has taken, a sweep holds at its peak the running
 sum, the last propagated step and the values of the snapshot being taken.
-A snapshot shares the running sum's sorted indices and row pointers unless
+A snapshot shares the running sum's indices and row pointers unless
 entries are pruned, and the last step is released before the last
 snapshot is taken.
+
+Which rows are sorted: :func:`walk_matrix_rows_multi` sorts each running
+sum's row indices in place before extracting it, so every
+:class:`WalkRows` is canonical.  lrw's block sweep
+(``scoring._lrw_grid``) only gathers single entries, so it extracts each
+sum as the sparse products stored it and skips that sort.  The rows'
+values are the same floats either way: ``x @ P`` never reads the running
+sum, and the sum, the scaling and the pruning act entry by entry.  Only a
+row's sum depends on the order of its entries, and it decides whether
+the row is renormalized and by what factor.  Two summation orders of c
+nonnegative terms differ by at most about c * eps * sum, so a row whose
+stored-order sum s has |s - 1| <= RENORM_TOL - 2 c eps s lies on the same
+side of the threshold in either order, with a factor-2 margin, and is
+not renormalized.  Any other row of an unsorted sum is sorted alone and
+takes its column-order sum, as a sorted sweep would.  On a row-stochastic
+P, which pruning changes by at most DROP_TOL an entry, no row comes near.
 """
 
 from __future__ import annotations
@@ -39,7 +58,9 @@ class WalkRows(Mapping):
 
     ``matrix`` is a canonical CSR matrix (sorted indices, no duplicates)
     and ``sources`` strictly ascends, one per matrix row.  As a mapping it
-    yields each source's row as a 1 x n CSR matrix.
+    yields each source's row as a 1 x n CSR matrix.  The sweep sorts a
+    running sum before it extracts a WalkRows from it; lrw's block sweep,
+    which extracts unsorted rows, builds none (see the module docstring).
     """
 
     def __init__(self, matrix: sparse.csr_matrix, sources):
@@ -71,16 +92,19 @@ class WalkRows(Mapping):
         return len(self.sources)
 
 
-def _extract_rows(mat: sparse.csr_matrix, sources: np.ndarray, scale: float) -> WalkRows:
-    """Scale, prune and renormalize a whole snapshot at once.
+def extract_rows(mat: sparse.csr_matrix, scale: float) -> sparse.csr_matrix:
+    """The walk rows of a running sum ``mat``: it is scaled, pruned and
+    renormalized as a whole.
 
     When no value falls to ``DROP_TOL``, the only full-size array allocated
-    is the scaled values: the snapshot shares ``mat``'s sorted ``indices``
-    and ``indptr``.  Row sums come from one mat-vec, which adds each row
-    from 0.0 in stored order, and a renormalization factor is expanded only
-    over the entries of rows that need it.
+    is the scaled values: the snapshot shares ``mat``'s ``indices`` and
+    ``indptr``, in their stored order.  Row sums come from one mat-vec,
+    which adds each row from 0.0 in stored order; where ``mat`` is unsorted,
+    a row whose sum may fall on the other side of RENORM_TOL in column
+    order is summed again, sorted, so every row gets the factor its
+    column-order sum gives.  A factor is expanded only over the entries
+    of rows that need it.
     """
-    mat.sort_indices()
     vals = mat.data * scale
     idx, indptr = mat.indices, mat.indptr
     if vals.size and not vals.min() > DROP_TOL:  # also true for a NaN
@@ -89,11 +113,14 @@ def _extract_rows(mat: sparse.csr_matrix, sources: np.ndarray, scale: float) -> 
         indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
     out = sparse.csr_matrix((vals, idx, indptr), shape=mat.shape)
     sums = out @ np.ones(mat.shape[1])
+    counts = np.diff(out.indptr)
+    if not mat.has_sorted_indices:
+        near = np.abs(sums - 1.0) > RENORM_TOL - 2 * counts * np.finfo(float).eps * sums
+        sums[near] = out[near].sorted_indices() @ np.ones(mat.shape[1])
     fix = (np.abs(sums - 1.0) > RENORM_TOL) & (sums > 0)
     if fix.any():
-        counts = np.diff(out.indptr)
         out.data[np.repeat(fix, counts)] *= np.repeat(1.0 / sums[fix], counts[fix])
-    return WalkRows(out, sources)
+    return out
 
 
 def walk_lengths(ks) -> list[int]:
@@ -114,22 +141,30 @@ def walk_matrix_rows(P: sparse.csr_matrix, sources, K: int) -> WalkRows:
     return walk_matrix_rows_multi(P, sources, [K])[K]
 
 
-def walk_matrix_rows_multi(P: sparse.csr_matrix, sources, ks) -> dict[int, WalkRows]:
-    """Walk rows for several maximum lengths in one propagation pass.
+def source_rows(P: sparse.csr_matrix, sources) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """The distinct ``sources`` in ascending order and the 0/1 matrix
+    whose row r selects ``sources[r]`` (see
+    :func:`~hyperwalk.hypergraph.vertex_rows`), each source a vertex of P
+    with outgoing transitions.
 
-    Returns ``{K: rows}`` for each K in ``ks``, where ``rows`` maps each
-    source to its row.  The running sum of propagated rows is snapshotted
-    at every requested K, so the cost is a single sweep up to max(ks).
-    Raises ParameterError for walk lengths that :func:`walk_lengths`
-    rejects or a source that is not a vertex id of P (see
-    :func:`~hyperwalk.hypergraph.vertex_rows`).
+    Raises ParameterError for a source that is not a vertex id of P and
+    ContractViolation for one whose row of P is empty.
     """
-    ks = walk_lengths(ks)
     src, x = vertex_rows(sources, P.shape[0])
     stuck = src[(P @ np.ones(P.shape[1]))[src] == 0.0]
     if len(stuck):
         raise ContractViolation(f"vertex {stuck[0]} has no outgoing transitions")
-    out: dict[int, WalkRows] = {}
+    return src, x
+
+
+def walk_sums(P: sparse.csr_matrix, x: sparse.csr_matrix, ks: list[int]):
+    """Yield ``(k, S)`` for each k of ``ks``, ascending walk lengths as
+    :func:`walk_lengths` returns them, as the sweep reaches it: S is the
+    running sum x P + x P^2 + ... + x P^k of the one-hot rows ``x``.
+
+    S keeps its indices in the order the sparse products leave them.  The
+    next step builds a new running sum, so a caller may sort S in place.
+    """
     acc = sparse.csr_matrix(x.shape)
     for k in range(1, ks[-1] + 1):
         x = x @ P
@@ -137,5 +172,24 @@ def walk_matrix_rows_multi(P: sparse.csr_matrix, sources, ks) -> dict[int, WalkR
         if k == ks[-1]:
             del x  # the last step is summed: free it before the last snapshot
         if k in ks:
-            out[k] = _extract_rows(acc, src, 1.0 / k)
+            yield k, acc
+
+
+def walk_matrix_rows_multi(P: sparse.csr_matrix, sources, ks) -> dict[int, WalkRows]:
+    """Walk rows for several maximum lengths in one propagation pass.
+
+    Returns ``{K: rows}`` for each K in ``ks``, where ``rows`` maps each
+    source to its row, held in a canonical CSR matrix.  The running sum of
+    propagated rows is snapshotted at every requested K, so the cost is a
+    single sweep up to max(ks).  Raises ParameterError for walk lengths
+    that :func:`walk_lengths` rejects or a source that is not a vertex id
+    of P, and ContractViolation for a source without outgoing transitions
+    (see :func:`source_rows`).
+    """
+    ks = walk_lengths(ks)
+    src, x = source_rows(P, sources)
+    out: dict[int, WalkRows] = {}
+    for k, acc in walk_sums(P, x, ks):
+        acc.sort_indices()
+        out[k] = WalkRows(extract_rows(acc, 1.0 / k), src)
     return out

@@ -22,21 +22,23 @@ cardinality, so no candidate is padded to the largest).  Every pair
 index evaluates each distinct pair once.  The candidate checks of
 :func:`score_candidates` run on the same cardinality blocks.  A walk
 method maps the ranks onto one K's walk rows with a single row lookup.
-lrw alone sweeps its walk rows WALK_BLOCK_ENTRIES // n sources at a time
+lrw alone sweeps its walk rows WALK_BLOCK_ENTRIES // n sources at a time,
+takes each K's rows as the sweep reaches it, gathers them as the sparse
+products stored them, without sorting (see :mod:`hyperwalk.localwalk`),
 and keeps only each pair's s_ij + s_ji, so its memory grows with the
 candidate pairs and the block; any other walk family shares one full
-sweep, as lrw-js and lrw-gjs need both rows of a pair at once.  Each
-method computes the values of all distinct pairs at once: exact gathers
-from the walk-row CSR matrix (lrw), from the sparse resource-allocation
-product (hpra) or from the Katz table (hkatz); row products of the
-binary adjacency (hcn); or one batched divergence kernel call (lrw-js).
-lrw-gjs passes each candidate's rows to the kernel as one group.  One
-helper, :func:`_pair_means`, then spreads the values over the candidate
-pairs and averages them per candidate, one cardinality block at a time,
-adding each candidate's pairs left to right so each mean is the same
-float as a one-pair-at-a-time loop.  The divergence kernel bounds its
-temporaries with a fixed per-chunk entry budget (see
-:mod:`hyperwalk.divergence`).
+sweep of sorted rows, as lrw-js and lrw-gjs need both rows of a pair at
+once.  Each method computes the values of all distinct pairs at once:
+exact gathers from the walk-row CSR matrix (lrw), from the sparse
+resource-allocation product (hpra) or from the Katz table (hkatz); row
+products of the binary adjacency (hcn); or one batched divergence kernel
+call (lrw-js).  lrw-gjs passes each candidate's rows to the kernel as
+one group.  One helper, :func:`_pair_means`, then spreads the values
+over the candidate pairs and averages them per candidate, one
+cardinality block at a time, adding each candidate's pairs left to right
+so each mean is the same float as a one-pair-at-a-time loop.  The
+divergence kernel bounds its temporaries with a fixed per-chunk entry
+budget (see :mod:`hyperwalk.divergence`).
 
 The closed-form Katz table decomposes the adjacency once per connected
 component (a dense symmetric eigendecomposition), so one table serves
@@ -88,8 +90,9 @@ SCORE_TOL = 1e-12
 # Walk-row cells (sources x n) that lrw sweeps at a time when scored alone.
 # On the score-wide benchmark graph (n = 5983, 2-core VM), 2^21 cells (350
 # sources a block) cut the run's peak RSS from 186 to 130 MB with run_s flat.
-# Smaller blocks cost lrw CPU time (2^20: +14%, 2^19: +27% against one block);
-# larger ones (2^22, 2^23) saved none measurably.
+# Smaller blocks cost lrw CPU time; with unsorted block rows, the median of
+# 11 trial-0 scores against one block was 2^21: +3%, 2^20: +14%, 2^19: +38%
+# (0.278, 0.308 and 0.372 s against 0.270 s), and 2^22 saved none measurably.
 WALK_BLOCK_ENTRIES = 2**21
 
 
@@ -303,23 +306,20 @@ def _gather(mat: sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.nd
     return np.asarray(mat[rows, cols]).ravel() if len(rows) else np.zeros(0)
 
 
-def _walk_mass(cands: _Candidates, lo: int, hi: int, snapshots) -> None:
-    """Add lrw's walk mass from walk-row snapshots that hold a row for
-    every candidate vertex of rank lo..hi-1.
+def _walk_mass(rows: np.ndarray, ids: np.ndarray, mat: sparse.csr_matrix, totals: np.ndarray) -> None:
+    """Add lrw's walk mass from the walk rows ``mat`` to ``totals``, one
+    float per distinct pair of a candidate batch.
 
-    ``snapshots`` holds (rows, totals) pairs, ``totals`` one float per
-    distinct pair of ``cands.pairs``.  A pair whose i has such a rank gets
-    s_ij, the mass at column j of i's row, and one whose j has one gets
-    s_ji.  From 0.0, the two additions give the float s_ij + s_ji in
-    either order.
+    ``ids`` holds the pairs' vertex ids (i, j) as a (2, U) array, and
+    ``rows`` the row of ``mat`` that is each one's walk row, or a number
+    outside 0..mat.shape[0]-1 where ``mat`` has none.  A pair whose i has
+    a row gets s_ij, the mass at column j of i's row, and one whose j has
+    one gets s_ji.  From 0.0, the two additions give the float s_ij + s_ji
+    in either order.
     """
-    ri, rj = ranks = cands.pairs[0].T
-    i, j = cands.vertices[ranks]
-    for rows, totals in snapshots:
-        pos = rows.positions(cands.vertices[lo:hi])
-        for r, col in ((ri - lo, j), (rj - lo, i)):
-            sel = np.flatnonzero((r >= 0) & (r < len(pos)))
-            totals[sel] += _gather(rows.matrix, pos[r[sel]], col[sel])
+    for r, col in ((rows[0], ids[1]), (rows[1], ids[0])):
+        sel = np.flatnonzero((r >= 0) & (r < mat.shape[0]))
+        totals[sel] += _gather(mat, r[sel], col[sel])
 
 
 def score_edges_from_rows(kind: str, edges, rows: localwalk.WalkRows) -> np.ndarray:
@@ -338,12 +338,13 @@ def score_edges_from_rows(kind: str, edges, rows: localwalk.WalkRows) -> np.ndar
     cands = _candidates(edges)
     if not len(cands):
         return np.zeros(0)
-    if kind == LRW:
-        totals = np.zeros(len(cands.pairs[0]))
-        _walk_mass(cands, 0, len(cands.vertices), [(rows, totals)])
-        return _pair_means(cands, totals)
     pos = rows.positions(cands.vertices)
     mat = rows.matrix
+    if kind == LRW:
+        totals = np.zeros(len(cands.pairs[0]))
+        ranks = cands.pairs[0].T
+        _walk_mass(pos[ranks], cands.vertices[ranks], mat, totals)
+        return _pair_means(cands, totals)
     if kind == LRW_GJS:
         scores = np.empty(len(cands))
         for t, idx, ranks in cands.blocks:
@@ -516,15 +517,22 @@ def _lrw_grid(p: sparse.csr_matrix, cands: _Candidates, grid: list) -> list[np.n
     at a time.
 
     A walk row depends only on its source, so a block's rows are those of
-    one full sweep.  Only each pair's s_ij + s_ji outlives the block, and
-    the means are the floats that one full sweep gives.
+    one full sweep.  Each K's rows are extracted from the running sum as
+    stored, unsorted: a gather reads one stored value wherever it lies,
+    and the extraction renormalizes by column-order row sums (see
+    :mod:`hyperwalk.localwalk`).  Only each pair's s_ij + s_ji outlives
+    the block, and the means are the floats that one full sweep gives.
+    The checks that read P alone run once per call.
     """
     totals = {k: np.zeros(len(cands.pairs[0])) for k in localwalk.walk_lengths(grid)}
+    src, x = localwalk.source_rows(p, cands.vertices)
+    ranks = cands.pairs[0].T
+    ids = src[ranks]
     step = max(1, WALK_BLOCK_ENTRIES // p.shape[0])
-    for lo in range(0, len(cands.vertices), step):
-        block = localwalk.walk_matrix_rows_multi(p, cands.vertices[lo : lo + step], list(totals))
-        _walk_mass(cands, lo, lo + step, [(rows, totals[k]) for k, rows in block.items()])
-        del block  # dropped before the next block is swept
+    for lo in range(0, len(src), step):
+        for k, acc in localwalk.walk_sums(p, x[lo : lo + step], list(totals)):
+            _walk_mass(ranks - lo, ids, localwalk.extract_rows(acc, 1.0 / k), totals[k])
+        del acc  # dropped before the next block is swept
     return [_pair_means(cands, totals[k]) for k in grid]
 
 

@@ -357,6 +357,22 @@ def test_flags_parse_like_the_config_file(key, value, toy_file, tmp_path, capsys
             assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "flag, first, second",
+    [("--bench-vertices", "64", "128"), ("--seed", "1", "2"), ("--bench-k", "2", "3"),
+     ("--out", "a", "b")],
+)
+def test_repeated_bench_flags_raise_naming_the_flag(flag, first, second, tmp_path, capsys):
+    small = {"--bench-vertices": "64", "--bench-degrees": "4", "--bench-rows": "8"}
+    argv = [a for f, v in small.items() if f != flag for a in (f, v)]
+    if flag == "--out":
+        first, second = tmp_path / first, tmp_path / second
+    assert run_cli("bench", *argv, flag, first, flag, second) == 1
+    captured = capsys.readouterr()
+    assert f"error: ParameterError: flag {flag} is given 2 times" in captured.err
+    assert captured.out == "" and not any(tmp_path.iterdir())
+
+
 def test_repeated_dataset_flags_read_as_one_list(toy_file, tmp_path, capsys):
     t1 = tmp_path / "t1.txt"
     t1.write_text("1,2,3\n3,4\n")

@@ -163,6 +163,15 @@ def test_rows_by_source_match_the_matrix(g, data):
                 rows[s]
 
 
+@given(g=hypergraphs(connected=True), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_snapshots_are_canonical(g, data):
+    ks = data.draw(st.sets(st.integers(1, 6), min_size=1, max_size=4))
+    sources = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    for rows in walk_matrix_rows_multi(transition(g), sources, ks).values():
+        assert rows.matrix.has_canonical_format
+
+
 def _assert_same_snapshots(got, want):
     for k, arrays in want.items():
         m = got[k].matrix

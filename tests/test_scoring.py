@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from hyperwalk import scoring
+from hyperwalk import localwalk, projection, scoring
 from hyperwalk.errors import (
     CandidateError,
     ContractViolation,
@@ -331,6 +331,80 @@ def test_score_grid_lrw_blocks_match_one_full_sweep(g, data, block):
     for k, scores in zip(grid, got):
         rows = walk_matrix_rows(p, vertices, k)
         assert np.array_equal(scores, score_edges_from_rows(LRW, edges, rows))
+
+
+@given(g=hypergraphs(max_n=14, max_m=14), data=st.data(), block=st.sampled_from([1, 2, 7]))
+@settings(max_examples=40, deadline=None)
+def test_score_grid_lrw_blocks_match_one_full_sweep_at_any_tolerance(g, data, block):
+    # RENORM_TOL 0 and 1e-17 renormalize nearly every row, so nearly every
+    # unsorted block row takes its column-order sum
+    present = np.flatnonzero(g.degrees > 0).tolist()
+    candidate = st.sets(st.sampled_from(present), min_size=2, max_size=min(5, len(present)))
+    edges = data.draw(st.lists(candidate.map(lambda e: tuple(sorted(e))), min_size=1, max_size=12))
+    grid = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    drop_tol = data.draw(st.sampled_from([localwalk.DROP_TOL, 0.01, 0.05, 0.2, 1.0]))
+    renorm_tol = data.draw(st.sampled_from([localwalk.RENORM_TOL, 1e-17, 0.0]))
+    p = transition(g, allow_isolated=True)
+    vertices = sorted({v for e in edges for v in e})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scoring, "WALK_BLOCK_ENTRIES", block * g.n)  # `block` sources per sweep
+        mp.setattr(localwalk, "DROP_TOL", drop_tol)
+        mp.setattr(localwalk, "RENORM_TOL", renorm_tol)
+        got = score_grid([LRW], g, edges, grid)[LRW]
+        for k, scores in zip(grid, got):
+            rows = walk_matrix_rows(p, vertices, k)
+            assert np.array_equal(scores, score_edges_from_rows(LRW, edges, rows))
+
+
+def test_unsorted_block_rows_take_column_order_sums(monkeypatch):
+    # On this graph a block's running sums are stored out of column order
+    # and some stored-order row sums differ from the column-order ones, so
+    # with RENORM_TOL = 0, which renormalizes every row not summing to
+    # exactly 1.0, those rows' factors depend on the summation order.
+    g = random_hypergraph(200, 500, np.random.default_rng(3), max_size=4, connected=True)
+    edges = list(g.edges)
+    p = transition(g, allow_isolated=True)
+    _, x = localwalk.source_rows(p, range(16))
+    for k, acc in localwalk.walk_sums(p, x, [2, 3]):
+        assert not acc.has_sorted_indices
+        scaled, ones = acc * (1.0 / k), np.ones(g.n)
+        assert np.any(scaled @ ones != scaled.sorted_indices() @ ones)
+    monkeypatch.setattr(localwalk, "RENORM_TOL", 0.0)
+    monkeypatch.setattr(scoring, "WALK_BLOCK_ENTRIES", 16 * g.n)
+    got = score_grid([LRW], g, edges, [2, 3])[LRW]
+    for k, scores in zip([2, 3], got):
+        rows = walk_matrix_rows(p, range(g.n), k)
+        assert np.array_equal(scores, score_edges_from_rows(LRW, edges, rows))
+
+
+def test_lrw_blocks_check_p_once_and_name_a_stuck_source(monkeypatch):
+    g = random_hypergraph(40, 80, np.random.default_rng(1), max_size=3, connected=True)
+    edges = list(g.edges)
+    monkeypatch.setattr(scoring, "WALK_BLOCK_ENTRIES", 4 * g.n)  # ten blocks
+    calls = {"source_rows": 0, "walk_sums": 0}
+
+    def counted(name):
+        real = getattr(localwalk, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(localwalk, name, call)
+
+    counted("source_rows")
+    counted("walk_sums")
+    score_grid([LRW], g, edges, [2, 3])
+    assert calls == {"source_rows": 1, "walk_sums": 10}
+    # the last vertex loses its transitions: it is a source of the last block
+    keep = np.ones(g.n)
+    keep[-1] = 0.0
+    stuck = (sparse.diags(keep) @ transition(g)).tocsr()
+    monkeypatch.setattr(projection, "transition", lambda g, allow_isolated=False: stuck)
+    calls.update(source_rows=0, walk_sums=0)
+    with pytest.raises(ContractViolation, match=f"^vertex {g.n - 1} has no outgoing"):
+        score_grid([LRW], g, edges, [2, 3])
+    assert calls == {"source_rows": 1, "walk_sums": 0}  # raised before any sweep
 
 
 def test_lrw_memory_grows_with_the_block_not_the_sources(monkeypatch):
