@@ -22,7 +22,7 @@ from . import __version__, bench, experiment, hypergraph
 from . import config as config_mod
 from .config import RunConfig, dataset_name
 from .errors import HyperwalkError, ParameterError
-from .scoring import HKATZ, WALK_KINDS, MethodSpec
+from .scoring import TUNED, MethodSpec
 
 
 def _dataset_checksum(path: str) -> str:
@@ -149,7 +149,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_cv(cfg: RunConfig) -> int:
-    tunable = [k for k in cfg.methods if k in WALK_KINDS or k == HKATZ]
+    tunable = [k for k in cfg.methods if k in TUNED]
     if not tunable:
         raise ParameterError("cv needs at least one method with a tunable parameter")
     if len(cfg.rho) != 1:
@@ -170,29 +170,13 @@ def cmd_cv(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    # each flag is a list of the values given (see _add_bench_flags): one
-    # given twice is refused, as a config flag is, and one not given takes
-    # its default
-    defaults = {"bench_vertices": 8192, "bench_degrees": [8.0, 16.0, 32.0], "bench_k": [2],
-                "bench_cardinality": 3, "bench_rows": 512, "seed": 0, "out": None}
-    for name, default in defaults.items():
-        given = getattr(args, name) or [default]
-        if len(given) > 1:
-            raise ParameterError(f"flag --{name.replace('_', '-')} is given {len(given)} times")
-        setattr(args, name, given[0])
+def cmd_bench(bench_vertices=8192, bench_degrees=(8.0, 16.0, 32.0), bench_k=(2,),
+              bench_cardinality=3, bench_rows=512, seed=0, out=None) -> int:
+    """bench, given the values of its flags (see _BENCH_KEYS) by field name."""
     # every curve is measured before any is printed, so a bad flag prints nothing
-    curves = {
-        k: bench.walk_cost_curve(
-            n=args.bench_vertices,
-            degree_grid=args.bench_degrees,
-            k=k,
-            cardinality=args.bench_cardinality,
-            batch_rows=args.bench_rows,
-            seed=args.seed,
-        )
-        for k in args.bench_k
-    }
+    curves = {k: bench.walk_cost_curve(n=bench_vertices, degree_grid=bench_degrees, k=k,
+                                       cardinality=bench_cardinality, batch_rows=bench_rows,
+                                       seed=seed) for k in bench_k}
     header = ["k", "degree", "row_seconds", "js_seconds", "gjs_seconds"]
     rows = []
     for k, points in curves.items():
@@ -205,55 +189,63 @@ def cmd_bench(args) -> int:
             f"gjs slope = {bench.loglog_slope(degs, [p.seconds_gjs for p in points]):.2f}"
         )
     _print_table(header, rows, ("", ".1f", ".3e", ".3e", ".3e"))
-    runtimes = bench.method_runtimes(seed=args.seed)
-    for kind, secs in runtimes.items():
+    for kind, secs in bench.method_runtimes(seed=seed).items():
         print(f"total {kind}: {secs:.3f}s")
-    if args.out:
-        out_dir = Path(args.out)
+    if out:
+        out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_csv(header, rows, out_dir / "bench.csv")
         print(f"wrote {out_dir / 'bench.csv'}")
     return 0
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    """``--config`` plus one flag per config key, each given text stored in
-    a list under its field name; a bool key is a switch."""
-    p.add_argument("--config", action="append", help="flat key = value config file")
-    for key, (name, elem, _, help_text) in config_mod._KEYS.items():
+# bench's flag key -> (field name, element parser, is_list, flag help),
+# shaped as config._KEYS and read by the same code
+_BENCH_KEYS: dict[str, tuple[str, type, bool, str | None]] = {
+    "bench-vertices": ("bench_vertices", int, False, None),
+    "bench-degrees": ("bench_degrees", float, True, None),
+    "bench-k": ("bench_k", int, True, None),
+    "bench-cardinality": ("bench_cardinality", int, False, None),
+    "bench-rows": ("bench_rows", int, False, None),
+    "seed": ("seed", int, False, None),
+    "out": ("out", str, False, "output directory for bench.csv"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, keys: dict) -> None:
+    """One flag per key of ``keys`` (shaped as config._KEYS), each given
+    text stored in a list under its field name; a bool key is a switch."""
+    for key, (name, elem, _, help_text) in keys.items():
         if elem is bool:
             p.add_argument(f"--{key}", dest=name, action="append_const", const="true", help=help_text)
         else:
             p.add_argument(f"--{key}", dest=name, action="append", help=help_text)
 
 
-def _config_from_args(args) -> RunConfig:
-    """The config file, if any, with every given flag parsed as its file
-    value would be.  Repeated ``--dataset`` flags read as one comma list;
-    any other flag given twice raises ParameterError, as a key set twice
-    in the file does."""
-    given = {key: getattr(args, name) or [] for key, (name, *_) in config_mod._KEYS.items()}
-    for key, texts in [("config", args.config or []), *given.items()]:
+def _read_flags(args, keys: dict) -> dict:
+    """The value of every flag of ``keys`` given in ``args``, by field
+    name, each parsed as its config file value would be.  Repeated
+    ``--dataset`` flags read as one comma list; any other flag, ``--config``
+    included, given twice raises ParameterError, as a key set twice in the
+    file does, and so does a list flag without a value."""
+    given = {key: getattr(args, name) or [] for key, (name, *_) in keys.items()}
+    for key, texts in [("config", getattr(args, "config", None) or []), *given.items()]:
         if len(texts) > 1 and key != "dataset":
             raise ParameterError(f"flag --{key} is given {len(texts)} times")
+    values = {keys[key][0]: config_mod._parse_value(key, ",".join(texts), keys)
+              for key, texts in given.items() if texts}
+    for key, (name, *_) in keys.items():
+        if values.get(name) == ():
+            raise ParameterError(f"{key} needs at least one value")
+    return values
+
+
+def _config_from_args(args) -> RunConfig:
+    """The config file, if any, with every given flag parsed as its file
+    value would be (see :func:`_read_flags`)."""
+    overrides = _read_flags(args, config_mod._KEYS)
     cfg = config_mod.load_config(args.config[0]) if args.config else RunConfig()
-    overrides = {
-        config_mod._KEYS[key][0]: config_mod._parse_value(key, ",".join(texts))
-        for key, texts in given.items()
-        if texts
-    }
     return replace(cfg, **overrides)
-
-
-def _add_bench_flags(p: argparse.ArgumentParser) -> None:
-    """bench's own flags, each given value appended to a list, as a
-    config flag's text is; :func:`cmd_bench` reads them."""
-    numbers = lambda kind: lambda s: [kind(x) for x in s.split(",")]
-    for flag, kind in (("--bench-vertices", int), ("--bench-degrees", numbers(float)),
-                       ("--bench-k", numbers(int)), ("--bench-cardinality", int),
-                       ("--bench-rows", int), ("--seed", int)):
-        p.add_argument(flag, type=kind, action="append")
-    p.add_argument("--out", action="append", help="output directory for bench.csv")
 
 
 # subcommand -> (handler, help); bench reads its own flags, the others a RunConfig
@@ -278,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        (_add_bench_flags if name == "bench" else _add_config_flags)(p)
+        if name != "bench":
+            p.add_argument("--config", action="append", help="flat key = value config file")
+        _add_flags(p, _BENCH_KEYS if name == "bench" else config_mod._KEYS)
     return parser
 
 
@@ -292,7 +286,7 @@ def main(argv=None) -> int:
     handler = COMMANDS[args.command][0]
     try:
         if args.command == "bench":
-            return handler(args)
+            return handler(**_read_flags(args, _BENCH_KEYS))
         cfg = _config_from_args(args)
         if cfg.threads == 0:
             cfg = replace(cfg, threads=os.cpu_count() or 1)

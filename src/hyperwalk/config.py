@@ -3,7 +3,9 @@
 Lists are comma-separated, booleans are true/false, '#' starts a comment.
 Every key is also the command-line flag ``--<key>`` (see ``_KEYS``, which
 holds each key's field, parser and flag help); the file form
-round-trips losslessly (floats are written with repr).
+round-trips losslessly (floats are written with repr).  ``_parse_value``
+also reads the flags of ``hyperwalk bench``, from a table of the same
+shape.
 """
 
 from __future__ import annotations
@@ -36,12 +38,15 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """Check every setting: a list setting needs at least one value,
-        no two datasets may share a name, min-cardinality is checked here,
-        and every other value must pass the library check that will carry
-        it."""
+        no two datasets may share a name, no alpha or rho value may repeat
+        (each labels a run), min-cardinality is checked here, and every
+        other value must pass the library check that will carry it."""
         for key, (name, _, is_list, _) in _KEYS.items():
-            if is_list and not getattr(self, name):
+            values = getattr(self, name)
+            if is_list and not values:
                 raise ParameterError(f"{key} needs at least one value")
+            if key in ("alpha", "rho") and len(set(values)) < len(values):
+                raise ParameterError(f"{key} repeats a value in {values}")
         names = list(map(dataset_name, self.dataset))
         for k, name in enumerate(names):
             if name in names[:k]:
@@ -94,8 +99,10 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _parse_value(key: str, text: str):
-    _, elem, is_list, _ = _KEYS[key]
+def _parse_value(key: str, text: str, keys: dict = _KEYS):
+    """The value of ``key`` of the table ``keys`` (shaped as ``_KEYS``)
+    given as ``text``; text that its parser refuses raises ParameterError."""
+    _, elem, is_list, _ = keys[key]
     if elem is bool:
         low = text.strip().lower()
         if low not in ("true", "false"):

@@ -33,7 +33,7 @@ from .errors import (
     _is_number,
 )
 from .hypergraph import Edge, Hypergraph, _tuple_order, components
-from .scoring import HKATZ, LRW, WALK_KINDS, MethodSpec
+from .scoring import HKATZ, LRW, MethodSpec
 
 logger = logging.getLogger(__name__)
 
@@ -284,9 +284,11 @@ def cross_validate(
     """Pick each method's parameter by k-fold CV on the edges of the
     observed hypergraph ``g``.
 
-    ``methods`` are walk methods, tuned over walk lengths, or hkatz alone,
-    tuned over damping factors; a Katz grid first loses the factors that
-    diverge on ``g`` (see :func:`~hyperwalk.scoring.converging_betas`).
+    ``methods`` are kinds tuned by one field of
+    :data:`~hyperwalk.scoring.TUNED`: walk methods, tuned over walk
+    lengths, or hkatz, tuned over damping factors; a Katz grid first
+    loses the factors that diverge on ``g`` (see
+    :func:`~hyperwalk.scoring.converging_betas`).
     Each fold once serves as the validation missing set; the full candidate
     set acts as negatives in every fold.  In a trial that set is the whole
     trial candidate set, so the trial's own missing edges are labelled 0
@@ -302,13 +304,14 @@ def cross_validate(
     if len(observed) < folds:
         raise ParameterError(f"{len(observed)} observed edges cannot fill {folds} folds")
     kinds = [m.kind for m in methods]
-    if not (kinds and set(kinds) <= set(WALK_KINDS)) and kinds != [HKATZ]:
+    fields = {scoring.TUNED.get(kind) for kind in kinds}
+    if len(fields) != 1 or None in fields:
         raise ParameterError(f"cannot tune method kinds {kinds} together")
     # each value as the method takes it: checked, and an int k or a float beta
     grid = sorted({methods[0].with_param(value).param for value in grid})
     if len(grid) == 1:
         return {k: grid[0] for k in kinds}
-    if kinds == [HKATZ]:
+    if fields == {"beta"}:
         grid = scoring.converging_betas(g, grid)
 
     totals = {k: np.zeros(len(grid)) for k in kinds}
@@ -476,13 +479,14 @@ def tune_trial(
 ) -> tuple[Hypergraph, CandidateSet, dict[str, object]]:
     """Observed hypergraph and candidate set of one trial (see
     :func:`trial_candidates`), plus the cross-validated parameter of every
-    method that still needs one: the walk methods share one cross-validation
-    over ``k_grid`` and hkatz has its own over ``beta_grid``, each on its
-    own derived generator."""
+    method that still needs one: the methods tuned by one field of
+    :data:`~hyperwalk.scoring.TUNED` share one cross-validation, over
+    ``k_grid`` for k (the walk methods) and over ``beta_grid`` for beta
+    (hkatz), each on its own derived generator."""
     observed_g, cand = trial_candidates(g, split_spec, sampling_spec, trial)
     chosen: dict[str, object] = {}
-    for family, grid, key in ((WALK_KINDS, k_grid, _CV_WALK), ((HKATZ,), beta_grid, _CV_KATZ)):
-        todo = [m for m in methods if m.kind in family and m.param is None]
+    for field, grid, key in (("k", k_grid, _CV_WALK), ("beta", beta_grid, _CV_KATZ)):
+        todo = [m for m in methods if scoring.TUNED.get(m.kind) == field and m.param is None]
         if todo:
             rng = _rng(split_spec.seed, key, trial)
             chosen.update(cross_validate(todo, observed_g, cand.edges, folds, grid, rng))

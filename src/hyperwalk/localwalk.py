@@ -10,11 +10,15 @@ One propagation sweep (:func:`walk_sums`) serves every requested K: it
 yields the running sum of propagated rows as it reaches each K, and
 :func:`extract_rows` turns that sum into the K's walk rows.  A row
 depends only on its source, so sweeping the sources in blocks gives the
-same rows as one sweep over all of them.  :func:`walk_matrix_rows_multi`
-keeps each K snapshot as a single CSR matrix, one row per source
-(:class:`WalkRows`); the batched scorers and divergence kernels read it
-directly, and indexing it by a source vertex yields that row as a 1 x n
-CSR matrix.
+same rows as one sweep over all of them.  The sweep reads P as any
+sparse matrix, so it also sums the truncated Katz series
+sum_l beta^l A^l over the adjacency A (``scoring.KatzSeries``).  A walk
+starts only from a vertex with outgoing transitions: :func:`source_rows`
+refuses any other source, such as a vertex without edges, whose row of
+P is empty.  :func:`walk_matrix_rows_multi` keeps each K snapshot as a
+single CSR matrix, one row per source (:class:`WalkRows`); the batched
+scorers and divergence kernels read it directly, and indexing it by a
+source vertex yields that row as a 1 x n CSR matrix.
 
 Besides the snapshots it has taken, a sweep holds at its peak the running
 sum, the last propagated step and the values of the snapshot being taken.
@@ -148,7 +152,8 @@ def source_rows(P: sparse.csr_matrix, sources) -> tuple[np.ndarray, sparse.csr_m
     with outgoing transitions.
 
     Raises ParameterError for a source that is not a vertex id of P and
-    ContractViolation for one whose row of P is empty.
+    ContractViolation, naming the vertex, for one whose row of P is empty,
+    as the row of a vertex without edges is.
     """
     src, x = vertex_rows(sources, P.shape[0])
     stuck = src[(P @ np.ones(P.shape[1]))[src] == 0.0]
@@ -161,6 +166,8 @@ def walk_sums(P: sparse.csr_matrix, x: sparse.csr_matrix, ks: list[int]):
     """Yield ``(k, S)`` for each k of ``ks``, ascending walk lengths as
     :func:`walk_lengths` returns them, as the sweep reaches it: S is the
     running sum x P + x P^2 + ... + x P^k of the one-hot rows ``x``.
+    With beta * A as P, S holds the truncated Katz series of ``x``'s
+    vertices.
 
     S keeps its indices in the order the sparse products leave them.  The
     next step builds a new running sum, so a caller may sort S in place.

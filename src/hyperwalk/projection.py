@@ -7,8 +7,10 @@ Three sparse n x n matrices are derived from the hyperedge list:
 * transition ``P``: p_ij = w_ij / d_i, the vertex -> incident-edge ->
   other-vertex random walk.
 
-All diagonals are zero.  Row sums of W equal the vertex hyperdegrees, so P
-is row stochastic.  Everything is built by accumulating per-edge vertex
+All diagonals are zero.  Row sums of W equal the vertex hyperdegrees, so
+every row of P sums to 1, except the row of a vertex without edges, which
+is empty.  No walk starts there: :func:`hyperwalk.localwalk.source_rows`
+refuses such a source.  Everything is built by accumulating per-edge vertex
 pairs into COO triplets (cost proportional to the sum of squared edge
 cardinalities) and converting to CSR.
 """
@@ -18,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .errors import ContractViolation
 from .hypergraph import Hypergraph
 
 
@@ -70,19 +71,10 @@ def weighted_projection(g: Hypergraph) -> sparse.csr_matrix:
     return _clique_matrix(g, rows, cols, vals)
 
 
-def transition(g: Hypergraph, allow_isolated: bool = False) -> sparse.csr_matrix:
-    """Row-stochastic walk matrix p_ij = (1/d_i) * sum_e 1/(|e|-1) over
-    shared edges.
+def transition(g: Hypergraph) -> sparse.csr_matrix:
+    """Walk matrix p_ij = (1/d_i) * sum_e 1/(|e|-1) over shared edges.
 
-    With ``allow_isolated`` the rows of zero-degree vertices are left empty
-    (their walk is undefined but never consulted); otherwise an isolated
-    vertex is a contract violation.
+    The row of a vertex without edges is empty; every other row sums to 1.
     """
-    degrees = g.degrees
-    if not allow_isolated and np.any(degrees == 0):
-        bad = int(np.argmax(degrees == 0))
-        raise ContractViolation(f"vertex {g.labels[bad]} is isolated; no walk is defined")
-    scale = degrees.astype(np.float64)
-    scale[scale == 0] = 1.0  # keeps empty rows empty without dividing by zero
-    rows, cols, vals = _pair_triplets(g, scale)
-    return _clique_matrix(g, rows, cols, vals)
+    # a vertex without edges has no pairs to scale; 1 spares a division by 0
+    return _clique_matrix(g, *_pair_triplets(g, np.maximum(g.degrees, 1.0)))

@@ -9,8 +9,11 @@ are identical under any reordering of the input edge.
 :func:`score_grid` is the one place that turns a method family, a graph,
 candidate edges and parameter values into scores; cross-validation calls
 it with a whole grid per fold, and :func:`score_candidates` with the one
-chosen value.  :func:`converging_betas` is the one Katz convergence
-pre-check on an observed graph.
+chosen value.  ``TUNED`` is the one table of which :class:`MethodSpec`
+field each method kind tunes (k for the walk methods, beta for hkatz);
+it decides the families, the parameter a method must be given, and what
+cross-validation tunes.  :func:`converging_betas` is the one Katz
+convergence pre-check on an observed graph.
 
 Scoring is batched.  :func:`score_grid` expands its candidates once, and
 every walk length and method of the call shares that expansion: the
@@ -46,7 +49,8 @@ every damping factor of a grid: each factor only reweights the spectrum.
 Only the eigenvector rows of the table's vertices are kept; a pair's
 similarity is one dot product of its two rows, and pairs in different
 components read exactly 0.0 without any arithmetic.  Above
-KATZ_CLOSED_MAX_N vertices the truncated series takes over.
+KATZ_CLOSED_MAX_N vertices the truncated series takes over; it is the
+walk sweep of :mod:`hyperwalk.localwalk` run over beta * A.
 """
 
 from __future__ import annotations
@@ -77,6 +81,9 @@ HPRA = "hpra"
 
 WALK_KINDS = (LRW, LRW_JS, LRW_GJS)
 ALL_KINDS = (HCN, HKATZ, HPRA, LRW, LRW_JS, LRW_GJS)
+# The MethodSpec field that cross-validation tunes, per method kind; kinds
+# tuned by one field form one family, and a kind absent here is not tuned.
+TUNED = {LRW: "k", LRW_JS: "k", LRW_GJS: "k", HKATZ: "beta"}
 
 # Above this size, the closed form (one eigendecomposition per connected
 # component) gives way to a truncated series.
@@ -118,27 +125,25 @@ class MethodSpec:
             _check_positive("Katz damping beta", self.beta)
 
     def with_param(self, value) -> "MethodSpec":
-        """Copy with the method's tunable parameter set.
+        """Copy with the method's tuned field (see TUNED) set; an untuned
+        method is returned as it is.
 
         An integer of any type becomes an ``int`` and a real damping factor
         a ``float``, so results hold Python numbers; any other value goes
         to the constructor's checks as it is.
         """
+        field = TUNED.get(self.kind)
         if _is_number(value, numbers.Integral):
             value = operator.index(value)
-        if self.kind in WALK_KINDS:
-            return replace(self, k=value)
-        if self.kind == HKATZ:
-            return replace(self, beta=float(value) if _is_number(value, numbers.Real) else value)
-        return self
+        if field == "beta" and _is_number(value, numbers.Real):
+            value = float(value)
+        return replace(self, **{field: value}) if field else self
 
     @property
     def param(self):
-        if self.kind in WALK_KINDS:
-            return self.k
-        if self.kind == HKATZ:
-            return self.beta
-        return None
+        """The value of the method's tuned field (see TUNED); None for an
+        untuned method."""
+        return getattr(self, TUNED[self.kind]) if self.kind in TUNED else None
 
 
 @dataclass(frozen=True)
@@ -476,7 +481,8 @@ class KatzSpectra:
 
 class KatzSeries:
     """Katz similarities summed over the first KATZ_LMAX powers of A,
-    recomputed for each damping factor."""
+    recomputed for each damping factor by the walk sweep
+    :func:`~hyperwalk.localwalk.walk_sums` over beta * A."""
 
     def __init__(self, g: Hypergraph, vertices):
         self.a = projection.adjacency(g)
@@ -486,11 +492,7 @@ class KatzSeries:
         """Truncated K_beta[i[k], j[k]], with every j[k] a table vertex,
         gathered from the sparse rows sum_{l<=KATZ_LMAX} beta^l (A^l)[v, :]
         of the table's vertices."""
-        damped = (beta * self.a).tocsr()
-        x = acc = self._select @ damped
-        for _ in range(KATZ_LMAX - 1):
-            x = x @ damped
-            acc = acc + x
+        _, acc = next(localwalk.walk_sums((beta * self.a).tocsr(), self._select, [KATZ_LMAX]))
         return _gather(acc, np.searchsorted(self.verts, j), i)
 
 
@@ -540,21 +542,24 @@ def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]
     """Scores of canonical candidate ``edges`` on ``g`` under each method
     of one family, one score array per value of ``grid``, in grid order.
 
-    A family is any set of walk methods, whose grid holds walk lengths K;
-    hkatz, whose grid holds damping factors; or hcn or hpra alone, whose
-    grid is ``[None]``.  Walk rows, the Katz table and resource-allocation
-    rows are computed once, for the union of the edges' vertices: the walk
-    methods share one propagation sweep up to the largest K, and hkatz one
-    table for every damping factor.  lrw alone sweeps that union in blocks
-    of sources and gathers each block's walk mass before the next (see
-    :func:`_lrw_grid`); the scores are the same floats.
+    A family is any set of kinds that TUNED maps to one field: walk
+    methods, whose grid holds walk lengths K, or hkatz, whose grid holds
+    damping factors; or hcn or hpra alone, whose grid is ``[None]``.  A
+    kind given twice has one entry in the result.  Walk rows, the Katz
+    table and resource-allocation rows are computed once, for the union of
+    the edges' vertices: the walk methods share one propagation sweep up
+    to the largest K, and hkatz one table for every damping factor.  lrw
+    alone sweeps that union in blocks of sources and gathers each block's
+    walk mass before the next (see :func:`_lrw_grid`); the scores are the
+    same floats.
     """
     kinds, grid = list(kinds), list(grid)
-    if not kinds or (len(kinds) > 1 and not set(kinds) <= set(WALK_KINDS)):
+    fields = {TUNED.get(kind) for kind in kinds}
+    if len(fields) != 1 or (len(kinds) > 1 and fields == {None}):
         raise ParameterError(f"method kinds {kinds} are not one family")
     cands = _candidates(edges, g)
     if kinds[0] in WALK_KINDS:
-        p = projection.transition(g, allow_isolated=True)
+        p = projection.transition(g)
         if set(kinds) == {LRW}:
             return {LRW: _lrw_grid(p, cands, grid)}
         rows_by_k = localwalk.walk_matrix_rows_multi(p, cands.vertices, grid)
@@ -562,7 +567,7 @@ def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]
             kind: [score_edges_from_rows(kind, cands, rows_by_k[k]) for k in grid]
             for kind in kinds
         }
-    (kind,) = kinds
+    kind = kinds[0]
     ranks = cands.pairs[0].T
     i, j = cands.vertices[ranks]
     if kind == HKATZ:
@@ -588,9 +593,7 @@ def score_candidates(method: MethodSpec, g: Hypergraph, candidates) -> list[Scor
     cands = _Candidates(candidates, g)
     if not len(cands):
         return []
-    if method.kind in WALK_KINDS and method.k is None:
-        raise ParameterError(f"{method.kind} requires the walk length k")
-    if method.kind == HKATZ and method.beta is None:
-        raise ParameterError("hkatz requires the damping factor beta")
+    if method.kind in TUNED and method.param is None:
+        raise ParameterError(f"{method.kind} requires its parameter {TUNED[method.kind]}")
     vals = score_grid([method.kind], g, cands, [method.param])[method.kind][0]
     return [ScoredEdge(e, v, method) for e, v in zip(cands, vals.tolist())]

@@ -130,12 +130,17 @@ def test_sweep_prints_the_sweep_csv_values(toy_file, tmp_path, capsys):
     ]
 
 
-def test_bench_writes_one_csv_row_per_k_and_degree(tmp_path, capsys):
+def test_bench_writes_one_csv_row_per_k_and_degree(tmp_path, capsys, monkeypatch):
     out = tmp_path / "bench"
+    grids, curve = [], bench.walk_cost_curve
+    monkeypatch.setattr(bench, "walk_cost_curve",
+                        lambda **kw: grids.append(kw["degree_grid"]) or curve(**kw))
+    # an empty list item is skipped, as in a config list
     assert run_cli(
-        "bench", "--bench-vertices", "512", "--bench-degrees", "4,8", "--bench-k", "2",
+        "bench", "--bench-vertices", "512", "--bench-degrees", "4,,8", "--bench-k", "2",
         "--bench-rows", "32", "--out", out,
     ) == 0
+    assert grids == [(4.0, 8.0)]
     printed = capsys.readouterr().out
     with (out / "bench.csv").open() as fh:
         reader = csv.reader(fh)
@@ -235,11 +240,13 @@ def test_unreadable_files_are_reported_not_raised(tmp_path, capsys):
         ["run", "--alpha", ""],
         ["run", "--methods", ""],
         ["cv", "--methods", "lrw,lrw"],
+        ["run", "--alpha", "0.5,0.5"],
+        ["sweep", "--alpha", "0.5", "--rho", "0.8,0.8"],
     ],
 )
 def test_bad_settings_exit_1_before_running(argv, tmp_path, capsys):
     golden = Path(__file__).parent / "data" / "golden" / "golden.txt"
-    out = ["--out", tmp_path / "res"] if argv[0] == "run" else []
+    out = ["--out", tmp_path / "res"] if argv[0] in ("run", "sweep") else []
     assert run_cli(*argv, "--dataset", golden, "--trials", "1", "--threads", "1", *out) == 1
     captured = capsys.readouterr()
     assert "error: ParameterError: " in captured.err
@@ -257,6 +264,9 @@ def test_bad_settings_exit_1_before_running(argv, tmp_path, capsys):
         ["--bench-degrees", "4,-8"],
         ["--bench-degrees", "nan"],
         ["--bench-vertices", "4", "--bench-cardinality", "2", "--bench-degrees", "0.1"],
+        ["--seed", "x"],
+        ["--bench-degrees", "4,x"],
+        ["--bench-k", "2,y"],
     ],
 )
 def test_bad_bench_flags_exit_1_before_running(flags, tmp_path, capsys):

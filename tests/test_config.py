@@ -99,6 +99,13 @@ def test_every_list_setting_needs_a_value(key):
         replace(cfg, **{_KEYS[key][0]: ()}).validate()
 
 
+@pytest.mark.parametrize("key", ["alpha", "rho"])
+def test_repeated_alpha_or_rho_value_is_refused(key):
+    cfg = RunConfig(dataset=("x.txt",)).validate()
+    with pytest.raises(ParameterError, match=rf"^{key} repeats a value in \(0.5, 0.3, 0.5\)"):
+        replace(cfg, **{key: (0.5, 0.3, 0.5)}).validate()
+
+
 def test_hash_ignores_execution_fields():
     a = RunConfig(dataset=("x.txt",), threads=1, out="a")
     b = RunConfig(dataset=("x.txt",), threads=8, out="b")

@@ -558,11 +558,12 @@ def test_series_katz_scores_a_whole_run(monkeypatch):
 
 
 def test_cv_rejects_mixed_families(medium):
-    with pytest.raises(ParameterError):
-        cross_validate(
-            [MethodSpec(LRW), MethodSpec("hkatz")],
-            medium, [], 2, [2, 3], np.random.default_rng(0),
-        )
+    for kinds in ([LRW, "hkatz"], [LRW, "hcn"], ["hcn"], []):
+        with pytest.raises(ParameterError):
+            cross_validate(
+                [MethodSpec(kind) for kind in kinds],
+                medium, [], 2, [2, 3], np.random.default_rng(0),
+            )
 
 
 # -------------------------------------------------------------- end to end

@@ -62,7 +62,7 @@ def test_no_sources_sweep_to_empty_snapshots(t1):
 
 
 def test_source_without_transitions_is_named(t1):
-    p = transition(Hypergraph(5, [(0, 1)]), allow_isolated=True)
+    p = transition(Hypergraph(5, [(0, 1)]))
     with pytest.raises(ContractViolation, match="^vertex 2 has no outgoing"):
         walk_matrix_rows(p, [4, 0, 2], 1)
 

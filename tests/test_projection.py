@@ -5,6 +5,7 @@ from scipy import sparse
 
 from hyperwalk.errors import ContractViolation
 from hyperwalk.hypergraph import from_label_edges, largest_component
+from hyperwalk.localwalk import walk_matrix_rows
 from hyperwalk.projection import adjacency, transition, weighted_projection
 
 from conftest import adjacency_oracle, hypergraphs, transition_oracle
@@ -62,8 +63,8 @@ def test_transition_single_edge():
 def test_transition_rejects_isolated_vertex():
     g = from_label_edges([[1, 2], [3, 4]]).with_edges([(0, 1)])
     with pytest.raises(ContractViolation):
-        transition(g)
-    p = transition(g, allow_isolated=True)
+        walk_matrix_rows(transition(g), [2], 1)
+    p = transition(g)
     assert p[2].nnz == 0 and p[3].nnz == 0
     np.testing.assert_allclose(np.asarray(p.sum(axis=1)).ravel()[:2], 1.0)
 

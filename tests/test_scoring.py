@@ -307,7 +307,7 @@ def test_score_grid_walk_kinds_match_each_k_alone(g, data):
     edges = drawn + data.draw(st.lists(st.sampled_from(drawn), max_size=4))  # repeated candidates
     grid = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))  # any order, repeats
     got = score_grid(WALK_KINDS, g, edges, grid)
-    p = transition(g, allow_isolated=True)
+    p = transition(g)
     vertices = sorted({v for e in edges for v in e})
     for k, column in zip(grid, zip(*(got[kind] for kind in WALK_KINDS))):
         rows = walk_matrix_rows(p, vertices, k)
@@ -326,7 +326,7 @@ def test_score_grid_lrw_blocks_match_one_full_sweep(g, data, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scoring, "WALK_BLOCK_ENTRIES", block * g.n)  # `block` sources per sweep
         got = score_grid([LRW], g, edges, grid)[LRW]
-    p = transition(g, allow_isolated=True)
+    p = transition(g)
     vertices = sorted({v for e in edges for v in e})
     for k, scores in zip(grid, got):
         rows = walk_matrix_rows(p, vertices, k)
@@ -344,7 +344,7 @@ def test_score_grid_lrw_blocks_match_one_full_sweep_at_any_tolerance(g, data, bl
     grid = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
     drop_tol = data.draw(st.sampled_from([localwalk.DROP_TOL, 0.01, 0.05, 0.2, 1.0]))
     renorm_tol = data.draw(st.sampled_from([localwalk.RENORM_TOL, 1e-17, 0.0]))
-    p = transition(g, allow_isolated=True)
+    p = transition(g)
     vertices = sorted({v for e in edges for v in e})
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scoring, "WALK_BLOCK_ENTRIES", block * g.n)  # `block` sources per sweep
@@ -363,7 +363,7 @@ def test_unsorted_block_rows_take_column_order_sums(monkeypatch):
     # exactly 1.0, those rows' factors depend on the summation order.
     g = random_hypergraph(200, 500, np.random.default_rng(3), max_size=4, connected=True)
     edges = list(g.edges)
-    p = transition(g, allow_isolated=True)
+    p = transition(g)
     _, x = localwalk.source_rows(p, range(16))
     for k, acc in localwalk.walk_sums(p, x, [2, 3]):
         assert not acc.has_sorted_indices
@@ -400,7 +400,7 @@ def test_lrw_blocks_check_p_once_and_name_a_stuck_source(monkeypatch):
     keep = np.ones(g.n)
     keep[-1] = 0.0
     stuck = (sparse.diags(keep) @ transition(g)).tocsr()
-    monkeypatch.setattr(projection, "transition", lambda g, allow_isolated=False: stuck)
+    monkeypatch.setattr(projection, "transition", lambda g: stuck)
     calls.update(source_rows=0, walk_sums=0)
     with pytest.raises(ContractViolation, match=f"^vertex {g.n - 1} has no outgoing"):
         score_grid([LRW], g, edges, [2, 3])
@@ -462,6 +462,10 @@ def test_score_grid_rejects_mixed_families_and_grids(t1):
         score_grid([HCN], t1, [(0, 1)], [2, 3])
     with pytest.raises(ParameterError):
         score_grid([], t1, [(0, 1)], [2])
+    with pytest.raises(ParameterError):
+        score_grid([HCN, HCN], t1, [(0, 1)], [None])
+    with pytest.raises(ParameterError):
+        score_grid([LRW, HCN], t1, [(0, 1)], [2])
 
 
 def test_hpra_toy(t1):
@@ -567,9 +571,9 @@ def test_missing_walk_row_is_contract_violation(t1):
 
 
 def test_walk_methods_require_k(t1):
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^lrw requires its parameter k$"):
         score_candidates(MethodSpec(LRW), t1, [(0, 1)])
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^hkatz requires its parameter beta$"):
         score_candidates(MethodSpec(HKATZ), t1, [(0, 1)])
 
 
@@ -590,6 +594,9 @@ def test_method_spec_validation():
     assert spec.k == 4 and spec.param == 4
     spec = MethodSpec(HKATZ).with_param(0.01)
     assert spec.beta == 0.01
+    for kind in (HCN, HPRA):
+        spec = MethodSpec(kind)
+        assert spec.with_param(3) is spec and spec.param is None
 
 
 def test_with_param_keeps_python_numbers():
