@@ -24,6 +24,7 @@ from scipy.stats import rankdata
 
 from . import scoring
 from .errors import (
+    CandidateError,
     HyperwalkError,
     MetricUndefinedError,
     ParameterError,
@@ -103,8 +104,9 @@ def split(g: Hypergraph, spec: SplitSpec, trial: int) -> tuple[tuple[Edge, ...],
     Missing edges touching a vertex with zero observed degree are dropped.
     A split whose missing set prunes to nothing is retried with a fresh
     derived seed, up to 100 attempts.  Both edge tuples keep the order of
-    ``g.edges``.
+    ``g.edges``.  Raises ParameterError unless ``trial`` is an integer >= 0.
     """
+    _check_count("trial", trial, 0)
     n_obs = math.ceil(spec.observed_fraction * g.m - 1e-9)
     if n_obs >= g.m:
         raise TrialDegenerateError(
@@ -154,7 +156,8 @@ def build_candidates(
     that edge that are not isolated in ``observed_g``.  A fake equal (as a
     set) to an observed, missing, or previously sampled edge is resampled
     up to 100 times, then accepted with the collision counted.  A missing
-    edge with fewer eligible vertices than it needs raises SamplingError.
+    edge with fewer eligible vertices than it needs raises SamplingError,
+    and one with a vertex outside ``observed_g`` CandidateError.
 
     Random-number contract: every attempt makes exactly two calls on
     ``rng``, first ``rng.choice(len(edge), size=r, replace=False)`` for
@@ -169,6 +172,10 @@ def build_candidates(
     collisions = 0
     for edge in missing:
         members = [int(v) for v in edge]
+        if not all(0 <= v < observed_g.n for v in members):
+            raise CandidateError(
+                f"missing edge {tuple(edge)} has a vertex outside 0..{observed_g.n - 1}"
+            )
         size = len(members)
         r = replacement_count(size, spec.alpha)
         mask = active.copy()
@@ -445,7 +452,7 @@ def trial_candidates(
     """Observed hypergraph and candidate set for one trial (derived seeds).
 
     The observed hypergraph is built once here; every later step of the
-    trial reads it.
+    trial reads it.  ``trial`` is checked by :func:`split`.
     """
     observed, missing = split(g, split_spec, trial)
     # a subsequence of g's edges is canonical already

@@ -41,6 +41,19 @@ side of the threshold in either order, with a factor-2 margin, and is
 not renormalized.  Any other row of an unsorted sum is sorted alone and
 takes its column-order sum, as a sorted sweep would.  On a row-stochastic
 P, which pruning changes by at most DROP_TOL an entry, no row comes near.
+
+The last step at the pairs only: a caller that reads one entry per pair
+of the last K's rows, as lrw and the Katz series do, can stop the sweep
+one step short (``walk_sums(..., tail)``).  :func:`step_entries` then
+gives each pair's entry of the next product as the float scipy stores,
+adding the same terms in the same order, and :func:`last_walk_entries`
+sums, scales and prunes it as :func:`extract_rows` would.  Only the
+renormalization needs a whole row: its sum is estimated from the step
+before, and a row whose estimate is not clearly within RENORM_TOL of 1
+(a row of a P that is not row-stochastic, or any row at a tolerance of
+0 or a large DROP_TOL) is computed whole and extracted alone.  The
+running step is read, never sorted: the next product, and a whole row
+recomputed from it, add their terms in its stored order.
 """
 
 from __future__ import annotations
@@ -162,24 +175,111 @@ def source_rows(P: sparse.csr_matrix, sources) -> tuple[np.ndarray, sparse.csr_m
     return src, x
 
 
-def walk_sums(P: sparse.csr_matrix, x: sparse.csr_matrix, ks: list[int]):
-    """Yield ``(k, S)`` for each k of ``ks``, ascending walk lengths as
-    :func:`walk_lengths` returns them, as the sweep reaches it: S is the
-    running sum x P + x P^2 + ... + x P^k of the one-hot rows ``x``.
-    With beta * A as P, S holds the truncated Katz series of ``x``'s
-    vertices.
+def walk_sums(P: sparse.csr_matrix, x: sparse.csr_matrix, ks, tail=None):
+    """Yield ``(k, S)`` for each k of ``ks``, in the ascending order that
+    :func:`walk_lengths` puts and checks them, as the sweep reaches it: S
+    is the running sum x P + x P^2 + ... + x P^k of the one-hot rows
+    ``x``.  With beta * A as P, S holds the truncated Katz series of
+    ``x``'s vertices.
+
+    Given ``tail``, a function, the last sum is never formed: the sweep
+    stops one step short of the largest k, at the running sum S and the
+    step X = x P^(k-1) there (an empty sum and ``x`` itself for k = 1), and
+    yields ``(k, tail(S, X))`` last.
 
     S keeps its indices in the order the sparse products leave them.  The
     next step builds a new running sum, so a caller may sort S in place.
     """
+    ks = walk_lengths(ks)
+    stop = ks[-1] - (tail is not None)
     acc = sparse.csr_matrix(x.shape)
-    for k in range(1, ks[-1] + 1):
+    for k in range(1, stop + 1):
         x = x @ P
         acc = acc + x
         if k == ks[-1]:
             del x  # the last step is summed: free it before the last snapshot
         if k in ks:
             yield k, acc
+    if tail is not None:
+        yield ks[-1], tail(acc, x)
+
+
+def gather(mat: sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Stored entries mat[rows[q], cols[q]] (0.0 where nothing is stored);
+    ``mat`` is read as stored, never sorted."""
+    return np.asarray(mat[rows, cols]).ravel() if len(rows) else np.zeros(0)
+
+
+def step_entries(x: sparse.csr_matrix, pt: sparse.csr_matrix, rows, cols) -> np.ndarray:
+    """Entries (x @ P)[rows[q], cols[q]], with ``pt`` the transpose of P
+    as a CSR matrix: each the float that scipy's product stores there, or
+    0.0 where it stores nothing.  Like any sparse product, ``x`` stores an
+    entry at most once.
+
+    The product starts every cell at 0.0 and adds x[r, k] * P[k, j] over
+    the k of x's row r in the order that row is stored.  So a pair's terms
+    are the stored entries of x's row r whose column k is stored in row j
+    of ``pt``.  Transposed, x's entries and the pairs' terms both list
+    their keys (k, r) in order, so one sorted search matches them.  Sorted
+    by stored position in x, the matches go to ``np.bincount``, which adds
+    its weights from 0.0 in input order.  Memory follows x's stored
+    entries and the pairs' terms, and ``x`` is read, never reordered.
+    Pairs as many as an eighth of the product's largest output (its rows
+    times n, or its term count at P's mean row length) are gathered from
+    the product itself, which is then the cheaper way to the same floats.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    m, n = x.shape
+    if 8 * len(rows) >= min(m * n, x.nnz * pt.nnz / n):
+        return gather(x @ pt.T, rows, cols)
+    # column k of each: the rows of x storing k, with their stored positions,
+    # and the pairs whose column j has P[k, j] stored, with that entry
+    at = sparse.csr_matrix((np.arange(x.nnz), x.indices, x.indptr), shape=x.shape).tocsc()
+    terms = pt[cols].tocsc()
+    starts = np.arange(n, dtype=np.int64) * m
+    keys = np.append(np.repeat(starts, np.diff(at.indptr)) + at.indices, n * m)  # and a sentinel
+    want = np.repeat(starts, np.diff(terms.indptr)) + rows[terms.indices]
+    pos = np.searchsorted(keys, want)
+    hit = np.flatnonzero(keys[pos] == want)
+    stored = at.data[pos[hit]]
+    first = np.argsort(stored, kind="stable")
+    hit = hit[first]
+    weights = x.data[stored[first]] * terms.data[hit]
+    return np.bincount(terms.indices[hit], weights=weights, minlength=len(rows))
+
+
+def last_walk_entries(P, pt, acc, x, k: int, rows, cols) -> np.ndarray:
+    """Entries at (rows[q], cols[q]) of ``extract_rows(acc + x @ P, 1 / k)``,
+    the walk rows of a sweep's last step, without forming that step: the
+    running sum ``acc`` and the step ``x`` stand one step short of it (see
+    :func:`walk_sums`), ``pt`` is the transpose of P as a CSR matrix, and
+    P is nonnegative, as a transition matrix is.
+
+    Each entry (acc[r, j] + (x @ P)[r, j]) / k is summed, scaled and
+    pruned as the extraction does it (see :func:`step_entries`).  Whether
+    a row is renormalized depends on its whole sum, which is estimated as
+    (rowsum(acc) + x @ rowsum(P)) / k.  The row has at most u = min(n,
+    nnz(acc[r]) + the P-degrees of x[r]'s columns) entries, so rounding
+    moves the sum by less than (4 u + 8) eps times it, and pruning drops
+    at most u * DROP_TOL of it.  A row whose estimate lies within
+    RENORM_TOL of 1 by twice that bound is not renormalized in any order
+    of summation; any other row is computed whole and extracted alone,
+    which gives it the floats a full extraction does.
+    """
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    vals = (gather(acc, rows, cols) + step_entries(x, pt, rows, cols)) * (1.0 / k)
+    vals[~(vals > DROP_TOL)] = 0.0
+    ones = np.ones(P.shape[1])
+    est = (acc @ ones + x @ (P @ ones)) / k
+    degrees = np.concatenate(([0], np.cumsum(np.diff(P.indptr)[x.indices])))
+    u = np.minimum(P.shape[1], np.diff(acc.indptr) + degrees[x.indptr[1:]] - degrees[x.indptr[:-1]])
+    bound = (4 * u + 8) * np.finfo(float).eps * est + u * DROP_TOL
+    whole = ~(np.abs(est - 1.0) <= RENORM_TOL - 2 * bound)  # also true for a NaN
+    redo = whole[rows]
+    if redo.any():
+        sub = extract_rows(acc[whole] + x[whole] @ P, 1.0 / k)
+        vals[redo] = gather(sub, (np.cumsum(whole) - 1)[rows[redo]], cols[redo])
+    return vals
 
 
 def walk_matrix_rows_multi(P: sparse.csr_matrix, sources, ks) -> dict[int, WalkRows]:

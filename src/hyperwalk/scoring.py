@@ -26,9 +26,12 @@ index evaluates each distinct pair once.  The candidate checks of
 :func:`score_candidates` run on the same cardinality blocks.  A walk
 method maps the ranks onto one K's walk rows with a single row lookup.
 lrw alone sweeps its walk rows WALK_BLOCK_ENTRIES // n sources at a time,
-takes each K's rows as the sweep reaches it, gathers them as the sparse
-products stored them, without sorting (see :mod:`hyperwalk.localwalk`),
-and keeps only each pair's s_ij + s_ji, so its memory grows with the
+takes each smaller K's rows as the sweep reaches it, gathers them as the
+sparse products stored them, without sorting, and computes the largest
+K's last step only at the block's pairs; a row whose renormalization
+the pairs alone cannot settle is computed whole (see
+:mod:`hyperwalk.localwalk`).
+It keeps only each pair's s_ij + s_ji, so its memory grows with the
 candidate pairs and the block; any other walk family shares one full
 sweep of sorted rows, as lrw-js and lrw-gjs need both rows of a pair at
 once.  Each method computes the values of all distinct pairs at once:
@@ -49,8 +52,9 @@ every damping factor of a grid: each factor only reweights the spectrum.
 Only the eigenvector rows of the table's vertices are kept; a pair's
 similarity is one dot product of its two rows, and pairs in different
 components read exactly 0.0 without any arithmetic.  Above
-KATZ_CLOSED_MAX_N vertices the truncated series takes over; it is the
-walk sweep of :mod:`hyperwalk.localwalk` run over beta * A.
+KATZ_CLOSED_MAX_N vertices the truncated series takes over; it is lrw's
+block sweep run over beta * A, with its last power computed only at the
+pairs, so its memory too grows with the block and the pairs.
 """
 
 from __future__ import annotations
@@ -306,25 +310,19 @@ def _unit_interval(scores: np.ndarray, edges) -> np.ndarray:
     return np.clip(scores, 0.0, 1.0)
 
 
-def _gather(mat: sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Stored entries mat[rows[k], cols[k]] (0.0 where nothing is stored)."""
-    return np.asarray(mat[rows, cols]).ravel() if len(rows) else np.zeros(0)
+def _directed_pairs(cands: _Candidates) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct pair (i, j) of ``cands.pairs`` read both ways, as the
+    rank of a walk row's vertex and the vertex id of its column: U pairs
+    (i, j), then the same U pairs as (j, i)."""
+    ranks = cands.pairs[0].T
+    return ranks.ravel(), cands.vertices[ranks[::-1]].ravel()
 
 
-def _walk_mass(rows: np.ndarray, ids: np.ndarray, mat: sparse.csr_matrix, totals: np.ndarray) -> None:
-    """Add lrw's walk mass from the walk rows ``mat`` to ``totals``, one
-    float per distinct pair of a candidate batch.
-
-    ``ids`` holds the pairs' vertex ids (i, j) as a (2, U) array, and
-    ``rows`` the row of ``mat`` that is each one's walk row, or a number
-    outside 0..mat.shape[0]-1 where ``mat`` has none.  A pair whose i has
-    a row gets s_ij, the mass at column j of i's row, and one whose j has
-    one gets s_ji.  From 0.0, the two additions give the float s_ij + s_ji
-    in either order.
-    """
-    for r, col in ((rows[0], ids[1]), (rows[1], ids[0])):
-        sel = np.flatnonzero((r >= 0) & (r < mat.shape[0]))
-        totals[sel] += _gather(mat, r[sel], col[sel])
+def _walk_mass(directed: np.ndarray) -> np.ndarray:
+    """lrw's s_ij + s_ji of each distinct pair, from the walk mass of its
+    two directed pairs (see :func:`_directed_pairs`)."""
+    half = len(directed) // 2
+    return directed[:half] + directed[half:]
 
 
 def score_edges_from_rows(kind: str, edges, rows: localwalk.WalkRows) -> np.ndarray:
@@ -346,10 +344,8 @@ def score_edges_from_rows(kind: str, edges, rows: localwalk.WalkRows) -> np.ndar
     pos = rows.positions(cands.vertices)
     mat = rows.matrix
     if kind == LRW:
-        totals = np.zeros(len(cands.pairs[0]))
-        ranks = cands.pairs[0].T
-        _walk_mass(pos[ranks], cands.vertices[ranks], mat, totals)
-        return _pair_means(cands, totals)
+        ranks, cols = _directed_pairs(cands)
+        return _pair_means(cands, _walk_mass(localwalk.gather(mat, pos[ranks], cols)))
     if kind == LRW_GJS:
         scores = np.empty(len(cands))
         for t, idx, ranks in cands.blocks:
@@ -481,19 +477,32 @@ class KatzSpectra:
 
 class KatzSeries:
     """Katz similarities summed over the first KATZ_LMAX powers of A,
-    recomputed for each damping factor by the walk sweep
-    :func:`~hyperwalk.localwalk.walk_sums` over beta * A."""
+    recomputed for each damping factor by the block sweep of
+    :func:`_source_blocks` over beta * A."""
 
     def __init__(self, g: Hypergraph, vertices):
         self.a = projection.adjacency(g)
         self.verts, self._select = vertex_rows(vertices, g.n)
 
     def values(self, beta: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Truncated K_beta[i[k], j[k]], with every j[k] a table vertex,
-        gathered from the sparse rows sum_{l<=KATZ_LMAX} beta^l (A^l)[v, :]
-        of the table's vertices."""
-        _, acc = next(localwalk.walk_sums((beta * self.a).tocsr(), self._select, [KATZ_LMAX]))
-        return _gather(acc, np.searchsorted(self.verts, j), i)
+        """Truncated K_beta[i[k], j[k]], with every j[k] a table vertex:
+        entry i[k] of the sparse row sum_{l<=KATZ_LMAX} beta^l (A^l)[j[k], :].
+
+        The table's rows are swept in blocks, and the last power is
+        computed only at the pairs, each entry the float that the whole
+        last running sum holds there."""
+        damped = (beta * self.a).tocsr()
+        pt = damped.T.tocsr()
+        rows, cols = np.searchsorted(self.verts, j), np.asarray(i)
+        out = np.zeros(len(cols))
+        for block, at in _source_blocks(rows, len(self.verts), self.a.shape[0]):
+            r, c = rows[at] - block.start, cols[at]
+
+            def tail(acc, step):
+                return localwalk.gather(acc, r, c) + localwalk.step_entries(step, pt, r, c)
+
+            _, out[at] = next(localwalk.walk_sums(damped, self._select[block], [KATZ_LMAX], tail))
+        return out
 
 
 def neighbor_sets(g: Hypergraph) -> sparse.csr_matrix:
@@ -513,29 +522,50 @@ def hpra_pair_table(g: Hypergraph, vertices) -> sparse.csr_matrix:
     return (xw + (xw @ sparse.diags(dinv)) @ w).tocsr()
 
 
+def _source_blocks(rows: np.ndarray, sources: int, n: int):
+    """Yield ``(block, at)`` for each block of WALK_BLOCK_ENTRIES // n
+    sweep sources (at least one) that some pair reads: ``block`` slices
+    the sources 0..sources-1, and ``at`` indexes the pairs whose row, of
+    ``rows``, is a source of the block."""
+    step = max(1, WALK_BLOCK_ENTRIES // n)
+    order = np.argsort(rows, kind="stable")
+    bounds = np.searchsorted(rows[order], np.arange(0, sources + step, step))
+    for lo, start, stop in zip(range(0, sources, step), bounds, bounds[1:]):
+        if stop > start:
+            yield slice(lo, lo + step), order[start:stop]
+
+
 def _lrw_grid(p: sparse.csr_matrix, cands: _Candidates, grid: list) -> list[np.ndarray]:
     """lrw scores of ``cands`` for each walk length of ``grid``, from walk
-    rows swept WALK_BLOCK_ENTRIES // n candidate vertices (at least one)
-    at a time.
+    rows swept in blocks of sources (see :func:`_source_blocks`).
 
     A walk row depends only on its source, so a block's rows are those of
-    one full sweep.  Each K's rows are extracted from the running sum as
-    stored, unsorted: a gather reads one stored value wherever it lies,
-    and the extraction renormalizes by column-order row sums (see
-    :mod:`hyperwalk.localwalk`).  Only each pair's s_ij + s_ji outlives
-    the block, and the means are the floats that one full sweep gives.
-    The checks that read P alone run once per call.
+    one full sweep.  The sweep stops one step short of the largest K, whose
+    walk mass is computed only at the block's pairs (see
+    :func:`~hyperwalk.localwalk.last_walk_entries`).  Each smaller K's rows
+    are extracted from the running sum as stored, unsorted: a gather reads
+    one stored value wherever it lies, and the extraction renormalizes by
+    column-order row sums (see :mod:`hyperwalk.localwalk`).  Only the walk
+    mass of each directed pair outlives the block, and the means are the
+    floats that one full sweep gives.  The checks that read P alone run
+    once per call.
     """
-    totals = {k: np.zeros(len(cands.pairs[0])) for k in localwalk.walk_lengths(grid)}
+    ks = localwalk.walk_lengths(grid)
     src, x = localwalk.source_rows(p, cands.vertices)
-    ranks = cands.pairs[0].T
-    ids = src[ranks]
-    step = max(1, WALK_BLOCK_ENTRIES // p.shape[0])
-    for lo in range(0, len(src), step):
-        for k, acc in localwalk.walk_sums(p, x[lo : lo + step], list(totals)):
-            _walk_mass(ranks - lo, ids, localwalk.extract_rows(acc, 1.0 / k), totals[k])
-        del acc  # dropped before the next block is swept
-    return [_pair_means(cands, totals[k]) for k in grid]
+    rows, cols = _directed_pairs(cands)
+    mass = {k: np.zeros(len(rows)) for k in ks}
+    pt = p.T.tocsr()
+    for block, at in _source_blocks(rows, len(src), p.shape[0]):
+        r, c = rows[at] - block.start, cols[at]
+
+        def tail(acc, step):
+            return localwalk.last_walk_entries(p, pt, acc, step, ks[-1], r, c)
+
+        for k, s in localwalk.walk_sums(p, x[block], ks, tail):
+            if k < ks[-1]:
+                s = localwalk.gather(localwalk.extract_rows(s, 1.0 / k), r, c)
+            mass[k][at] = s
+    return [_pair_means(cands, _walk_mass(mass[k])) for k in grid]
 
 
 def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]:
@@ -551,12 +581,16 @@ def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]
     to the largest K, and hkatz one table for every damping factor.  lrw
     alone sweeps that union in blocks of sources and gathers each block's
     walk mass before the next (see :func:`_lrw_grid`); the scores are the
-    same floats.
+    same floats.  Every grid value of a tuned family is checked as its
+    :class:`MethodSpec` field, and a bad one raises ParameterError.
     """
     kinds, grid = list(kinds), list(grid)
     fields = {TUNED.get(kind) for kind in kinds}
     if len(fields) != 1 or (len(kinds) > 1 and fields == {None}):
         raise ParameterError(f"method kinds {kinds} are not one family")
+    if fields != {None}:
+        # each value as the method takes it: checked, and an int k or a float beta
+        grid = [MethodSpec(kinds[0]).with_param(value).param for value in grid]
     cands = _candidates(edges, g)
     if kinds[0] in WALK_KINDS:
         p = projection.transition(g)
@@ -580,7 +614,7 @@ def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]
         values = np.asarray(nbrs[i].multiply(nbrs[j]).sum(axis=1)).ravel()
     else:
         table = hpra_pair_table(g, cands.vertices)  # row r is vertex cands.vertices[r]
-        values = _gather(table, ranks[1], i)
+        values = localwalk.gather(table, ranks[1], i)
     return {kind: [_pair_means(cands, values)]}
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hyperwalk import experiment, scoring
 from hyperwalk.errors import (
+    CandidateError,
     MetricUndefinedError,
     ParameterError,
     SamplingError,
@@ -98,6 +99,17 @@ def test_split_rho_too_high_raises():
         split(g, SplitSpec(0.9, 1, seed=0), 0)  # ceil(2.7) = 3 = m
 
 
+@pytest.mark.parametrize("trial", [-1, 1.5, "0", True, None])
+def test_split_and_trial_candidates_need_a_nonnegative_integer_trial(medium, trial):
+    with pytest.raises(ParameterError, match=r"^trial="):
+        split(medium, SplitSpec(0.8, 1, seed=0), trial)
+    with pytest.raises(ParameterError, match=r"^trial="):
+        trial_candidates(medium, SplitSpec(0.8, 1, seed=0), SamplingSpec(0.5, 1), trial)
+    assert split(medium, SplitSpec(0.8, 1, seed=0), np.int64(1)) == split(
+        medium, SplitSpec(0.8, 1, seed=0), 1
+    )
+
+
 # ------------------------------------------------------- negative sampling
 
 
@@ -133,6 +145,14 @@ def test_build_candidates_needs_enough_replacements():
     rng = np.random.default_rng(0)
     with pytest.raises(SamplingError):
         build_candidates(g, [(0, 1, 2)], SamplingSpec(0.5, 1), rng)
+
+
+@pytest.mark.parametrize("edge", [(0, 99), (-1, 3), (2, 40), (1, 2**70)])
+def test_build_candidates_names_a_missing_edge_outside_the_graph(edge):
+    g = random_hypergraph(40, 80, np.random.default_rng(1), connected=True)
+    rng = np.random.default_rng(0)
+    with pytest.raises(CandidateError, match=rf"^missing edge \({edge[0]}, {edge[1]}\) has a vertex"):
+        build_candidates(g, [g.edges[0], edge], SamplingSpec(0.5, 1), rng)
 
 
 def test_collision_acceptance_on_saturated_graph():

@@ -213,3 +213,86 @@ def test_sweep_peak_memory_within_3x_snapshot():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+
+
+def test_walk_sums_sweep_to_the_largest_length_in_any_order(t1):
+    p = transition(t1)
+    _, x = localwalk.source_rows(p, range(t1.n))
+    sums = dict(localwalk.walk_sums(p, x, [3, 2, 3]))
+    assert list(sums) == [2, 3]
+    expected = dict(localwalk.walk_sums(p, x, [2, 3]))
+    for k in (2, 3):
+        assert np.array_equal(sums[k].toarray(), expected[k].toarray())
+    with pytest.raises(ParameterError):
+        next(localwalk.walk_sums(p, x, [2, 0]))
+
+
+def _swept(g, data):
+    """A transition matrix, one-hot rows of some sources and the step
+    x P^s, s >= 1, an earlier product left unsorted, with drawn (row,
+    column) pairs of it, some repeated."""
+    p = transition(g)
+    sources = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=g.n))
+    _, x = localwalk.source_rows(p, sorted(sources))
+    for _ in range(data.draw(st.integers(1, 3))):
+        x = x @ p
+    pair = st.tuples(st.integers(0, x.shape[0] - 1), st.integers(0, g.n - 1))
+    drawn = data.draw(st.lists(pair, max_size=40))
+    rows, cols = np.array(drawn + drawn[:3], dtype=np.int64).reshape(-1, 2).T
+    return p, x, rows, cols
+
+
+@given(seed=st.integers(0, 20), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_step_entries_are_the_products_floats_and_leave_x_as_stored(seed, data):
+    rng = np.random.default_rng(seed)
+    g = synthetic.random_hypergraph(60, 150, rng, max_size=4, connected=True)
+    p, x, rows, cols = _swept(g, data)
+    before = x.indices.copy(), x.data.copy()
+    got = localwalk.step_entries(x, p.T.tocsr(), rows, cols)
+    # the running step keeps its order: the next product adds in that order
+    assert np.array_equal(x.indices, before[0]) and np.array_equal(x.data, before[1])
+    assert np.array_equal(got, localwalk.gather(x @ p, rows, cols))
+
+
+@pytest.mark.parametrize("cells", [50, None])  # a few pairs, then every cell
+def test_step_entries_read_an_unsorted_step(cells):
+    g = synthetic.random_hypergraph(60, 150, np.random.default_rng(0), max_size=4, connected=True)
+    p = transition(g)
+    _, x = localwalk.source_rows(p, range(g.n))
+    x = x @ p @ p
+    assert not x.has_sorted_indices
+    picked = np.random.default_rng(1).choice(g.n * g.n, cells or g.n * g.n, replace=False)
+    rows, cols = np.divmod(picked, g.n)
+    got = localwalk.step_entries(x, p.T.tocsr(), rows, cols)
+    assert not x.has_sorted_indices
+    assert np.array_equal(got, (x @ p).toarray().ravel()[picked])
+
+
+@given(seed=st.integers(0, 20), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_last_walk_entries_equal_the_whole_extraction(seed, data):
+    # a few rows of P scaled, so the walk rows that reach them need
+    # renormalizing and take the whole-row path, next to rows that need none
+    g = synthetic.random_hypergraph(40, 45, np.random.default_rng(seed), max_size=3, connected=True)
+    scale = np.ones(g.n)
+    scaled = data.draw(st.lists(st.integers(0, g.n - 1), max_size=3))
+    scale[scaled] = data.draw(st.sampled_from([0.5, 1 + 1e-11]))
+    p = (sparse.diags(scale) @ transition(g)).tocsr()
+    k = data.draw(st.integers(1, 4))
+    sources = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1)))
+    drop_tol = data.draw(st.sampled_from([localwalk.DROP_TOL] * 3 + [0.01, 0.2]))
+    renorm_tol = data.draw(st.sampled_from([localwalk.RENORM_TOL] * 3 + [1e-17, 0.0]))
+    _, x = localwalk.source_rows(p, sources)
+    picked = np.arange(len(sources) * g.n)[:: data.draw(st.sampled_from([1, 7, 41]))]  # every cell, or a few
+    rows, cols = np.divmod(picked, g.n)
+    pt = p.T.tocsr()
+
+    def tail(acc, step):
+        return localwalk.last_walk_entries(p, pt, acc, step, k, rows, cols)
+
+    with mock.patch.multiple(localwalk, DROP_TOL=drop_tol, RENORM_TOL=renorm_tol):
+        (_, got), = localwalk.walk_sums(p, x, [k], tail)
+        (_, acc), = localwalk.walk_sums(p, x, [k])
+        whole = localwalk.extract_rows(acc, 1.0 / k)
+    assert np.array_equal(got, whole.toarray().ravel()[picked])

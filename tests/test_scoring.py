@@ -423,6 +423,27 @@ def test_lrw_memory_grows_with_the_block_not_the_sources(monkeypatch):
     assert peak(16) < peak(g.n) / 2
 
 
+def test_katz_series_memory_grows_with_the_block_not_the_table(monkeypatch):
+    g = random_hypergraph(400, 1600, np.random.default_rng(0), max_size=4, connected=True)
+    monkeypatch.setattr(scoring, "KATZ_CLOSED_MAX_N", g.n - 1)
+    table = katz_pair_table(g, range(g.n))
+    assert isinstance(table, KatzSeries)
+    rng = np.random.default_rng(1)
+    i, j = rng.integers(0, g.n, 2000), rng.integers(0, g.n, 2000)
+
+    def peak(sources):
+        monkeypatch.setattr(scoring, "WALK_BLOCK_ENTRIES", sources * g.n)
+        tracemalloc.start()
+        try:
+            return table.values(0.01, i, j), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (small, small_peak), (whole, whole_peak) = peak(16), peak(g.n)
+    assert np.array_equal(small, whole)
+    assert small_peak < whole_peak / 4
+
+
 def test_one_large_candidate_pads_no_other():
     # 3000 triples and one candidate of 100 vertices: a layout padded to the
     # largest candidate would hold 3001 x 4950 pair slots (119 MB) and
@@ -466,6 +487,13 @@ def test_score_grid_rejects_mixed_families_and_grids(t1):
         score_grid([HCN, HCN], t1, [(0, 1)], [None])
     with pytest.raises(ParameterError):
         score_grid([LRW, HCN], t1, [(0, 1)], [2])
+
+
+@pytest.mark.parametrize("kind, value", [(HKATZ, -0.1), (HKATZ, float("nan")), (HKATZ, True),
+                                         (HKATZ, "0.1"), (LRW, 0), (LRW, 2.5)])
+def test_score_grid_checks_each_grid_value(t1, kind, value):
+    with pytest.raises(ParameterError, match=r"^(Katz damping beta|walk length [kK])="):
+        score_grid([kind], t1, [(0, 1)], [0.01 if kind == HKATZ else 2, value])
 
 
 def test_hpra_toy(t1):
