@@ -49,8 +49,17 @@ chunk kernel at fill 0.5, 0.76-1.21 times at 0.67, 0.94-1.47 times at
 bytes a cell and the CSR matrix 12 bytes a stored entry, so above a fill
 of 2/3 the copy is never larger than R.
 
+Each block's or chunk's terms are computed in one buffer, which holds the
+ratios p / mix, then their logs, then the terms and, in the dense
+executor, last their running sums.  Blocks of the dense executor at small
+n are near glibc's 128 KiB heap trim threshold (a t = 2 block at n = 60
+is 130,560 bytes), so freeing several arrays of a block's size per block
+would return the top of the heap to the OS, to be faulted back in by the
+next block.
+
 :func:`js` and :func:`js_generalized` are thin wrappers that score one group
-of dense vectors or 1 x n sparse rows, all over the same n vertices.
+of dense vectors or 1 x n sparse rows, all over the same n vertices; each
+must be a distribution: finite, >= 0 and summing to 1 within ``SUM_TOL``.
 """
 
 from __future__ import annotations
@@ -68,6 +77,9 @@ DIRECT_CELLS_PER_ENTRY = 16
 # Executor rule: the dense executor runs on rows that store at least this
 # fraction of their cells (see the module docstring).
 DENSE_MIN_FILL = 0.8
+# How far from 1 the sum of a distribution given to js or js_generalized
+# may lie.
+SUM_TOL = 1e-9
 
 
 def _divergence_chunk(rows: sparse.csr_matrix, groups: np.ndarray) -> np.ndarray:
@@ -104,17 +116,20 @@ def _divergence_dense(dense: np.ndarray, groups: np.ndarray) -> np.ndarray:
             mix += (1.0 / t) * p[:, r]
         # accumulate adds each row's terms left to right, in column order,
         # as bincount adds a sparse row's stored entries
-        rel = np.add.accumulate(_terms(p, mix[:, None, :]), axis=2)[:, :, -1]
+        terms = _terms(p, mix[:, None, :])
+        rel = np.add.accumulate(terms, axis=2, out=terms)[:, :, -1]
         total[lo : lo + step] = _member_mean(rel)
     return total
 
 
 def _terms(p: np.ndarray, mix: np.ndarray) -> np.ndarray:
-    """p * log2(p / mix), exactly 0.0 where p == 0 (0 * log 0 := 0)."""
+    """p * log2(p / mix), exactly 0.0 where p == 0 (0 * log 0 := 0), in a
+    new array that holds the ratio, then its log, then the terms."""
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = p / mix
         ratio[p == 0.0] = 1.0
-        return p * np.log2(ratio)
+        np.log2(ratio, out=ratio)
+        return np.multiply(p, ratio, out=ratio)
 
 
 def _member_mean(rel: np.ndarray) -> np.ndarray:
@@ -158,7 +173,8 @@ def divergences(rows: sparse.csr_matrix, groups) -> np.ndarray:
 
 def _stack(dists) -> sparse.csr_matrix:
     """CSR matrix whose row r holds ``dists[r]``, a dense vector or a 1 x n
-    sparse row; every row must have the same length n."""
+    sparse row; every row must have the same length n and be a
+    distribution: finite, >= 0 and summing to 1 within ``SUM_TOL``."""
     rows = []
     for d in dists:
         d = d if sparse.issparse(d) else np.atleast_2d(np.asarray(d, dtype=np.float64))
@@ -168,7 +184,14 @@ def _stack(dists) -> sparse.csr_matrix:
     lengths = sorted({r.shape[1] for r in rows})
     if len(lengths) > 1:
         raise ParameterError(f"distributions over different vertex counts {lengths}")
-    return sparse.vstack(rows, format="csr")
+    stacked = sparse.vstack(rows, format="csr")
+    if not (np.isfinite(stacked.data).all() and (stacked.data >= 0.0).all()):
+        raise ParameterError("a distribution holds a negative or non-finite value")
+    sums = np.asarray(stacked.sum(axis=1)).ravel()
+    off = np.flatnonzero(np.abs(sums - 1.0) > SUM_TOL)
+    if off.size:
+        raise ParameterError(f"distribution {off[0]} sums to {float(sums[off[0]])!r}, not 1")
+    return stacked
 
 
 def js(p, q) -> float:

@@ -20,7 +20,6 @@ from itertools import chain, compress
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import scoring
 from .errors import (
@@ -157,7 +156,8 @@ def build_candidates(
     set) to an observed, missing, or previously sampled edge is resampled
     up to 100 times, then accepted with the collision counted.  A missing
     edge with fewer eligible vertices than it needs raises SamplingError,
-    and one with a vertex outside ``observed_g`` CandidateError.
+    and one with a vertex that is not an integer or lies outside
+    ``observed_g`` CandidateError.
 
     Random-number contract: every attempt makes exactly two calls on
     ``rng``, first ``rng.choice(len(edge), size=r, replace=False)`` for
@@ -171,6 +171,11 @@ def build_candidates(
     negatives: list[Edge] = []
     collisions = 0
     for edge in missing:
+        for v in edge:
+            if not isinstance(v, numbers.Integral):
+                raise CandidateError(
+                    f"missing edge {tuple(edge)!r} has the non-integer vertex {v!r}"
+                )
         members = [int(v) for v in edge]
         if not all(0 <= v < observed_g.n for v in members):
             raise CandidateError(
@@ -219,6 +224,31 @@ def _finite_scores(scores) -> np.ndarray:
     return scores
 
 
+def _average_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks along the last axis, each tie group given the mean of
+    its positions, as ``scipy.stats.rankdata(scores, "average", axis=-1)``.
+
+    Every row is sorted by one stable ``argsort``, and a tie group opens at
+    each row start and wherever sorted neighbours differ, so -0.0 ties 0.0.
+    A group spanning 0-based sorted positions first..last ranks
+    (first + last + 2) / 2, a half-integer.
+    """
+    width = scores.shape[-1]
+    rows = scores.reshape(-1, width)
+    order = np.argsort(rows, axis=-1, kind="stable")
+    ordered = np.take_along_axis(rows, order, axis=-1)
+    opens = np.ones(rows.shape, dtype=bool)
+    opens[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    first = np.nonzero(opens)[1]  # sorted position where each group opens, row by row
+    after = np.append(first[1:], 0)  # where the next group opens; 0 starts a new row
+    after[after == 0] = width
+    ranks = np.empty(rows.shape)
+    group_rank = (first + after + 1) / 2.0  # last = after - 1
+    sorted_ranks = np.repeat(group_rank, after - first).reshape(rows.shape)
+    np.put_along_axis(ranks, order, sorted_ranks, axis=-1)
+    return ranks.reshape(scores.shape)
+
+
 def auroc(scores, labels):
     """Probability a random positive outscores a random negative (ties 0.5).
 
@@ -235,7 +265,7 @@ def auroc(scores, labels):
     if n_pos == 0 or n_neg == 0:
         raise MetricUndefinedError("AUROC needs at least one positive and one negative")
     # ranks are half-integers, so their sums are exact in any order
-    ranks = rankdata(scores, method="average", axis=-1)
+    ranks = _average_ranks(scores)
     values = (ranks[..., pos].sum(axis=-1) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return float(values) if scores.ndim == 1 else values
 

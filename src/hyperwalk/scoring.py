@@ -150,7 +150,7 @@ class MethodSpec:
         return getattr(self, TUNED[self.kind]) if self.kind in TUNED else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredEdge:
     edge: Edge
     score: float

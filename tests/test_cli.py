@@ -313,6 +313,17 @@ def test_too_few_vertices_for_the_cardinality_raise_rather_than_loop():
     assert done.stdout == "n=2 is not an integer >= 3\n"
 
 
+def test_importing_the_library_and_cli_leaves_scipy_stats_out():
+    # scipy.stats adds about 38 MB of RSS and half a second to start-up;
+    # only the tests use it, as an oracle
+    code = ("import sys, hyperwalk, hyperwalk.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    src = Path(hyperwalk.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
+
+
 # one value per config key, as the file writes it
 KEY_VALUES = {
     "dataset": "a.txt", "methods": "lrw,hcn", "alpha": "0.3,0.6", "lambda": "4",

@@ -77,6 +77,31 @@ def test_rows_over_different_vertex_counts_raise():
         js(sparse.csr_matrix(np.eye(2)), [1.0, 0.0])
 
 
+@pytest.mark.parametrize("p", [
+    [-1.0, 2.0],  # sums to 1, but negative
+    [2.0, 0.0],
+    [0.0, 5.0],
+    [np.inf, 0.0],
+    [np.nan, 1.0],
+    [0.5, 0.5 + 1e-6],
+    sparse.csr_matrix([[0.5, -0.5]]),
+    sparse.csr_matrix(([0.5, 0.25], [0, 0], [0, 2]), shape=(1, 2)),  # repeats sum to 0.75
+])
+def test_js_needs_distributions(p):
+    with pytest.raises(ParameterError, match="distribution"):
+        js(p, [0.5, 0.5])
+    with pytest.raises(ParameterError, match="distribution"):
+        js([0.5, 0.5], p)
+    with pytest.raises(ParameterError, match="distribution"):
+        js_generalized([[0.5, 0.5], [1.0, 0.0], p])
+
+
+def test_js_takes_sums_within_the_tolerance():
+    off = divergence.SUM_TOL / 2
+    assert js([0.5 + off, 0.5], [0.5, 0.5]) == js([0.5, 0.5], [0.5 + off, 0.5])
+    assert 0.0 <= js_generalized([[1.0 - off, 0.0], [0.0, 1.0], [0.5, 0.5]]) <= 1.0
+
+
 def test_generalized_identical_is_zero():
     d = [0.25, 0.25, 0.5]
     assert js_generalized([d, d, d]) == pytest.approx(0.0, abs=1e-15)
@@ -164,3 +189,17 @@ def test_executors_agree_bit_for_bit(case, chunk):
         for chunk_entries in (chunk, divergence.CHUNK_ENTRIES):
             with divergence_constants(**executor, CHUNK_ENTRIES=chunk_entries):
                 assert np.array_equal(divergences(*case), expected)
+
+
+@given(case=grouped_rows())
+@settings(max_examples=100)
+def test_divergences_leave_the_input_rows_unchanged(case):
+    # every executor computes its terms in place, in buffers of its own
+    rows, groups = case
+    before = rows.copy()
+    for executor in DIVERGENCE_EXECUTORS.values():
+        for chunk_entries in (1, divergence.CHUNK_ENTRIES):
+            with divergence_constants(**executor, CHUNK_ENTRIES=chunk_entries):
+                divergences(rows, groups)
+            for name in ("data", "indices", "indptr"):
+                assert getattr(rows, name).tobytes() == getattr(before, name).tobytes()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from hyperwalk import experiment, scoring
 from hyperwalk.errors import (
@@ -152,6 +153,15 @@ def test_build_candidates_names_a_missing_edge_outside_the_graph(edge):
     g = random_hypergraph(40, 80, np.random.default_rng(1), connected=True)
     rng = np.random.default_rng(0)
     with pytest.raises(CandidateError, match=rf"^missing edge \({edge[0]}, {edge[1]}\) has a vertex"):
+        build_candidates(g, [g.edges[0], edge], SamplingSpec(0.5, 1), rng)
+
+
+@pytest.mark.parametrize("edge", [(0, 1.5), (0, "3"), (np.float64(2.0), 5), (0, None)])
+def test_build_candidates_names_a_missing_edge_with_a_non_integer_vertex(edge):
+    # int() would read 1.5 as 1 and "3" as 3 and sample fakes for them
+    g = random_hypergraph(40, 80, np.random.default_rng(1), connected=True)
+    rng = np.random.default_rng(0)
+    with pytest.raises(CandidateError, match=r"^missing edge .* has the non-integer vertex"):
         build_candidates(g, [g.edges[0], edge], SamplingSpec(0.5, 1), rng)
 
 
@@ -317,6 +327,42 @@ def test_auroc_of_score_rows_equals_each_row_alone(data):
     assert together.shape == (rows,)
     for r in range(rows):
         assert together[r] == auroc(scores[r], labels)
+
+
+# few distinct values, -0.0 beside 0.0, so rows are full of ties
+TIED_SCORES = st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 0.5 + 1e-16, 1.0]) | st.floats(-2.0, 2.0)
+
+
+@st.composite
+def score_arrays(draw, min_width: int = 1):
+    """A 1-D score vector or a 2-D array of score rows, width >= min_width."""
+    width = draw(st.integers(min_width, 30))
+    shape = draw(st.sampled_from([(width,), (draw(st.integers(1, 5)), width)]))
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(TIED_SCORES, min_size=size, max_size=size))).reshape(shape)
+
+
+@given(scores=score_arrays())
+@settings(max_examples=200, deadline=None)
+def test_average_ranks_equal_scipy_rankdata_bit_for_bit(scores):
+    ranks = experiment._average_ranks(scores)
+    expected = rankdata(scores, method="average", axis=-1)
+    assert ranks.dtype == expected.dtype and ranks.shape == expected.shape
+    assert ranks.tobytes() == expected.tobytes()
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_auroc_equals_the_rankdata_formula_bit_for_bit(data):
+    scores = data.draw(score_arrays(min_width=2))
+    n = scores.shape[-1]
+    labels = np.array(data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
+    labels[:2] = [1, 0]
+    pos = labels == 1
+    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+    ranks = rankdata(scores, method="average", axis=-1)
+    expected = (ranks[..., pos].sum(axis=-1) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    assert np.asarray(auroc(scores, labels)).tobytes() == np.asarray(expected).tobytes()
 
 
 def test_metrics_reject_label_count_mismatch():
