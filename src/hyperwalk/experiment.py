@@ -142,6 +142,170 @@ def replacement_count(edge_size: int, alpha: float) -> int:
     return min(max(math.floor((1.0 - alpha) * edge_size + 0.5), 1), edge_size - 1)
 
 
+# Generator.choice(pop, r, replace=False) shuffles the tail of
+# arange(pop) instead of running Floyd's algorithm when pop > _TAIL_POP
+# and r > pop // 50.
+_TAIL_POP = 10000
+# Most fakes whose draws one rng.integers call takes.
+CHUNK_FAKES = 4096
+
+
+def _tail_shuffled(pop, r):
+    """Whether ``Generator.choice(pop, r, replace=False)`` shuffles a tail
+    rather than run Floyd's algorithm; elementwise on arrays."""
+    return (pop > _TAIL_POP) & (r > pop // 50)
+
+
+def _choice_bounds(pop: int, r: int) -> np.ndarray:
+    """Inclusive upper bounds of the draws, in order, that
+    ``Generator.choice(pop, r, replace=False)`` makes: Floyd's algorithm
+    and then a shuffle of its r picks, or a shuffle of the last r entries
+    of ``arange(pop)``.  ``rng.integers(0, bounds, endpoint=True)`` takes
+    the same draws, value for value."""
+    if _tail_shuffled(pop, r):
+        return np.arange(pop - 1, max(pop - r, 1) - 1, -1)
+    return np.concatenate([np.arange(pop - r, pop), np.arange(r - 1, 0, -1)])
+
+
+def _floyd(pop, r: int, draws: np.ndarray) -> np.ndarray:
+    """The picks of ``Generator.choice(pop, r, replace=False)`` by Floyd's
+    algorithm and its shuffle, one row per row of ``draws``, each row the
+    2r - 1 draws whose bounds :func:`_choice_bounds` gives.  ``pop`` is one
+    population or one per row."""
+    picks = draws[:, :r].copy()
+    for c in range(1, r):
+        seen = (picks[:, :c] == picks[:, c, None]).any(axis=1)
+        picks[:, c] = np.where(seen, pop - r + c, picks[:, c])
+    rows = np.arange(len(picks))
+    for c, i in zip(range(r, 2 * r - 1), range(r - 1, 0, -1)):
+        k = draws[:, c]
+        picks[rows, i], picks[rows, k] = picks[rows, k], picks[rows, i]
+    return picks
+
+
+def _choice_picks(pop: int, r: int, draws: list[int]) -> list[int]:
+    """The picks of one ``Generator.choice(pop, r, replace=False)`` from
+    the draws whose bounds :func:`_choice_bounds` gives."""
+    if not _tail_shuffled(pop, r):
+        return _floyd(pop, r, np.array([draws]))[0].tolist()
+    moved: dict[int, int] = {}  # the entries of arange(pop) that a swap changed
+    for i, k in zip(range(pop - 1, 0, -1), draws):
+        moved[i], moved[k] = moved.get(k, k), moved.get(i, i)
+    return [moved.get(i, i) for i in range(pop - r, pop)]
+
+
+class _EdgeGroup:
+    """Missing edges whose fakes resolve together: the edges of one
+    cardinality whose two choices per attempt both run Floyd's algorithm,
+    or one edge whose choices may shuffle a tail (``tail``).
+
+    ``bounds`` holds each edge's draw bounds for one attempt: those of
+    :func:`_choice_bounds` for its edge slots, the first ``split``, then
+    for its pool positions.  An edge's pool is the ascending array
+    ``vertices`` of the vertices a fake may take, without the edge's own.
+    Pool position q is vertex ``vertices[q + b]``, where b counts the
+    edge's shifted ranks at most q: the ranks in ``vertices`` of its
+    members there, ascending, each less its index.
+    """
+
+    def __init__(self, members: np.ndarray, r: int, vertices: np.ndarray, usable: np.ndarray,
+                 tail: bool):
+        self.members, self.r, self.vertices, self.tail = members, r, vertices, tail
+        size = members.shape[1]
+        ranks = np.where(usable, np.searchsorted(vertices, members), len(vertices))
+        ranks.sort(axis=1)
+        # a member outside the pool ranks len(vertices): above every pool position
+        self.shifted = np.where(ranks < len(vertices), ranks - np.arange(size), len(vertices))
+        self.pool = len(vertices) - usable.sum(axis=1)
+        drop = _choice_bounds(size, r)
+        self.split = len(drop)
+        if tail:
+            pool = _choice_bounds(int(self.pool[0]), r)[None]
+        else:
+            pool = np.hstack([self.pool[:, None] - r + np.arange(r),
+                              np.broadcast_to(np.arange(r - 1, 0, -1), (len(members), r - 1))])
+        self.bounds = np.hstack([np.broadcast_to(drop, (len(members), len(drop))), pool])
+
+    def fakes(self, rows: np.ndarray, draws: np.ndarray) -> list[Edge]:
+        """The fakes of the group's edges ``rows``, one per row of
+        ``draws``, each row one attempt's draws."""
+        size, r, split = self.members.shape[1], self.r, self.split
+        if self.tail:
+            pool = int(self.pool[0])
+            drop = np.array([_choice_picks(size, r, d) for d in draws[:, :split].tolist()])
+            picks = np.array([_choice_picks(pool, r, d) for d in draws[:, split:].tolist()])
+        else:
+            both = _floyd(np.concatenate([np.full(len(rows), size), self.pool[rows]]), r,
+                          np.vstack([draws[:, :split], draws[:, split:]]))
+            drop, picks = both[: len(rows)], both[len(rows):]
+        # rows lifted apart, so that one searchsorted counts within each row
+        lift = np.arange(len(rows))[:, None]
+        stride = len(self.vertices) + 1
+        below = np.searchsorted((self.shifted[rows] + lift * stride).ravel(),
+                                (picks + lift * stride).ravel(), side="right")
+        repl = self.vertices[picks + below.reshape(picks.shape) - lift * size]
+        keep = np.ones((len(rows), size), dtype=bool)
+        keep[lift, drop] = False
+        kept = self.members[rows][keep].reshape(len(rows), size - r)
+        return list(map(tuple, np.sort(np.hstack([kept, repl]), axis=1).tolist()))
+
+
+def _missing_error(edge, n: int) -> CandidateError:
+    """The CandidateError of a missing edge that fails a check, from its
+    first failing check, in the order of scoring's candidate checks: a
+    vertex that is not an integer, then not a set of at least 2 vertices,
+    then a vertex outside 0..n-1."""
+    for v in edge:
+        if not isinstance(v, numbers.Integral):
+            return CandidateError(f"missing edge {tuple(edge)!r} has the non-integer vertex {v!r}")
+    members = [int(v) for v in edge]
+    if len(members) < 2 or len(set(members)) != len(members):
+        return CandidateError(f"missing edge {tuple(edge)} is not a set of >= 2 vertices")
+    return CandidateError(f"missing edge {tuple(edge)} has a vertex outside 0..{n - 1}")
+
+
+def _checked_missing(
+    missing: Sequence[Edge], n: int
+) -> tuple[np.ndarray, np.ndarray, CandidateError | None]:
+    """The vertices of the missing edges, concatenated edge by edge in
+    their given order, and the edges' sizes, up to the first edge that
+    fails a check (see :func:`_missing_error`), and that edge's error."""
+    listed = list(chain.from_iterable(missing))
+    flat = scoring._vertex_ids(listed, set(map(type, listed)))
+    sizes = np.fromiter(map(len, missing), dtype=np.int64, count=len(missing))
+    starts = np.cumsum(sizes) - sizes
+    outside = np.concatenate(([0], np.cumsum((flat < 0) | (flat >= n))))
+    bad = (sizes < 2) | (outside[starts + sizes] > outside[starts])
+    for t in np.unique(sizes).tolist():
+        idx = np.flatnonzero(sizes == t)
+        block = np.sort(flat[starts[idx, None] + np.arange(t)], axis=1)
+        bad[idx] |= (block[:, 1:] == block[:, :-1]).any(axis=1)
+    if not bad.any():
+        return flat, sizes, None
+    stop = int(np.argmax(bad))
+    return flat[: starts[stop]], sizes[:stop], _missing_error(missing[stop], n)
+
+
+def _edge_groups(flat, sizes, need, pools, vertices, usable):
+    """The missing edges, given as their vertices ``flat`` and ``sizes``,
+    in :class:`_EdgeGroup` s, and each edge's group and row in it.
+    ``need`` holds each edge's r, ``pools`` its pool size, and ``usable``
+    marks the entries of ``flat`` that are in ``vertices``."""
+    starts = np.cumsum(sizes) - sizes
+    tail = _tail_shuffled(sizes, need) | _tail_shuffled(pools, need)
+    keys = [(t, -1) for t in np.unique(sizes[~tail]).tolist()]
+    keys += [(int(sizes[e]), e) for e in np.flatnonzero(tail).tolist()]
+    groups: list[_EdgeGroup] = []
+    group_of = np.zeros(len(sizes), dtype=np.int64)
+    row_of = np.zeros(len(sizes), dtype=np.int64)
+    for t, e in keys:
+        idx = np.flatnonzero((sizes == t) & ~tail) if e < 0 else np.array([e])
+        slots = starts[idx, None] + np.arange(t)
+        group_of[idx], row_of[idx] = len(groups), np.arange(len(idx))
+        groups.append(_EdgeGroup(flat[slots], int(need[idx[0]]), vertices, usable[slots], e >= 0))
+    return groups, group_of, row_of
+
+
 def build_candidates(
     observed_g: Hypergraph,
     missing: Sequence[Edge],
@@ -154,53 +318,92 @@ def build_candidates(
     A fake replaces vertices of its missing edge with vertices outside
     that edge that are not isolated in ``observed_g``.  A fake equal (as a
     set) to an observed, missing, or previously sampled edge is resampled
-    up to 100 times, then accepted with the collision counted.  A missing
-    edge with fewer eligible vertices than it needs raises SamplingError,
-    and one with a vertex that is not an integer or lies outside
-    ``observed_g`` CandidateError.
+    up to 100 times, then accepted with the collision counted.  The first
+    missing edge, in input order, that fails a check raises, once the
+    fakes of the edges before it are drawn: CandidateError for a vertex
+    that is not an integer, then for an edge that is not a set of at
+    least 2 vertices, then for a vertex outside ``observed_g``;
+    SamplingError for an edge with fewer eligible vertices than it needs.
 
-    Random-number contract: every attempt makes exactly two calls on
-    ``rng``, first ``rng.choice(len(edge), size=r, replace=False)`` for
+    Random-number contract: the values drawn and the generator's end state
+    are exactly those of two ``rng.choice(..., replace=False)`` calls per
+    attempt, first ``rng.choice(len(edge), size=r, replace=False)`` for
     the edge slots to replace, then ``rng.choice(len(eligible), size=r,
     replace=False)`` for positions in the ascending array of eligible
     vertices (the same draws as ``rng.choice(eligible, ...)``), with r from
-    :func:`replacement_count`.  Nothing else reads the generator.
+    :func:`replacement_count`.  The draws of a window of at most
+    :data:`CHUNK_FAKES` fakes are taken in one ``rng.integers`` call, one
+    bounded draw per step of numpy's ``Generator.choice``: Floyd's
+    algorithm and a shuffle of its picks, or, when pop > 10000 and
+    r > pop // 50, a shuffle of the tail of ``arange(pop)``.  A rejected
+    fake rewinds the generator to the end of its attempt's draws and opens
+    the next window at its retry.
     """
     forbidden: set[Edge] = set(observed_g.edges) | set(missing)
+    flat, sizes, error = _checked_missing(missing, observed_g.n)
     active = observed_g.degrees > 0
+    vertices = np.flatnonzero(active)
+    in_pool = np.concatenate(([0], np.cumsum(active[flat])))
+    edge_ends = np.cumsum(sizes)
+    pools = len(vertices) - (in_pool[edge_ends] - in_pool[edge_ends - sizes])
+    counts = [replacement_count(t, spec.alpha) for t in range(sizes.max(initial=0) + 1)]
+    need = np.array(counts, dtype=np.int64)[sizes]
+    short = np.flatnonzero(pools < need)
+    if len(short):
+        stop = int(short[0])
+        error = SamplingError(
+            f"edge {missing[stop]}: need {need[stop]} replacement vertices, "
+            f"only {pools[stop]} eligible"
+        )
+        flat, sizes = flat[: edge_ends[stop] - sizes[stop]], sizes[:stop]
+        need, pools = need[:stop], pools[:stop]
+    groups, group_of, row_of = _edge_groups(flat, sizes, need, pools, vertices, active[flat])
+    widths = np.array([g.bounds.shape[1] for g in groups], dtype=np.int64)
+
+    lam = spec.fakes_per_missing
+    total = len(sizes) * lam
     negatives: list[Edge] = []
     collisions = 0
-    for edge in missing:
-        for v in edge:
-            if not isinstance(v, numbers.Integral):
-                raise CandidateError(
-                    f"missing edge {tuple(edge)!r} has the non-integer vertex {v!r}"
-                )
-        members = [int(v) for v in edge]
-        if not all(0 <= v < observed_g.n for v in members):
-            raise CandidateError(
-                f"missing edge {tuple(edge)} has a vertex outside 0..{observed_g.n - 1}"
-            )
-        size = len(members)
-        r = replacement_count(size, spec.alpha)
-        mask = active.copy()
-        mask[members] = False
-        eligible = np.flatnonzero(mask)
-        pool = len(eligible)
-        if pool < r:
-            raise SamplingError(f"edge {edge}: need {r} replacement vertices, only {pool} eligible")
-        for _ in range(spec.fakes_per_missing):
-            for attempt in range(100):
-                drop = rng.choice(size, size=r, replace=False).tolist()
-                repl = eligible[rng.choice(pool, size=r, replace=False)].tolist()
-                fake = tuple(sorted([v for k, v in enumerate(members) if k not in drop] + repl))
-                if fake not in forbidden:
+    first, attempt, width = 0, 0, CHUNK_FAKES
+    while first < total:
+        owner = np.arange(first, min(first + width, total)) // lam  # each fake's edge
+        in_group = group_of[owner]
+        ends = np.cumsum(widths[in_group])
+        bounds = np.empty(int(ends[-1]), dtype=np.int64)
+        parts = []
+        for g in np.unique(in_group).tolist():
+            js = np.flatnonzero(in_group == g)
+            cols = (ends[js] - widths[g])[:, None] + np.arange(widths[g])
+            rows = row_of[owner[js]]
+            bounds[cols] = groups[g].bounds[rows]
+            parts.append((js, groups[g], rows, cols))
+        saved = rng.bit_generator.state
+        draws = rng.integers(0, bounds, endpoint=True)
+        fakes: list = [None] * len(owner)
+        for js, group, rows, cols in parts:
+            for j, fake in zip(js.tolist(), group.fakes(rows, draws[cols])):
+                fakes[j] = fake
+        for j, fake in enumerate(fakes):
+            if fake in forbidden:
+                if attempt < 99:
+                    if ends[j] < len(bounds):  # draw again only through this attempt
+                        rng.bit_generator.state = saved
+                        rng.integers(0, bounds[: ends[j]], endpoint=True)
+                    first, attempt, width = first + j, attempt + 1, j + 1
                     break
-            else:
                 collisions += 1
-                logger.warning("edge %s: accepted colliding fake %s after 100 attempts", edge, fake)
+                logger.warning(
+                    "edge %s: accepted colliding fake %s after 100 attempts",
+                    missing[owner[j]],
+                    fake,
+                )
             forbidden.add(fake)
             negatives.append(fake)
+            attempt = 0
+        else:
+            first, width = first + len(owner), min(2 * width, CHUNK_FAKES)
+    if error is not None:
+        raise error
     return CandidateSet(tuple(missing), tuple(negatives), collisions)
 
 

@@ -1,7 +1,9 @@
 import gc
+import re
 import weakref
 from dataclasses import replace
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from hyperwalk.experiment import (
     split,
     trial_candidates,
 )
-from hyperwalk.hypergraph import from_label_edges
+from hyperwalk.hypergraph import Hypergraph, from_label_edges
 from hyperwalk.scoring import LRW, LRW_GJS, LRW_JS, MethodSpec
 from hyperwalk.synthetic import planted_hypergraph, random_hypergraph
 
@@ -156,6 +158,27 @@ def test_build_candidates_names_a_missing_edge_outside_the_graph(edge):
         build_candidates(g, [g.edges[0], edge], SamplingSpec(0.5, 1), rng)
 
 
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        ((1, 1, 2), r"\(1, 1, 2\) is not a set of >= 2 vertices$"),
+        ((3,), r"\(3,\) is not a set of >= 2 vertices$"),
+        ((), r"\(\) is not a set of >= 2 vertices$"),
+        ((50, 50), r"\(50, 50\) is not a set"),  # checked before the range
+        ((1.5, 1.5), r"\(1.5, 1.5\) has the non-integer vertex 1.5$"),  # checked before set-ness
+    ],
+    ids=["repeated-vertex", "one-vertex", "empty", "repeated-outside", "repeated-non-integer"],
+)
+def test_build_candidates_names_a_missing_edge_that_is_not_a_set(edge, message):
+    g = random_hypergraph(40, 80, np.random.default_rng(1), connected=True)
+    rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+    with pytest.raises(CandidateError, match=r"^missing edge " + message):
+        build_candidates(g, [g.edges[0], edge], SamplingSpec(0.5, 1), rng)
+    # the fakes of the edges before the failing one are drawn first
+    build_candidates(g, [g.edges[0]], SamplingSpec(0.5, 1), twin)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 @pytest.mark.parametrize("edge", [(0, 1.5), (0, "3"), (np.float64(2.0), 5), (0, None)])
 def test_build_candidates_names_a_missing_edge_with_a_non_integer_vertex(edge):
     # int() would read 1.5 as 1 and "3" as 3 and sample fakes for them
@@ -242,6 +265,70 @@ def test_build_candidates_matches_negatives_oracle(kind, n, m, seed, rho, alpha,
         if kind == "complete":
             assert collisions > 0
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def _matches_negatives_oracle(observed_g, missing, spec, seed):
+    """build_candidates and the per-fake oracle on twin generators give
+    equal candidate sets, or the same SamplingError, and leave the
+    generators in equal states."""
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    forbidden = set(observed_g.edges) | set(missing)
+    negatives, collisions = [], 0
+    try:
+        for e in missing:
+            f, c = negatives_oracle(
+                e, observed_g, spec, oracle_rng, forbidden, observed_g.degrees > 0
+            )
+            negatives.extend(f)
+            collisions += c
+    except SamplingError as exc:
+        with pytest.raises(SamplingError, match=f"^{re.escape(str(exc))}$"):
+            build_candidates(observed_g, missing, spec, rng)
+    else:
+        got = build_candidates(observed_g, missing, spec, rng)
+        assert got == CandidateSet(tuple(missing), tuple(negatives), collisions)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("chunk", [1, 2, experiment.CHUNK_FAKES])
+@given(
+    kind=st.sampled_from(["random", "planted", "complete"]),
+    n=st.integers(5, 40),
+    m=st.integers(4, 80),
+    seed=st.integers(0, 2**16),
+    alpha=st.floats(0.01, 0.99),
+    fakes=st.integers(1, 5),
+)
+@example(kind="complete", n=1, m=10, seed=0, alpha=0.5, fakes=3)
+@example(kind="complete", n=2, m=10, seed=3, alpha=0.2, fakes=5)
+@settings(max_examples=25, deadline=None)
+def test_build_candidates_windows_match_negatives_oracle(chunk, kind, n, m, seed, alpha, fakes):
+    # a rejected fake rewinds the generator and retries in the next window,
+    # so a window of one or two fakes puts every rewind at a window edge
+    g = _sampling_graph(kind, n, m, seed)
+    try:
+        observed, missing = split(g, SplitSpec(0.8, 1, seed), 0)
+    except TrialDegenerateError:
+        return
+    with mock.patch.object(experiment, "CHUNK_FAKES", chunk):
+        _matches_negatives_oracle(g.with_edges(observed), missing, SamplingSpec(alpha, fakes), seed)
+
+
+@pytest.mark.parametrize(
+    "missing, alpha, fakes",
+    [
+        # pools of about 10.3k vertices and small r: Floyd's algorithm
+        ([(0, 2), (5, 9, 13), (100, 2000, 7000, 10299), (7, 300, 301, 4000, 9000)], 0.5, 4),
+        # r = 234 > pool // 50 = 200: the pool choice shuffles a tail
+        ([(3, 8), tuple(range(0, 520, 2)), (11, 4001, 9999)], 0.1, 2),
+    ],
+    ids=["floyd", "tail-shuffle"],
+)
+def test_build_candidates_matches_negatives_oracle_above_pop_10000(missing, alpha, fakes):
+    n = 10300
+    observed_g = Hypergraph(n, [(v, v + 1) for v in range(n - 1)])
+    for seed in range(3):
+        _matches_negatives_oracle(observed_g, missing, SamplingSpec(alpha, fakes), seed)
 
 
 @given(g=hypergraphs(max_n=12, max_m=14, connected=True))
