@@ -162,8 +162,8 @@ def cmd_cv(cfg: RunConfig) -> int:
             specs = [MethodSpec(k) for k in tunable]
             for trial in range(cfg.trials):
                 with experiment.naming_trial(trial):
-                    _, _, chosen = experiment.tune_trial(g, split_spec, sampling, specs, trial,
-                                                         cfg.folds, cfg.k_grid, cfg.beta_grid)
+                    *_, chosen = experiment.tune_trial(g, split_spec, sampling, specs, trial,
+                                                       cfg.folds, cfg.k_grid, cfg.beta_grid)
                 for kind in tunable:
                     rows.append([dataset_name(path), alpha, trial, kind, chosen[kind]])
     _print_table(["dataset", "alpha", "trial", "method", "chosen"], rows, ("", "g", "", "", "g"))

@@ -195,47 +195,39 @@ def _choice_picks(pop: int, r: int, draws: list[int]) -> list[int]:
 
 
 class _EdgeGroup:
-    """Missing edges whose fakes resolve together: the edges of one
-    cardinality whose two choices per attempt both run Floyd's algorithm,
-    or one edge whose choices may shuffle a tail (``tail``).
+    """The missing edges of one cardinality, as the rows of ``members``,
+    each edge's vertices ascending, whose fakes resolve together.  Every
+    edge of the group replaces r vertices from a pool of equal size, so
+    they share one attempt's draw bounds ``bounds``: those of
+    :func:`_choice_bounds` for the edge slots, the first ``split``, then
+    for the pool positions.  ``tail`` tells whether either choice may
+    shuffle a tail; such a group resolves fake by fake.
 
-    ``bounds`` holds each edge's draw bounds for one attempt: those of
-    :func:`_choice_bounds` for its edge slots, the first ``split``, then
-    for its pool positions.  An edge's pool is the ascending array
-    ``vertices`` of the vertices a fake may take, without the edge's own.
-    Pool position q is vertex ``vertices[q + b]``, where b counts the
-    edge's shifted ranks at most q: the ranks in ``vertices`` of its
-    members there, ascending, each less its index.
+    An edge's pool is the ascending array ``vertices`` of the vertices a
+    fake may take, without the edge's own.  Pool position q is vertex
+    ``vertices[q + b]``, where b counts the edge's shifted ranks at most
+    q: the ranks in ``vertices`` of its members, each less its index.
     """
 
-    def __init__(self, members: np.ndarray, r: int, vertices: np.ndarray, usable: np.ndarray,
-                 tail: bool):
-        self.members, self.r, self.vertices, self.tail = members, r, vertices, tail
+    def __init__(self, members: np.ndarray, r: int, vertices: np.ndarray):
+        self.members, self.r, self.vertices = members, r, vertices
         size = members.shape[1]
-        ranks = np.where(usable, np.searchsorted(vertices, members), len(vertices))
-        ranks.sort(axis=1)
-        # a member outside the pool ranks len(vertices): above every pool position
-        self.shifted = np.where(ranks < len(vertices), ranks - np.arange(size), len(vertices))
-        self.pool = len(vertices) - usable.sum(axis=1)
+        self.shifted = np.searchsorted(vertices, members) - np.arange(size)
+        self.pool = len(vertices) - size
+        self.tail = bool(_tail_shuffled(size, r) or _tail_shuffled(self.pool, r))
         drop = _choice_bounds(size, r)
         self.split = len(drop)
-        if tail:
-            pool = _choice_bounds(int(self.pool[0]), r)[None]
-        else:
-            pool = np.hstack([self.pool[:, None] - r + np.arange(r),
-                              np.broadcast_to(np.arange(r - 1, 0, -1), (len(members), r - 1))])
-        self.bounds = np.hstack([np.broadcast_to(drop, (len(members), len(drop))), pool])
+        self.bounds = np.concatenate([drop, _choice_bounds(self.pool, r)])
 
     def fakes(self, rows: np.ndarray, draws: np.ndarray) -> list[Edge]:
         """The fakes of the group's edges ``rows``, one per row of
         ``draws``, each row one attempt's draws."""
         size, r, split = self.members.shape[1], self.r, self.split
         if self.tail:
-            pool = int(self.pool[0])
             drop = np.array([_choice_picks(size, r, d) for d in draws[:, :split].tolist()])
-            picks = np.array([_choice_picks(pool, r, d) for d in draws[:, split:].tolist()])
+            picks = np.array([_choice_picks(self.pool, r, d) for d in draws[:, split:].tolist()])
         else:
-            both = _floyd(np.concatenate([np.full(len(rows), size), self.pool[rows]]), r,
+            both = _floyd(np.repeat([size, self.pool], len(rows)), r,
                           np.vstack([draws[:, :split], draws[:, split:]]))
             drop, picks = both[: len(rows)], both[len(rows):]
         # rows lifted apart, so that one searchsorted counts within each row
@@ -250,62 +242,6 @@ class _EdgeGroup:
         return list(map(tuple, np.sort(np.hstack([kept, repl]), axis=1).tolist()))
 
 
-def _missing_error(edge, n: int) -> CandidateError:
-    """The CandidateError of a missing edge that fails a check, from its
-    first failing check, in the order of scoring's candidate checks: a
-    vertex that is not an integer, then not a set of at least 2 vertices,
-    then a vertex outside 0..n-1."""
-    for v in edge:
-        if not isinstance(v, numbers.Integral):
-            return CandidateError(f"missing edge {tuple(edge)!r} has the non-integer vertex {v!r}")
-    members = [int(v) for v in edge]
-    if len(members) < 2 or len(set(members)) != len(members):
-        return CandidateError(f"missing edge {tuple(edge)} is not a set of >= 2 vertices")
-    return CandidateError(f"missing edge {tuple(edge)} has a vertex outside 0..{n - 1}")
-
-
-def _checked_missing(
-    missing: Sequence[Edge], n: int
-) -> tuple[np.ndarray, np.ndarray, CandidateError | None]:
-    """The vertices of the missing edges, concatenated edge by edge in
-    their given order, and the edges' sizes, up to the first edge that
-    fails a check (see :func:`_missing_error`), and that edge's error."""
-    listed = list(chain.from_iterable(missing))
-    flat = scoring._vertex_ids(listed, set(map(type, listed)))
-    sizes = np.fromiter(map(len, missing), dtype=np.int64, count=len(missing))
-    starts = np.cumsum(sizes) - sizes
-    outside = np.concatenate(([0], np.cumsum((flat < 0) | (flat >= n))))
-    bad = (sizes < 2) | (outside[starts + sizes] > outside[starts])
-    for t in np.unique(sizes).tolist():
-        idx = np.flatnonzero(sizes == t)
-        block = np.sort(flat[starts[idx, None] + np.arange(t)], axis=1)
-        bad[idx] |= (block[:, 1:] == block[:, :-1]).any(axis=1)
-    if not bad.any():
-        return flat, sizes, None
-    stop = int(np.argmax(bad))
-    return flat[: starts[stop]], sizes[:stop], _missing_error(missing[stop], n)
-
-
-def _edge_groups(flat, sizes, need, pools, vertices, usable):
-    """The missing edges, given as their vertices ``flat`` and ``sizes``,
-    in :class:`_EdgeGroup` s, and each edge's group and row in it.
-    ``need`` holds each edge's r, ``pools`` its pool size, and ``usable``
-    marks the entries of ``flat`` that are in ``vertices``."""
-    starts = np.cumsum(sizes) - sizes
-    tail = _tail_shuffled(sizes, need) | _tail_shuffled(pools, need)
-    keys = [(t, -1) for t in np.unique(sizes[~tail]).tolist()]
-    keys += [(int(sizes[e]), e) for e in np.flatnonzero(tail).tolist()]
-    groups: list[_EdgeGroup] = []
-    group_of = np.zeros(len(sizes), dtype=np.int64)
-    row_of = np.zeros(len(sizes), dtype=np.int64)
-    for t, e in keys:
-        idx = np.flatnonzero((sizes == t) & ~tail) if e < 0 else np.array([e])
-        slots = starts[idx, None] + np.arange(t)
-        group_of[idx], row_of[idx] = len(groups), np.arange(len(idx))
-        groups.append(_EdgeGroup(flat[slots], int(need[idx[0]]), vertices, usable[slots], e >= 0))
-    return groups, group_of, row_of
-
-
 def build_candidates(
     observed_g: Hypergraph,
     missing: Sequence[Edge],
@@ -315,22 +251,29 @@ def build_candidates(
     """Candidate set: the missing edges plus fakes_per_missing fakes each,
     sampled against the observed hypergraph ``observed_g``.
 
-    A fake replaces vertices of its missing edge with vertices outside
-    that edge that are not isolated in ``observed_g``.  A fake equal (as a
-    set) to an observed, missing, or previously sampled edge is resampled
-    up to 100 times, then accepted with the collision counted.  The first
-    missing edge, in input order, that fails a check raises, once the
-    fakes of the edges before it are drawn: CandidateError for a vertex
+    Each missing edge must be a candidate of ``observed_g``, as
+    :func:`split` guarantees: a set of at least 2 integer vertex ids, each
+    with an observed edge.  It is read in canonical form, its vertices
+    ascending.  A fake replaces vertices of its missing edge with vertices
+    outside that edge that are not isolated in ``observed_g``.  A fake
+    equal to an observed edge, to the canonical form of a missing edge, or
+    to a previously sampled fake is resampled up to 100 times, then
+    accepted with the collision counted.  The first missing edge, in input
+    order, that fails a check raises, once the fakes of the edges before
+    it are drawn: CandidateError, worded as scoring's candidate checks
+    word it (see :class:`~hyperwalk.scoring._Candidates`), for a vertex
     that is not an integer, then for an edge that is not a set of at
-    least 2 vertices, then for a vertex outside ``observed_g``;
-    SamplingError for an edge with fewer eligible vertices than it needs.
+    least 2 vertices, then for a vertex isolated in or outside
+    ``observed_g``; SamplingError for an edge with fewer eligible
+    vertices than it needs.
 
     Random-number contract: the values drawn and the generator's end state
     are exactly those of two ``rng.choice(..., replace=False)`` calls per
     attempt, first ``rng.choice(len(edge), size=r, replace=False)`` for
-    the edge slots to replace, then ``rng.choice(len(eligible), size=r,
-    replace=False)`` for positions in the ascending array of eligible
-    vertices (the same draws as ``rng.choice(eligible, ...)``), with r from
+    the slots of the ascending edge to replace, then
+    ``rng.choice(len(eligible), size=r, replace=False)`` for positions in
+    the ascending array of eligible vertices (the same draws as
+    ``rng.choice(eligible, ...)``), with r from
     :func:`replacement_count`.  The draws of a window of at most
     :data:`CHUNK_FAKES` fakes are taken in one ``rng.integers`` call, one
     bounded draw per step of numpy's ``Generator.choice``: Floyd's
@@ -339,29 +282,29 @@ def build_candidates(
     fake rewinds the generator to the end of its attempt's draws and opens
     the next window at its retry.
     """
-    forbidden: set[Edge] = set(observed_g.edges) | set(missing)
-    flat, sizes, error = _checked_missing(missing, observed_g.n)
-    active = observed_g.degrees > 0
-    vertices = np.flatnonzero(active)
-    in_pool = np.concatenate(([0], np.cumsum(active[flat])))
-    edge_ends = np.cumsum(sizes)
-    pools = len(vertices) - (in_pool[edge_ends] - in_pool[edge_ends - sizes])
-    counts = [replacement_count(t, spec.alpha) for t in range(sizes.max(initial=0) + 1)]
-    need = np.array(counts, dtype=np.int64)[sizes]
-    short = np.flatnonzero(pools < need)
-    if len(short):
-        stop = int(short[0])
-        error = SamplingError(
-            f"edge {missing[stop]}: need {need[stop]} replacement vertices, "
-            f"only {pools[stop]} eligible"
-        )
-        flat, sizes = flat[: edge_ends[stop] - sizes[stop]], sizes[:stop]
-        need, pools = need[:stop], pools[:stop]
-    groups, group_of, row_of = _edge_groups(flat, sizes, need, pools, vertices, active[flat])
-    widths = np.array([g.bounds.shape[1] for g in groups], dtype=np.int64)
+    batch = scoring._Candidates(missing, observed_g, "missing edge", strict=False)
+    forbidden: set[Edge] = set(observed_g.edges) | set(batch)
+    vertices = np.flatnonzero(observed_g.degrees > 0)
+    stop, error = batch.stop, batch.error
+    for t, idx, _ in batch.blocks:
+        r, pool = replacement_count(t, spec.alpha), len(vertices) - t
+        if idx[0] < stop and pool < r:
+            stop = int(idx[0])
+            error = SamplingError(
+                f"edge {missing[stop]}: need {r} replacement vertices, only {pool} eligible"
+            )
+    groups: list[_EdgeGroup] = []
+    group_of, row_of = np.zeros(stop, dtype=np.int64), np.zeros(stop, dtype=np.int64)
+    for t, idx, ranks in batch.blocks:
+        rows = idx < stop
+        if rows.any():
+            group_of[idx[rows]], row_of[idx[rows]] = len(groups), np.arange(rows.sum())
+            r = replacement_count(t, spec.alpha)
+            groups.append(_EdgeGroup(batch.vertices[ranks[rows]], r, vertices))
+    widths = np.array([len(g.bounds) for g in groups], dtype=np.int64)
 
     lam = spec.fakes_per_missing
-    total = len(sizes) * lam
+    total = stop * lam
     negatives: list[Edge] = []
     collisions = 0
     first, attempt, width = 0, 0, CHUNK_FAKES
@@ -374,9 +317,8 @@ def build_candidates(
         for g in np.unique(in_group).tolist():
             js = np.flatnonzero(in_group == g)
             cols = (ends[js] - widths[g])[:, None] + np.arange(widths[g])
-            rows = row_of[owner[js]]
-            bounds[cols] = groups[g].bounds[rows]
-            parts.append((js, groups[g], rows, cols))
+            bounds[cols] = groups[g].bounds
+            parts.append((js, groups[g], row_of[owner[js]], cols))
         saved = rng.bit_generator.state
         draws = rng.integers(0, bounds, endpoint=True)
         fakes: list = [None] * len(owner)
@@ -480,14 +422,20 @@ def select_top(edges: Sequence[Edge], scores, cutoff: int) -> list[int]:
     The edges are put in tuple order by the loader's
     :func:`~hyperwalk.hypergraph._tuple_order`, then one stable sort of the
     negated scores over that order breaks score ties by it.  A score that
-    is NaN or infinite raises ParameterError.
+    is NaN or infinite raises ParameterError, and a vertex that is not an
+    integer CandidateError; a negative id is ordered as it is.
     """
     scores = _finite_scores(scores)
     if len(edges) != len(scores):
         raise ParameterError(f"{len(scores)} scores for {len(edges)} candidate edges")
     _check_count("cutoff", cutoff, 0)
     sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
-    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=int(sizes.sum()))
+    listed = list(chain.from_iterable(edges))
+    if not all(issubclass(t, numbers.Integral) for t in set(map(type, listed))):
+        raise scoring._candidate_error(
+            next(e for e in edges if not all(isinstance(v, numbers.Integral) for v in e)), None
+        )
+    flat = np.array(listed, dtype=np.int64)
     order = _tuple_order(flat, np.cumsum(sizes) - sizes, sizes)
     return order[np.argsort(-scores[order], kind="stable")][:cutoff].tolist()
 
@@ -534,10 +482,12 @@ def cross_validate(
     trial candidate set, so the trial's own missing edges are labelled 0
     during tuning, like its fakes.  Candidates or validation edges
     touching a vertex isolated in a fold's training edges are excluded from
-    that fold.  Each fold scores the whole grid with one
-    :func:`~hyperwalk.scoring.score_grid` call.  Returns the grid value
-    with the highest mean validation AUROC per method; ties go to the
-    smaller value.
+    that fold.  The candidates are checked once, as
+    :func:`~hyperwalk.scoring.score_candidates` checks them on ``g``: the
+    first that fails raises CandidateError.  Each fold scores the whole
+    grid with one :func:`~hyperwalk.scoring.score_grid` call.  Returns the
+    grid value with the highest mean validation AUROC per method; ties go
+    to the smaller value.
     """
     observed = g.edges
     _check_count("folds", folds, 2)
@@ -547,6 +497,7 @@ def cross_validate(
     fields = {scoring.TUNED.get(kind) for kind in kinds}
     if len(fields) != 1 or None in fields:
         raise ParameterError(f"cannot tune method kinds {kinds} together")
+    cands = scoring._candidates(candidates, g)
     # each value as the method takes it: checked, and an int k or a float beta
     grid = sorted({methods[0].with_param(value).param for value in grid})
     if len(grid) == 1:
@@ -556,8 +507,6 @@ def cross_validate(
 
     totals = {k: np.zeros(len(grid)) for k in kinds}
     used_folds = 0
-    cand_sizes = np.fromiter(map(len, candidates), dtype=np.int64, count=len(candidates))
-    cand_flat = np.fromiter(chain.from_iterable(candidates), dtype=np.int64)
     for part in np.array_split(rng.permutation(len(observed)), folds):
         in_part = np.zeros(len(observed), dtype=bool)
         in_part[part] = True
@@ -566,7 +515,7 @@ def cross_validate(
         active = train_g.degrees > 0
         in_part &= _all_marked(g.members, g.cardinalities, active)
         val_pos = list(compress(observed, in_part.tolist()))
-        val_neg = list(compress(candidates, _all_marked(cand_flat, cand_sizes, active).tolist()))
+        val_neg = list(compress(cands, cands.within(active).tolist()))
         if not val_pos or not val_neg:
             logger.warning("cross-validation fold skipped: no usable positives or negatives")
             continue
@@ -716,21 +665,24 @@ def tune_trial(
     folds: int,
     k_grid: Sequence[int],
     beta_grid: Sequence[float],
-) -> tuple[Hypergraph, CandidateSet, dict[str, object]]:
+) -> tuple[Hypergraph, CandidateSet, scoring._Candidates, dict[str, object]]:
     """Observed hypergraph and candidate set of one trial (see
-    :func:`trial_candidates`), plus the cross-validated parameter of every
-    method that still needs one: the methods tuned by one field of
+    :func:`trial_candidates`), the candidates checked against the observed
+    hypergraph as one batch, which every later step of the trial scores,
+    plus the cross-validated parameter of every method that still needs
+    one: the methods tuned by one field of
     :data:`~hyperwalk.scoring.TUNED` share one cross-validation, over
     ``k_grid`` for k (the walk methods) and over ``beta_grid`` for beta
     (hkatz), each on its own derived generator."""
     observed_g, cand = trial_candidates(g, split_spec, sampling_spec, trial)
+    batch = scoring._Candidates(cand.edges, observed_g)
     chosen: dict[str, object] = {}
     for field, grid, key in (("k", k_grid, _CV_WALK), ("beta", beta_grid, _CV_KATZ)):
         todo = [m for m in methods if scoring.TUNED.get(m.kind) == field and m.param is None]
         if todo:
             rng = _rng(split_spec.seed, key, trial)
-            chosen.update(cross_validate(todo, observed_g, cand.edges, folds, grid, rng))
-    return observed_g, cand, chosen
+            chosen.update(cross_validate(todo, observed_g, batch, folds, grid, rng))
+    return observed_g, cand, batch, chosen
 
 
 def run_trial(
@@ -745,7 +697,7 @@ def run_trial(
 ) -> TrialRecord:
     """One full trial: split, sample, cross-validate, score, measure."""
     with naming_trial(trial):
-        observed_g, cand, chosen = tune_trial(
+        observed_g, cand, batch, chosen = tune_trial(
             g, split_spec, sampling_spec, methods, trial, folds, k_grid, beta_grid
         )
         edges, labels = cand.edges, cand.labels
@@ -755,7 +707,7 @@ def run_trial(
             spec_m = m.with_param(chosen[m.kind]) if m.kind in chosen else m
             # the scored list dies here, before the next method scores
             scores = np.array(
-                [s.score for s in scoring.score_candidates(spec_m, observed_g, edges)],
+                [s.score for s in scoring.score_candidates(spec_m, observed_g, batch)],
                 dtype=np.float64,
             )
             res_auroc = auroc(scores, labels)

@@ -15,16 +15,22 @@ it decides the families, the parameter a method must be given, and what
 cross-validation tunes.  :func:`converging_betas` is the one Katz
 convergence pre-check on an observed graph.
 
-Scoring is batched.  :func:`score_grid` expands its candidates once, and
-every walk length and method of the call shares that expansion: the
-sorted union of the candidates' vertices, each cardinality's vertex
-matrix as ranks in that union, and, built only when a method reads them,
-one pair list: the distinct vertex pairs, and the row among them of each
-candidate pair in ``combinations`` order (one ``triu_indices`` block per
-cardinality, so no candidate is padded to the largest).  Every pair
-index evaluates each distinct pair once.  The candidate checks of
-:func:`score_candidates` run on the same cardinality blocks.  A walk
-method maps the ranks onto one K's walk rows with a single row lookup.
+Scoring is batched.  The batch, :class:`_Candidates`, is the one form of
+a candidate list: the only code that checks an edge list and puts it in
+canonical arrays.  A trial builds it once, for its missing edges and
+fakes on the observed graph; cross-validation and every method's final
+:func:`score_candidates` call read that batch, and a batch is checked
+again only when it is scored on another graph.  The sampler reads its
+missing edges through a batch as well.  :func:`score_grid` expands its
+candidates once, and every walk length and method of the call shares
+that expansion: the sorted union of the candidates' vertices, each
+cardinality's vertex matrix as ranks in that union, and, built only
+when a method reads them, one pair list: the distinct vertex pairs, and
+the row among them of each candidate pair in ``combinations`` order (one
+``triu_indices`` block per cardinality, so no candidate is padded to the
+largest).  Every pair index evaluates each distinct pair once.  The
+candidate checks run on the same cardinality blocks.  A walk method
+maps the ranks onto one K's walk rows with a single row lookup.
 lrw alone sweeps its walk rows WALK_BLOCK_ENTRIES // n sources at a time,
 takes each smaller K's rows as the sweep reaches it, gathers them as the
 sparse products stored them, without sorting, and computes the largest
@@ -172,11 +178,18 @@ class _Candidates(Sequence):
     Every candidate must be a set of at least two integer vertex ids and,
     when the graph ``g`` is given, use only vertices present in it.  The
     checks run on the blocks, and the first failing candidate in input
-    order raises its :class:`CandidateError`.
+    order raises its :class:`CandidateError`, worded with ``noun``.  With
+    ``strict`` false nothing raises: ``stop`` is the index of that
+    candidate (``len(self)`` when none fails) and ``error`` its error, and
+    a failing candidate reads as its ids as :func:`_vertex_ids` reads
+    them, sorted.  ``g`` is kept, so that a batch is checked once per
+    graph (see :func:`_candidates`).
     """
 
-    def __init__(self, edges, g: Hypergraph | None = None):
+    def __init__(self, edges, g: Hypergraph | None = None, noun: str = "candidate",
+                 strict: bool = True):
         self._edges = edges if isinstance(edges, Sequence) else list(edges)
+        self.g = g
         self.sizes = np.fromiter(map(len, self._edges), dtype=np.int64, count=len(self._edges))
         flat = list(chain.from_iterable(self._edges))
         kinds = set(map(type, flat))
@@ -199,8 +212,10 @@ class _Candidates(Sequence):
             bad[idx] |= (ranks[:, 1:] == ranks[:, :-1]).any(axis=1) | absent[ranks].any(axis=1)
             self._as_given[idx] &= (given == ranks).all(axis=1)
             self.blocks.append((t, idx, ranks))
-        if bad.any():
-            raise _candidate_error(self._edges[int(np.argmax(bad))], g)
+        self.stop = int(np.argmax(bad)) if bad.any() else len(self)
+        self.error = _candidate_error(self._edges[self.stop], g, noun) if bad.any() else None
+        if self.error is not None and strict:
+            raise self.error
 
     @cached_property
     def _canonical(self) -> list[Edge]:
@@ -219,6 +234,15 @@ class _Candidates(Sequence):
 
     def __len__(self) -> int:
         return len(self.sizes)
+
+    def within(self, mask: np.ndarray) -> np.ndarray:
+        """Whether ``mask``, one flag per vertex id, marks every vertex of
+        each candidate."""
+        marked = mask[self.vertices]
+        out = np.empty(len(self), dtype=bool)
+        for _, idx, ranks in self.blocks:
+            out[idx] = marked[ranks].all(axis=1)
+        return out
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -250,25 +274,33 @@ def _vertex_ids(flat: list, kinds: set[type]) -> np.ndarray:
     )
 
 
-def _candidate_error(edge, g: Hypergraph | None) -> CandidateError:
-    """The error of one failing candidate, from its first failing check."""
+def _candidate_error(edge, g: Hypergraph | None, noun: str = "candidate") -> CandidateError:
+    """The error of one failing edge, from its first failing check, naming
+    the edge by ``noun``: a "candidate" uses a vertex absent from ``g``,
+    and a "missing edge" (the sampler's input) has one."""
     for v in edge:
         if not isinstance(v, numbers.Integral):
-            return CandidateError(f"candidate {tuple(edge)!r} has the non-integer vertex {v!r}")
+            return CandidateError(f"{noun} {tuple(edge)!r} has the non-integer vertex {v!r}")
     edge = tuple(sorted(int(v) for v in edge))
     if len(edge) < 2 or len(set(edge)) != len(edge):
-        return CandidateError(f"candidate {edge} is not a set of >= 2 vertices")
+        return CandidateError(f"{noun} {edge} is not a set of >= 2 vertices")
     limit = g.n if g is not None else 2**63
+    verb = "uses" if noun == "candidate" else "has a"
     for v in edge:
         if v < 0 or v >= limit or (g is not None and g.degrees[v] == 0):
             return CandidateError(
-                f"candidate {edge} uses vertex {v} absent from the training hypergraph"
+                f"{noun} {edge} {verb} vertex {v} absent from the training hypergraph"
             )
-    raise ContractViolation(f"candidate {edge} was rejected but passes every check")
+    raise ContractViolation(f"{noun} {edge} was rejected but passes every check")
 
 
 def _candidates(edges, g: Hypergraph | None = None) -> _Candidates:
-    return edges if isinstance(edges, _Candidates) else _Candidates(edges, g)
+    """``edges`` as a checked batch.  A batch is reused when no graph is
+    given or ``g`` is the graph it was checked against; anything else is
+    checked against ``g`` anew."""
+    if isinstance(edges, _Candidates) and (g is None or g is edges.g):
+        return edges
+    return _Candidates(edges, g)
 
 
 def _pair_means(cands: _Candidates, values: np.ndarray) -> np.ndarray:
@@ -622,9 +654,11 @@ def score_candidates(method: MethodSpec, g: Hypergraph, candidates) -> list[Scor
     """Score every candidate edge; output order matches input order.
 
     The candidates are checked and put in canonical form, then scored in
-    one batch by :func:`score_grid` at the method's own parameter.
+    one batch by :func:`score_grid` at the method's own parameter.  A
+    batch already checked against ``g`` is scored as it is, so a trial
+    checks its candidates once for all its methods.
     """
-    cands = _Candidates(candidates, g)
+    cands = _candidates(candidates, g)
     if not len(cands):
         return []
     if method.kind in TUNED and method.param is None:

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
@@ -39,6 +39,7 @@ from hyperwalk.synthetic import planted_hypergraph, random_hypergraph
 
 from conftest import (
     auroc_pairs_oracle,
+    candidate_checks_oracle,
     f1_set_oracle,
     hypergraphs,
     negatives_oracle,
@@ -186,6 +187,51 @@ def test_build_candidates_names_a_missing_edge_with_a_non_integer_vertex(edge):
     rng = np.random.default_rng(0)
     with pytest.raises(CandidateError, match=r"^missing edge .* has the non-integer vertex"):
         build_candidates(g, [g.edges[0], edge], SamplingSpec(0.5, 1), rng)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_build_candidates_checks_missing_edges_as_scoring_checks_candidates(data):
+    g = random_hypergraph(24, 48, np.random.default_rng(data.draw(st.integers(0, 2**16))),
+                          connected=True)
+    # drop some edges, so some vertices are isolated in the observed graph
+    g = g.with_edges(g.edges[: data.draw(st.integers(12, g.m))])
+    present = np.flatnonzero(g.degrees > 0).tolist()
+    assume(len(present) >= 8)  # every good edge has enough eligible vertices
+    good = st.lists(st.sampled_from(present), min_size=2, max_size=4, unique=True).flatmap(
+        lambda e: st.sampled_from([tuple(sorted(e)), e, [np.int64(v) for v in e]])
+    )
+    vertex = st.integers(-1, g.n) | st.sampled_from(
+        [1.5, "1", np.float64(2.0), None, True, 2**70]
+    )
+    bad = st.lists(vertex, max_size=4).map(tuple) | good.map(lambda e: (*e, e[0]))
+    missing = data.draw(st.lists(good | bad, min_size=1, max_size=8))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    try:
+        candidate_checks_oracle(g, missing)
+    except CandidateError as exc:
+        expected = str(exc).replace("candidate", "missing edge", 1)
+        expected = expected.replace(" uses vertex ", " has a vertex ", 1)
+        with pytest.raises(CandidateError) as info:
+            build_candidates(g, missing, SamplingSpec(0.5, 2), rng)
+        assert str(info.value) == expected
+    else:
+        cand = build_candidates(g, missing, SamplingSpec(0.5, 2), rng)
+        assert cand.positives == tuple(missing) and len(cand.negatives) == 2 * len(missing)
+
+
+def test_build_candidates_forbids_the_canonical_form_of_each_missing_edge():
+    g = Hypergraph(6, sorted([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]))
+    spec, twin = SamplingSpec(0.6, 3), np.random.default_rng(9)
+    canonical = build_candidates(g, [(0, 1, 2), (1, 2, 4)], spec, twin)
+    # a missing edge given unsorted, or as a list, samples the fakes of its canonical form
+    for missing in ([(0, 1, 2), (4, 2, 1)], [[0, 1, 2], [4, 2, 1]]):
+        rng = np.random.default_rng(9)
+        cand = build_candidates(g, missing, spec, rng)
+        assert (1, 2, 4) not in cand.negatives or cand.collisions > 0
+        assert (cand.negatives, cand.collisions) == (canonical.negatives, canonical.collisions)
+        assert cand.positives == tuple(missing)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_collision_acceptance_on_saturated_graph():
@@ -556,6 +602,19 @@ def test_select_top_matches_sorted_key(data):
     )
 
 
+@pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "3", None])
+def test_select_top_and_f1_refuse_a_non_integer_vertex(bad):
+    # an id such as 1.5 is refused, not truncated to 1 and ranked as (0, 1)
+    edges, scores, labels = [(0, 2), (0, bad), (1, 2)], [0.5, 0.4, 0.3], [1, 0, 0]
+    message = rf"^candidate \(0, {re.escape(repr(bad))}\) has the non-integer vertex"
+    with pytest.raises(CandidateError, match=message):
+        select_top(edges, scores, 1)
+    with pytest.raises(CandidateError, match="non-integer vertex"):
+        f1_at_cutoff(edges, scores, labels, 1)
+    # negative ids are still ordered as they are
+    assert select_top([(-1, 2), (-3, 0)], [0.5, 0.5], 1) == [1]
+
+
 def test_f1_cutoff_bounds():
     edges, scores = [(0, 1)], np.array([0.5])
     with pytest.raises(ParameterError):
@@ -581,6 +640,20 @@ def test_cv_requires_enough_folds(medium):
         cross_validate([MethodSpec(LRW)], medium, [], 1, [2, 3], rng)
     with pytest.raises(ParameterError):
         cross_validate([MethodSpec(LRW)], medium.with_edges(medium.edges[:3]), [], 5, [2, 3], rng)
+
+
+@pytest.mark.parametrize(
+    "n, edge",
+    [(40, (0, 99)), (41, (-1, 3)), (41, (3, 40))],  # vertex 40 of 41 has no edge
+    ids=["outside", "negative", "isolated"],
+)
+def test_cv_refuses_a_candidate_that_fails_the_candidate_checks(n, edge):
+    g = random_hypergraph(40, 80, np.random.default_rng(1), connected=True)
+    g = Hypergraph(n, g.edges)
+    message = rf"^candidate \({edge[0]}, {edge[1]}\) uses vertex"
+    with pytest.raises(CandidateError, match=message):
+        cross_validate([MethodSpec(LRW)], g, [g.edges[1], edge], 3, [2, 3],
+                       np.random.default_rng(0))
 
 
 def test_cv_tie_breaks_to_smaller_k():
@@ -783,6 +856,30 @@ def test_each_method_scores_after_the_last_ones_are_freed(monkeypatch, medium):
     methods = [MethodSpec("hcn"), MethodSpec("hpra"), MethodSpec(LRW, k=2)]
     run_experiment(medium, SplitSpec(0.8, 1, 0), SamplingSpec(0.5, 2), methods)
     assert len(earlier) == 3
+
+
+def test_final_scoring_reuses_the_trials_candidate_batch(monkeypatch, medium):
+    # the trial checks its candidates once; each method's final
+    # score_candidates call scores that batch without building another
+    built, per_call = [], []
+    init, original = scoring._Candidates.__init__, scoring.score_candidates
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def final(*args):
+        before = len(built)
+        out = original(*args)
+        per_call.append(len(built) - before)
+        return out
+
+    monkeypatch.setattr(scoring._Candidates, "__init__", counted)
+    monkeypatch.setattr(scoring, "score_candidates", final)
+    methods = ["hcn", LRW, "hpra"]
+    run_experiment(medium, SplitSpec(0.8, 1, 0), SamplingSpec(0.5, 2), methods, folds=2,
+                   k_grid=(2, 3))
+    assert per_call == [0, 0, 0]
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "0", True])

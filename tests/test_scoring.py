@@ -548,6 +548,26 @@ def test_score_candidates_rejects_non_integer_vertices(t1):
     assert [s.edge for s in scored] == [(0, 1), (1, 2)]
 
 
+def test_a_batch_is_checked_again_on_another_graph(monkeypatch, t1):
+    batch = scoring._Candidates([(0, 1), (2, 3)], t1)
+    observed = t1.with_edges([(0, 1, 2)])  # vertex 3 now isolated
+    with pytest.raises(CandidateError, match=r"^candidate \(2, 3\) uses vertex 3 absent"):
+        scoring.score_grid([HCN], observed, batch, [None])
+    with pytest.raises(CandidateError, match=r"^candidate \(2, 3\) uses vertex 3 absent"):
+        score_candidates(MethodSpec(HCN), observed, batch)
+    # on the graph it was checked against, or with no graph, it is reused as it is
+    init, built = scoring._Candidates.__init__, []
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(scoring._Candidates, "__init__", counted)
+    assert scoring._candidates(batch) is batch and scoring._candidates(batch, t1) is batch
+    score_candidates(MethodSpec(HCN), t1, batch)
+    assert built == []
+
+
 @given(g=hypergraphs(), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_candidate_checks_match_per_edge_loop(g, data):
