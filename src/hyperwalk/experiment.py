@@ -32,7 +32,7 @@ from .errors import (
     _check_count,
     _is_number,
 )
-from .hypergraph import Edge, Hypergraph, _tuple_order, components
+from .hypergraph import Edge, Hypergraph, _all_marked, _tuple_order, components
 from .scoring import HKATZ, LRW, MethodSpec
 
 logger = logging.getLogger(__name__)
@@ -128,14 +128,6 @@ def split(g: Hypergraph, spec: SplitSpec, trial: int) -> tuple[tuple[Edge, ...],
     raise TrialDegenerateError("no usable split in 100 attempts")
 
 
-def _all_marked(flat: np.ndarray, sizes: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Whether ``mask`` marks every vertex of each edge, for edges given
-    as their vertices ``flat``, concatenated edge by edge, and ``sizes``."""
-    misses = np.concatenate(([0], np.cumsum(~mask[flat])))
-    ends = np.cumsum(sizes)
-    return misses[ends] == misses[ends - sizes]
-
-
 def replacement_count(edge_size: int, alpha: float) -> int:
     """Vertices to swap out of a true edge: round-half-up((1-alpha)*|e|),
     clamped so at least one and at most |e|-1 are replaced."""
@@ -167,11 +159,19 @@ def _choice_bounds(pop: int, r: int) -> np.ndarray:
     return np.concatenate([np.arange(pop - r, pop), np.arange(r - 1, 0, -1)])
 
 
-def _floyd(pop, r: int, draws: np.ndarray) -> np.ndarray:
-    """The picks of ``Generator.choice(pop, r, replace=False)`` by Floyd's
-    algorithm and its shuffle, one row per row of ``draws``, each row the
-    2r - 1 draws whose bounds :func:`_choice_bounds` gives.  ``pop`` is one
-    population or one per row."""
+def _picks(pop: int, r: int, draws: np.ndarray) -> np.ndarray:
+    """The picks of ``Generator.choice(pop, r, replace=False)``, one row
+    per row of ``draws``, each row the draws whose bounds
+    :func:`_choice_bounds` gives: Floyd's algorithm and its shuffle,
+    vectorised over the rows, or the tail shuffle, row by row."""
+    if _tail_shuffled(pop, r):
+        picks = np.empty((len(draws), r), dtype=np.int64)
+        for row, steps in zip(picks, draws.tolist()):
+            moved: dict[int, int] = {}  # the entries of arange(pop) that a swap changed
+            for i, k in zip(range(pop - 1, 0, -1), steps):
+                moved[i], moved[k] = moved.get(k, k), moved.get(i, i)
+            row[:] = [moved.get(i, i) for i in range(pop - r, pop)]
+        return picks
     picks = draws[:, :r].copy()
     for c in range(1, r):
         seen = (picks[:, :c] == picks[:, c, None]).any(axis=1)
@@ -183,25 +183,13 @@ def _floyd(pop, r: int, draws: np.ndarray) -> np.ndarray:
     return picks
 
 
-def _choice_picks(pop: int, r: int, draws: list[int]) -> list[int]:
-    """The picks of one ``Generator.choice(pop, r, replace=False)`` from
-    the draws whose bounds :func:`_choice_bounds` gives."""
-    if not _tail_shuffled(pop, r):
-        return _floyd(pop, r, np.array([draws]))[0].tolist()
-    moved: dict[int, int] = {}  # the entries of arange(pop) that a swap changed
-    for i, k in zip(range(pop - 1, 0, -1), draws):
-        moved[i], moved[k] = moved.get(k, k), moved.get(i, i)
-    return [moved.get(i, i) for i in range(pop - r, pop)]
-
-
 class _EdgeGroup:
     """The missing edges of one cardinality, as the rows of ``members``,
     each edge's vertices ascending, whose fakes resolve together.  Every
     edge of the group replaces r vertices from a pool of equal size, so
     they share one attempt's draw bounds ``bounds``: those of
     :func:`_choice_bounds` for the edge slots, the first ``split``, then
-    for the pool positions.  ``tail`` tells whether either choice may
-    shuffle a tail; such a group resolves fake by fake.
+    for the pool positions.
 
     An edge's pool is the ascending array ``vertices`` of the vertices a
     fake may take, without the edge's own.  Pool position q is vertex
@@ -214,7 +202,6 @@ class _EdgeGroup:
         size = members.shape[1]
         self.shifted = np.searchsorted(vertices, members) - np.arange(size)
         self.pool = len(vertices) - size
-        self.tail = bool(_tail_shuffled(size, r) or _tail_shuffled(self.pool, r))
         drop = _choice_bounds(size, r)
         self.split = len(drop)
         self.bounds = np.concatenate([drop, _choice_bounds(self.pool, r)])
@@ -223,13 +210,8 @@ class _EdgeGroup:
         """The fakes of the group's edges ``rows``, one per row of
         ``draws``, each row one attempt's draws."""
         size, r, split = self.members.shape[1], self.r, self.split
-        if self.tail:
-            drop = np.array([_choice_picks(size, r, d) for d in draws[:, :split].tolist()])
-            picks = np.array([_choice_picks(self.pool, r, d) for d in draws[:, split:].tolist()])
-        else:
-            both = _floyd(np.repeat([size, self.pool], len(rows)), r,
-                          np.vstack([draws[:, :split], draws[:, split:]]))
-            drop, picks = both[: len(rows)], both[len(rows):]
+        drop = _picks(size, r, draws[:, :split])
+        picks = _picks(self.pool, r, draws[:, split:])
         # rows lifted apart, so that one searchsorted counts within each row
         lift = np.arange(len(rows))[:, None]
         stride = len(self.vertices) + 1
@@ -286,21 +268,17 @@ def build_candidates(
     forbidden: set[Edge] = set(observed_g.edges) | set(batch)
     vertices = np.flatnonzero(observed_g.degrees > 0)
     stop, error = batch.stop, batch.error
-    for t, idx, _ in batch.blocks:
+    groups: list[_EdgeGroup] = []  # one per block; only the edges before stop are drawn
+    group_of, row_of = np.zeros(len(batch), dtype=np.int64), np.zeros(len(batch), dtype=np.int64)
+    for t, idx, ranks in batch.blocks:
         r, pool = replacement_count(t, spec.alpha), len(vertices) - t
         if idx[0] < stop and pool < r:
             stop = int(idx[0])
             error = SamplingError(
                 f"edge {missing[stop]}: need {r} replacement vertices, only {pool} eligible"
             )
-    groups: list[_EdgeGroup] = []
-    group_of, row_of = np.zeros(stop, dtype=np.int64), np.zeros(stop, dtype=np.int64)
-    for t, idx, ranks in batch.blocks:
-        rows = idx < stop
-        if rows.any():
-            group_of[idx[rows]], row_of[idx[rows]] = len(groups), np.arange(rows.sum())
-            r = replacement_count(t, spec.alpha)
-            groups.append(_EdgeGroup(batch.vertices[ranks[rows]], r, vertices))
+        group_of[idx], row_of[idx] = len(groups), np.arange(len(idx))
+        groups.append(_EdgeGroup(batch.vertices[ranks], r, vertices))
     widths = np.array([len(g.bounds) for g in groups], dtype=np.int64)
 
     lam = spec.fakes_per_missing
@@ -423,7 +401,7 @@ def select_top(edges: Sequence[Edge], scores, cutoff: int) -> list[int]:
     :func:`~hyperwalk.hypergraph._tuple_order`, then one stable sort of the
     negated scores over that order breaks score ties by it.  A score that
     is NaN or infinite raises ParameterError, and a vertex that is not an
-    integer CandidateError; a negative id is ordered as it is.
+    integer in int64 CandidateError; a negative id is ordered as it is.
     """
     scores = _finite_scores(scores)
     if len(edges) != len(scores):
@@ -435,7 +413,11 @@ def select_top(edges: Sequence[Edge], scores, cutoff: int) -> list[int]:
         raise scoring._candidate_error(
             next(e for e in edges if not all(isinstance(v, numbers.Integral) for v in e)), None
         )
-    flat = np.array(listed, dtype=np.int64)
+    try:
+        flat = np.array(listed, dtype=np.int64)
+    except OverflowError:
+        e, v = next((e, v) for e in edges for v in e if not -(2**63) <= v < 2**63)
+        raise CandidateError(f"candidate {tuple(e)!r} has the vertex {v}, outside int64") from None
     order = _tuple_order(flat, np.cumsum(sizes) - sizes, sizes)
     return order[np.argsort(-scores[order], kind="stable")][:cutoff].tolist()
 

@@ -129,6 +129,14 @@ def _tuple_order(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> n
     return order
 
 
+def _all_marked(flat: np.ndarray, sizes: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Whether ``mask`` marks every vertex of each edge, for edges given
+    as their vertices ``flat``, concatenated edge by edge, and ``sizes``."""
+    misses = np.concatenate(([0], np.cumsum(~mask[flat])))
+    ends = np.cumsum(sizes)
+    return misses[ends] == misses[ends - sizes]
+
+
 def _edge_tuples(members: np.ndarray, sizes: np.ndarray) -> list[Edge]:
     """Python int tuples of ``sizes[i]`` consecutive ``members`` each."""
     edges = np.empty(len(sizes), dtype=object)

@@ -12,13 +12,15 @@ yields the running sum of propagated rows as it reaches each K, and
 depends only on its source, so sweeping the sources in blocks gives the
 same rows as one sweep over all of them.  The sweep reads P as any
 sparse matrix, so it also sums the truncated Katz series
-sum_l beta^l A^l over the adjacency A (``scoring.KatzSeries``).  A walk
-starts only from a vertex with outgoing transitions: :func:`source_rows`
-refuses any other source, such as a vertex without edges, whose row of
-P is empty.  :func:`walk_matrix_rows_multi` keeps each K snapshot as a
-single CSR matrix, one row per source (:class:`WalkRows`); the batched
-scorers and divergence kernels read it directly, and indexing it by a
-source vertex yields that row as a 1 x n CSR matrix.
+sum_l beta^l A^l over the adjacency A: scoring's one pair sweep
+(``scoring._pair_sweep``) runs it in blocks of sources for lrw and for
+``scoring.KatzSeries``.  A walk starts only from a vertex with outgoing
+transitions: :func:`source_rows` refuses any other source, such as a
+vertex without edges, whose row of P is empty.
+:func:`walk_matrix_rows_multi` keeps each K snapshot as a single CSR
+matrix, one row per source (:class:`WalkRows`); the batched scorers and
+divergence kernels read it directly, and indexing it by a source vertex
+yields that row as a 1 x n CSR matrix.
 
 Besides the snapshots it has taken, a sweep holds at its peak the running
 sum, the last propagated step and the values of the snapshot being taken.
@@ -28,8 +30,8 @@ snapshot is taken.
 
 Which rows are sorted: :func:`walk_matrix_rows_multi` sorts each running
 sum's row indices in place before extracting it, so every
-:class:`WalkRows` is canonical.  lrw's block sweep
-(``scoring._lrw_grid``) only gathers single entries, so it extracts each
+:class:`WalkRows` is canonical.  The pair sweep
+(``scoring._pair_sweep``) only gathers single entries, so it extracts each
 sum as the sparse products stored it and skips that sort.  The rows'
 values are the same floats either way: ``x @ P`` never reads the running
 sum, and the sum, the scaling and the pruning act entry by entry.  Only a

@@ -31,13 +31,15 @@ the row among them of each candidate pair in ``combinations`` order (one
 largest).  Every pair index evaluates each distinct pair once.  The
 candidate checks run on the same cardinality blocks.  A walk method
 maps the ranks onto one K's walk rows with a single row lookup.
-lrw alone sweeps its walk rows WALK_BLOCK_ENTRIES // n sources at a time,
-takes each smaller K's rows as the sweep reaches it, gathers them as the
-sparse products stored them, without sorting, and computes the largest
-K's last step only at the block's pairs; a row whose renormalization
-the pairs alone cannot settle is computed whole (see
+lrw alone reads its walk rows through the pair sweep,
+:func:`_pair_sweep`, the one block loop of both power series: it sweeps
+the sources WALK_BLOCK_ENTRIES // n at a time, skips a block that no
+pair reads, takes each smaller K's rows as the sweep reaches it, gathers
+them as the sparse products stored them, without sorting, and computes
+the largest K's last step only at the block's pairs; a row whose
+renormalization the pairs alone cannot settle is computed whole (see
 :mod:`hyperwalk.localwalk`).
-It keeps only each pair's s_ij + s_ji, so its memory grows with the
+lrw keeps only each pair's s_ij + s_ji, so its memory grows with the
 candidate pairs and the block; any other walk family shares one full
 sweep of sorted rows, as lrw-js and lrw-gjs need both rows of a pair at
 once.  Each method computes the values of all distinct pairs at once:
@@ -58,9 +60,9 @@ every damping factor of a grid: each factor only reweights the spectrum.
 Only the eigenvector rows of the table's vertices are kept; a pair's
 similarity is one dot product of its two rows, and pairs in different
 components read exactly 0.0 without any arithmetic.  Above
-KATZ_CLOSED_MAX_N vertices the truncated series takes over; it is lrw's
-block sweep run over beta * A, with its last power computed only at the
-pairs, so its memory too grows with the block and the pairs.
+KATZ_CLOSED_MAX_N vertices the truncated series takes over; it is the
+same pair sweep run over beta * A, with its last power computed only at
+the pairs, so its memory too grows with the block and the pairs.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ from scipy.sparse.linalg import eigsh
 from . import divergence, localwalk, projection
 from .errors import CandidateError, ContractViolation, KatzDivergenceError, ParameterError
 from .errors import _check_count, _check_positive, _is_number
-from .hypergraph import Edge, Hypergraph, components, vertex_rows
+from .hypergraph import Edge, Hypergraph, _all_marked, components, vertex_rows
 
 LRW = "lrw"
 LRW_JS = "lrw-js"
@@ -194,7 +196,7 @@ class _Candidates(Sequence):
         flat = list(chain.from_iterable(self._edges))
         kinds = set(map(type, flat))
         starts = np.cumsum(self.sizes) - self.sizes
-        self.vertices, inverse = np.unique(_vertex_ids(flat, kinds), return_inverse=True)
+        self.vertices, self._ranks = np.unique(_vertex_ids(flat, kinds), return_inverse=True)
         absent = self.vertices < 0  # negative, or not an integer (see _vertex_ids)
         if g is not None:
             absent |= self.vertices >= g.n
@@ -207,7 +209,7 @@ class _Candidates(Sequence):
         self.blocks = []
         for t in np.unique(self.sizes).tolist():
             idx = np.flatnonzero(self.sizes == t)
-            given = inverse[starts[idx, None] + np.arange(t)]
+            given = self._ranks[starts[idx, None] + np.arange(t)]
             ranks = np.sort(given)
             bad[idx] |= (ranks[:, 1:] == ranks[:, :-1]).any(axis=1) | absent[ranks].any(axis=1)
             self._as_given[idx] &= (given == ranks).all(axis=1)
@@ -237,12 +239,9 @@ class _Candidates(Sequence):
 
     def within(self, mask: np.ndarray) -> np.ndarray:
         """Whether ``mask``, one flag per vertex id, marks every vertex of
-        each candidate."""
-        marked = mask[self.vertices]
-        out = np.empty(len(self), dtype=bool)
-        for _, idx, ranks in self.blocks:
-            out[idx] = marked[ranks].all(axis=1)
-        return out
+        each candidate, read from the ranks of the candidates' vertices,
+        edge by edge, that the batch keeps."""
+        return _all_marked(self._ranks, self.sizes, mask[self.vertices])
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -397,12 +396,6 @@ def spectral_radius(a: sparse.csr_matrix) -> float:
     return float(vals[0])
 
 
-def katz_closed_form(n: int) -> bool:
-    """Whether Katz similarities on n vertices come from the closed form
-    (up to KATZ_CLOSED_MAX_N vertices) rather than the truncated series."""
-    return n <= KATZ_CLOSED_MAX_N
-
-
 def converging_betas(g: Hypergraph, betas) -> list:
     """The damping factors of ``betas`` whose closed-form Katz series
     converges on g's adjacency: beta * spectral radius < 1.
@@ -412,7 +405,7 @@ def converging_betas(g: Hypergraph, betas) -> list:
     cross-validation fold of g.  The truncated series converges for every
     factor.  Raises KatzDivergenceError when none is left.
     """
-    if not katz_closed_form(g.n):
+    if g.n > KATZ_CLOSED_MAX_N:
         return list(betas)
     rho = spectral_radius(projection.adjacency(g))
     kept = [beta for beta in betas if beta * rho < 1.0]
@@ -428,14 +421,14 @@ def katz_pair_table(g: Hypergraph, vertices) -> KatzSpectra | KatzSeries:
     """Katz similarities K_beta = sum_{l>=1} beta^l A^l among ``vertices``
     of g, for any damping factor beta, where A is g's adjacency.
 
-    Where :func:`katz_closed_form` holds this is a :class:`KatzSpectra`:
-    one dense eigendecomposition per connected component of g serves a
-    whole beta grid, and pairs in different components read exactly 0.0.
+    Up to KATZ_CLOSED_MAX_N vertices this is a :class:`KatzSpectra`: one
+    dense eigendecomposition per connected component of g serves a whole
+    beta grid, and pairs in different components read exactly 0.0.
     Beyond, it is a :class:`KatzSeries`, which sums KATZ_LMAX powers of A
     for each beta asked for.  Raises ParameterError for a vertex that is
     not an integer id in 0..n-1.
     """
-    if katz_closed_form(g.n):
+    if g.n <= KATZ_CLOSED_MAX_N:
         return KatzSpectra(g, vertices)
     return KatzSeries(g, vertices)
 
@@ -509,8 +502,8 @@ class KatzSpectra:
 
 class KatzSeries:
     """Katz similarities summed over the first KATZ_LMAX powers of A,
-    recomputed for each damping factor by the block sweep of
-    :func:`_source_blocks` over beta * A."""
+    recomputed for each damping factor by the pair sweep of
+    :func:`_pair_sweep` over beta * A."""
 
     def __init__(self, g: Hypergraph, vertices):
         self.a = projection.adjacency(g)
@@ -525,16 +518,12 @@ class KatzSeries:
         last running sum holds there."""
         damped = (beta * self.a).tocsr()
         pt = damped.T.tocsr()
-        rows, cols = np.searchsorted(self.verts, j), np.asarray(i)
-        out = np.zeros(len(cols))
-        for block, at in _source_blocks(rows, len(self.verts), self.a.shape[0]):
-            r, c = rows[at] - block.start, cols[at]
 
-            def tail(acc, step):
-                return localwalk.gather(acc, r, c) + localwalk.step_entries(step, pt, r, c)
+        def finish(acc, step, r, c):
+            return localwalk.gather(acc, r, c) + localwalk.step_entries(step, pt, r, c)
 
-            _, out[at] = next(localwalk.walk_sums(damped, self._select[block], [KATZ_LMAX], tail))
-        return out
+        rows = np.searchsorted(self.verts, j)
+        return _pair_sweep(damped, self._select, [KATZ_LMAX], rows, np.asarray(i), finish)[0]
 
 
 def neighbor_sets(g: Hypergraph) -> sparse.csr_matrix:
@@ -554,49 +543,54 @@ def hpra_pair_table(g: Hypergraph, vertices) -> sparse.csr_matrix:
     return (xw + (xw @ sparse.diags(dinv)) @ w).tocsr()
 
 
-def _source_blocks(rows: np.ndarray, sources: int, n: int):
-    """Yield ``(block, at)`` for each block of WALK_BLOCK_ENTRIES // n
-    sweep sources (at least one) that some pair reads: ``block`` slices
-    the sources 0..sources-1, and ``at`` indexes the pairs whose row, of
-    ``rows``, is a source of the block."""
-    step = max(1, WALK_BLOCK_ENTRIES // n)
+def _pair_sweep(p: sparse.csr_matrix, x: sparse.csr_matrix, ks: list[int],
+                rows: np.ndarray, cols: np.ndarray, finish) -> list[np.ndarray]:
+    """Entries (rows[q], cols[q]) of the sums x P + ... + x P^k of the
+    power series of ``p``, one array per k of ``ks``, which ascend.
+
+    The sources, the rows of ``x``, are swept WALK_BLOCK_ENTRIES // n at a
+    time (at least one), and a block that no pair reads is skipped.  A row
+    of a sum depends only on its source, so a block's rows are those of
+    one full sweep.  Each smaller k's sum is extracted as walk rows, as
+    stored, unsorted, and gathered at the block's pairs: a gather reads
+    one stored value wherever it lies, and the extraction renormalizes by
+    column-order row sums (see :mod:`hyperwalk.localwalk`).  The sweep
+    stops one step short of the largest k, and ``finish(acc, step, r, c)``
+    gives that k's entries at the block's pairs (r, c), from the running
+    sum and the step there (see :func:`~hyperwalk.localwalk.walk_sums`).
+    """
+    step = max(1, WALK_BLOCK_ENTRIES // p.shape[0])
+    out = [np.zeros(len(rows)) for _ in ks]
     order = np.argsort(rows, kind="stable")
-    bounds = np.searchsorted(rows[order], np.arange(0, sources + step, step))
-    for lo, start, stop in zip(range(0, sources, step), bounds, bounds[1:]):
-        if stop > start:
-            yield slice(lo, lo + step), order[start:stop]
+    bounds = np.searchsorted(rows[order], np.arange(step, x.shape[0], step))
+    for lo, at in zip(range(0, x.shape[0], step), np.split(order, bounds)):
+        if not len(at):
+            continue
+        r, c = rows[at] - lo, cols[at]
+        sums = localwalk.walk_sums(p, x[lo : lo + step], ks, lambda acc, s: finish(acc, s, r, c))
+        for values, (k, s) in zip(out, sums):
+            if k < ks[-1]:
+                s = localwalk.gather(localwalk.extract_rows(s, 1.0 / k), r, c)
+            values[at] = s
+    return out
 
 
 def _lrw_grid(p: sparse.csr_matrix, cands: _Candidates, grid: list) -> list[np.ndarray]:
-    """lrw scores of ``cands`` for each walk length of ``grid``, from walk
-    rows swept in blocks of sources (see :func:`_source_blocks`).
-
-    A walk row depends only on its source, so a block's rows are those of
-    one full sweep.  The sweep stops one step short of the largest K, whose
-    walk mass is computed only at the block's pairs (see
-    :func:`~hyperwalk.localwalk.last_walk_entries`).  Each smaller K's rows
-    are extracted from the running sum as stored, unsorted: a gather reads
-    one stored value wherever it lies, and the extraction renormalizes by
-    column-order row sums (see :mod:`hyperwalk.localwalk`).  Only the walk
-    mass of each directed pair outlives the block, and the means are the
-    floats that one full sweep gives.  The checks that read P alone run
-    once per call.
+    """lrw scores of ``cands`` for each walk length of ``grid``, from the
+    walk mass of each directed pair that one pair sweep gathers (see
+    :func:`_pair_sweep`); the largest K's mass is computed only at the
+    pairs (see :func:`~hyperwalk.localwalk.last_walk_entries`).  The means
+    are the floats that one full sweep gives.  The checks that read P
+    alone run once per call.
     """
     ks = localwalk.walk_lengths(grid)
-    src, x = localwalk.source_rows(p, cands.vertices)
-    rows, cols = _directed_pairs(cands)
-    mass = {k: np.zeros(len(rows)) for k in ks}
+    _, x = localwalk.source_rows(p, cands.vertices)
     pt = p.T.tocsr()
-    for block, at in _source_blocks(rows, len(src), p.shape[0]):
-        r, c = rows[at] - block.start, cols[at]
 
-        def tail(acc, step):
-            return localwalk.last_walk_entries(p, pt, acc, step, ks[-1], r, c)
+    def finish(acc, step, r, c):
+        return localwalk.last_walk_entries(p, pt, acc, step, ks[-1], r, c)
 
-        for k, s in localwalk.walk_sums(p, x[block], ks, tail):
-            if k < ks[-1]:
-                s = localwalk.gather(localwalk.extract_rows(s, 1.0 / k), r, c)
-            mass[k][at] = s
+    mass = dict(zip(ks, _pair_sweep(p, x, ks, *_directed_pairs(cands), finish)))
     return [_pair_means(cands, _walk_mass(mass[k])) for k in grid]
 
 
@@ -612,7 +606,7 @@ def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]
     the edges' vertices: the walk methods share one propagation sweep up
     to the largest K, and hkatz one table for every damping factor.  lrw
     alone sweeps that union in blocks of sources and gathers each block's
-    walk mass before the next (see :func:`_lrw_grid`); the scores are the
+    walk mass before the next (see :func:`_pair_sweep`); the scores are the
     same floats.  Every grid value of a tuned family is checked as its
     :class:`MethodSpec` field, and a bad one raises ParameterError.
     """

@@ -361,17 +361,19 @@ def test_build_candidates_windows_match_negatives_oracle(chunk, kind, n, m, seed
 
 
 @pytest.mark.parametrize(
-    "missing, alpha, fakes",
+    "n, missing, alpha, fakes",
     [
         # pools of about 10.3k vertices and small r: Floyd's algorithm
-        ([(0, 2), (5, 9, 13), (100, 2000, 7000, 10299), (7, 300, 301, 4000, 9000)], 0.5, 4),
+        (10300, [(0, 2), (5, 9, 13), (100, 2000, 7000, 10299), (7, 300, 301, 4000, 9000)], 0.5, 4),
         # r = 234 > pool // 50 = 200: the pool choice shuffles a tail
-        ([(3, 8), tuple(range(0, 520, 2)), (11, 4001, 9999)], 0.1, 2),
+        (10300, [(3, 8), tuple(range(0, 520, 2)), (11, 4001, 9999)], 0.1, 2),
+        # r = 5050: the slot choice (10100, 5050) shuffles a tail, while the
+        # pool choice (9900, 5050) runs Floyd's algorithm
+        (20000, [tuple(range(10100)), (3, 15000)], 0.5, 2),
     ],
-    ids=["floyd", "tail-shuffle"],
+    ids=["floyd", "tail-shuffle", "slot-tail-shuffle"],
 )
-def test_build_candidates_matches_negatives_oracle_above_pop_10000(missing, alpha, fakes):
-    n = 10300
+def test_build_candidates_matches_negatives_oracle_above_pop_10000(n, missing, alpha, fakes):
     observed_g = Hypergraph(n, [(v, v + 1) for v in range(n - 1)])
     for seed in range(3):
         _matches_negatives_oracle(observed_g, missing, SamplingSpec(alpha, fakes), seed)
@@ -613,6 +615,18 @@ def test_select_top_and_f1_refuse_a_non_integer_vertex(bad):
         f1_at_cutoff(edges, scores, labels, 1)
     # negative ids are still ordered as they are
     assert select_top([(-1, 2), (-3, 0)], [0.5, 0.5], 1) == [1]
+
+
+@pytest.mark.parametrize("v", [2**63, 2**70, -(2**63) - 1, -(2**70)])
+def test_select_top_and_f1_refuse_a_vertex_outside_int64(v):
+    edges, scores, labels = [(0, 2), (0, v), (1, 2)], [0.5, 0.4, 0.3], [1, 0, 0]
+    message = rf"^candidate \(0, {v}\) has the vertex {v}, outside int64$"
+    with pytest.raises(CandidateError, match=message):
+        select_top(edges, scores, 1)
+    with pytest.raises(CandidateError, match=message):
+        f1_at_cutoff(edges, scores, labels, 1)
+    # the ends of int64 are ordered as they are
+    assert select_top([(0, 2**63 - 1), (-(2**63), 0)], [0.5, 0.5], 1) == [1]
 
 
 def test_f1_cutoff_bounds():

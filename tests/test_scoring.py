@@ -444,6 +444,33 @@ def test_katz_series_memory_grows_with_the_block_not_the_table(monkeypatch):
     assert small_peak < whole_peak / 4
 
 
+@pytest.mark.parametrize("sources", [1, 2])
+def test_katz_series_skips_a_block_that_no_pair_reads(monkeypatch, sources):
+    g = random_hypergraph(30, 60, np.random.default_rng(2), max_size=4, connected=True)
+    table = KatzSeries(g, range(g.n))
+    # every pair reads a row of table vertex 0, 7, 8 or 21, so most blocks
+    # of one or two sources are read by no pair
+    i = np.tile(np.arange(g.n), 4)
+    j = np.repeat([0, 7, 8, 21], g.n)
+    beta = 0.05
+    monkeypatch.setattr(scoring, "WALK_BLOCK_ENTRIES", g.n * g.n)
+    whole = table.values(beta, i, j)
+    sweeps = []
+    real = localwalk.walk_sums
+
+    def counted(p, x, *args):
+        sweeps.append(x.shape[0])
+        return real(p, x, *args)
+
+    monkeypatch.setattr(localwalk, "walk_sums", counted)
+    monkeypatch.setattr(scoring, "WALK_BLOCK_ENTRIES", sources * g.n)
+    got = table.values(beta, i, j)
+    assert len(sweeps) == len({v // sources for v in (0, 7, 8, 21)})
+    assert np.array_equal(got, whole)
+    oracle = katz_series_oracle(adjacency(g).toarray(), beta, KATZ_LMAX)
+    assert np.abs(got - oracle[j, i]).max() <= 1e-12 * np.abs(oracle).max()
+
+
 def test_one_large_candidate_pads_no_other():
     # 3000 triples and one candidate of 100 vertices: a layout padded to the
     # largest candidate would hold 3001 x 4950 pair slots (119 MB) and
