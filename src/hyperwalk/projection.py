@@ -11,8 +11,9 @@ All diagonals are zero.  Row sums of W equal the vertex hyperdegrees, so
 every row of P sums to 1, except the row of a vertex without edges, which
 is empty.  No walk starts there: :func:`hyperwalk.localwalk.source_rows`
 refuses such a source.  Everything is built by accumulating per-edge vertex
-pairs into COO triplets (cost proportional to the sum of squared edge
-cardinalities) and converting to CSR.
+pairs into COO triplets and converting to CSR.  The triplets are built
+one cardinality t at a time, t(t-1) ordered pairs per edge, so the cost
+is the sum of c(c-1) over the edges' cardinalities c.
 """
 
 from __future__ import annotations
@@ -27,25 +28,27 @@ def _pair_triplets(g: Hypergraph, row_scale: np.ndarray | None):
     """COO arrays with one entry per ordered vertex pair per edge.
 
     The value of pair (i, j) in an edge of cardinality c is 1/(c-1), further
-    divided by ``row_scale[i]`` when given.  Fully vectorized: each edge of
-    cardinality c contributes a c*c index block from which the diagonal is
-    masked out.
+    divided by ``row_scale[i]`` when given.  The entries come edge by edge,
+    each edge's c(c-1) ordered pairs in row-major order without the
+    diagonal.  They are built one cardinality t at a time: the (edges x t)
+    matrix of those edges' vertices is read at the t(t-1) pair columns and
+    scattered into edge order.
     """
     sizes = g.cardinalities
-    flat = g.members
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    blocks = sizes * sizes
-    total = int(blocks.sum())
-    block_starts = np.concatenate(([0], np.cumsum(blocks)[:-1]))
-    edge_of = np.repeat(np.arange(g.m, dtype=np.int64), blocks)
-    pos = np.arange(total, dtype=np.int64) - block_starts[edge_of]
-    c = sizes[edge_of]
-    base = starts[edge_of]
-    rows = flat[base + pos // c]
-    cols = flat[base + pos % c]
-    off = rows != cols
-    rows, cols, c = rows[off], cols[off], c[off]
-    vals = 1.0 / (c - 1)
+    starts = np.cumsum(sizes) - sizes
+    counts = sizes * (sizes - 1)
+    offsets = np.cumsum(counts) - counts
+    total = int(counts.sum())
+    rows, cols = np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64)
+    vals = np.empty(total)
+    for t in np.unique(sizes).tolist():
+        at = np.flatnonzero(sizes == t)
+        members = g.members[starts[at, None] + np.arange(t)]
+        a, b = np.nonzero(~np.eye(t, dtype=bool))
+        slots = offsets[at, None] + np.arange(t * (t - 1))
+        rows[slots] = members[:, a]
+        cols[slots] = members[:, b]
+        vals[slots] = 1.0 / (t - 1)
     if row_scale is not None:
         vals /= row_scale[rows]
     return rows, cols, vals

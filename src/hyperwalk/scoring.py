@@ -33,26 +33,35 @@ candidate checks run on the same cardinality blocks.  A walk method
 maps the ranks onto one K's walk rows with a single row lookup.
 lrw alone reads its walk rows through the pair sweep,
 :func:`_pair_sweep`, the one block loop of both power series: it sweeps
-the sources WALK_BLOCK_ENTRIES // n at a time, skips a block that no
-pair reads, takes each smaller K's rows as the sweep reaches it, gathers
-them as the sparse products stored them, without sorting, and computes
-the largest K's last step only at the block's pairs; a row whose
-renormalization the pairs alone cannot settle is computed whole (see
-:mod:`hyperwalk.localwalk`).
+the sources in blocks of at most WALK_BLOCK_ENTRIES row cells, n a
+source, skips a block that no pair reads, takes each smaller K's rows
+as the sweep reaches it, gathers them as the sparse products stored
+them, without sorting, and computes the largest K's last step only at
+the block's pairs; a row whose renormalization the pairs alone cannot
+settle is computed whole (see :mod:`hyperwalk.localwalk`).
 lrw keeps only each pair's s_ij + s_ji, so its memory grows with the
 candidate pairs and the block; any other walk family shares one full
 sweep of sorted rows, as lrw-js and lrw-gjs need both rows of a pair at
-once.  Each method computes the values of all distinct pairs at once:
-exact gathers from the walk-row CSR matrix (lrw), from the sparse
-resource-allocation product (hpra) or from the Katz table (hkatz); row
-products of the binary adjacency (hcn); or one batched divergence kernel
-call (lrw-js).  lrw-gjs passes each candidate's rows to the kernel as
-one group.  One helper, :func:`_pair_means`, then spreads the values
-over the candidate pairs and averages them per candidate, one
-cardinality block at a time, adding each candidate's pairs left to right
-so each mean is the same float as a one-pair-at-a-time loop.  The
-divergence kernel bounds its temporaries with a fixed per-chunk entry
-budget (see :mod:`hyperwalk.divergence`).
+once.  hcn and hpra read their pairs block by block too, through the
+same partition of the sources (:func:`_pair_blocks`), each pair under
+its larger vertex.  hpra builds W and D^-1 once, then each block's rows
+of the sparse resource-allocation product, gathers them at the block's
+pairs and drops them; hcn takes the common-neighbour counts of the
+block's pairs from row products of the binary adjacency.  Their blocks
+are sized by the entries they make, against WALK_BLOCK_ENTRIES // 16,
+so their memory, too, grows with the block and the pairs.  A row of a
+sparse product or sum depends only on that row, and the counts are
+exact integers, so the scores are the floats of one block.  Each method
+computes the values of all distinct pairs: exact gathers from the
+walk-row CSR matrix (lrw), from the resource-allocation rows (hpra) or
+from the Katz table (hkatz); row products of the binary adjacency (hcn);
+or one batched divergence kernel call (lrw-js).  lrw-gjs passes each
+candidate's rows to the kernel as one group.  One helper,
+:func:`_pair_means`, then spreads the values over the candidate pairs
+and averages them per candidate, one cardinality block at a time, adding
+each candidate's pairs left to right so each mean is the same float as a
+one-pair-at-a-time loop.  The divergence kernel bounds its temporaries
+with a fixed per-chunk entry budget (see :mod:`hyperwalk.divergence`).
 
 The closed-form Katz table decomposes the adjacency once per connected
 component (a dense symmetric eigendecomposition), so one table serves
@@ -82,7 +91,7 @@ from scipy.sparse.linalg import eigsh
 from . import divergence, localwalk, projection
 from .errors import CandidateError, ContractViolation, KatzDivergenceError, ParameterError
 from .errors import _check_count, _check_positive, _is_number
-from .hypergraph import Edge, Hypergraph, _all_marked, components, vertex_rows
+from .hypergraph import Edge, Hypergraph, components, vertex_rows
 
 LRW = "lrw"
 LRW_JS = "lrw-js"
@@ -112,6 +121,11 @@ SCORE_TOL = 1e-12
 # Smaller blocks cost lrw CPU time; with unsorted block rows, the median of
 # 11 trial-0 scores against one block was 2^21: +3%, 2^20: +14%, 2^19: +38%
 # (0.278, 0.308 and 0.372 s against 0.270 s), and 2^22 saved none measurably.
+# hcn and hpra take a sixteenth of it in entries of their own (see
+# _pair_blocks): on score-wide's trial 0 (5694 sources, about 120 hpra
+# product terms each) that makes 6 hpra blocks of about 1070 sources, and
+# cut the tracemalloc peak of a call from 13.5 to 5.4 MB (hcn: 15.2 to
+# 4.8 MB) with time flat; a sixty-fourth cost hpra about 8 ms more a call.
 WALK_BLOCK_ENTRIES = 2**21
 
 
@@ -196,7 +210,7 @@ class _Candidates(Sequence):
         flat = list(chain.from_iterable(self._edges))
         kinds = set(map(type, flat))
         starts = np.cumsum(self.sizes) - self.sizes
-        self.vertices, self._ranks = np.unique(_vertex_ids(flat, kinds), return_inverse=True)
+        self.vertices, flat_ranks = np.unique(_vertex_ids(flat, kinds), return_inverse=True)
         absent = self.vertices < 0  # negative, or not an integer (see _vertex_ids)
         if g is not None:
             absent |= self.vertices >= g.n
@@ -209,7 +223,7 @@ class _Candidates(Sequence):
         self.blocks = []
         for t in np.unique(self.sizes).tolist():
             idx = np.flatnonzero(self.sizes == t)
-            given = self._ranks[starts[idx, None] + np.arange(t)]
+            given = flat_ranks[starts[idx, None] + np.arange(t)]
             ranks = np.sort(given)
             bad[idx] |= (ranks[:, 1:] == ranks[:, :-1]).any(axis=1) | absent[ranks].any(axis=1)
             self._as_given[idx] &= (given == ranks).all(axis=1)
@@ -239,9 +253,12 @@ class _Candidates(Sequence):
 
     def within(self, mask: np.ndarray) -> np.ndarray:
         """Whether ``mask``, one flag per vertex id, marks every vertex of
-        each candidate, read from the ranks of the candidates' vertices,
-        edge by edge, that the batch keeps."""
-        return _all_marked(self._ranks, self.sizes, mask[self.vertices])
+        each candidate, read from each block's ranks."""
+        marked = mask[self.vertices]
+        out = np.empty(len(self), dtype=bool)
+        for _, idx, ranks in self.blocks:
+            out[idx] = marked[ranks].all(axis=1)
+        return out
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -537,10 +554,45 @@ def hpra_pair_table(g: Hypergraph, vertices) -> sparse.csr_matrix:
     """Resource-allocation rows (W + W D^-1 W)[v, :], one sparse row per
     distinct vertex of ``vertices`` in ascending order.  Raises
     ParameterError for a vertex that is not an integer id in 0..n-1."""
-    w = projection.weighted_projection(g)
+    return _resource_rows(vertex_rows(vertices, g.n)[1], *_resource_factors(g))
+
+
+def _resource_factors(g: Hypergraph) -> tuple[sparse.csr_matrix, sparse.dia_matrix]:
+    """g's weighted projection W and the diagonal D^-1 of its inverse
+    vertex degrees, 0 for a vertex without edges."""
     dinv = np.divide(1.0, g.degrees, out=np.zeros(g.n), where=g.degrees > 0)
-    xw = vertex_rows(vertices, g.n)[1] @ w
-    return (xw + (xw @ sparse.diags(dinv)) @ w).tocsr()
+    return projection.weighted_projection(g), sparse.diags(dinv)
+
+
+def _resource_rows(x: sparse.csr_matrix, w, dinv) -> sparse.csr_matrix:
+    """The rows x (W + W D^-1 W) of the one-hot rows ``x``.  A row of a
+    sparse product or sum depends only on that row, so any block of
+    ``x``'s rows gives the same rows, float for float."""
+    xw = x @ w
+    return (xw + (xw @ dinv) @ w).tocsr()
+
+
+def _pair_blocks(rows: np.ndarray, costs: np.ndarray, budget: int):
+    """Yield ``(lo, hi, at)`` for each block of sources lo..hi-1 that some
+    pair reads: ``at`` holds the indices of the pairs whose source
+    ``rows[q]`` lies in the block, in order.  A block that no pair reads
+    is skipped.
+
+    Blocks run over consecutive sources, and each costs at most
+    ``budget``, plus its last source; ``costs`` holds the cost of each
+    source, the entries it makes: its walk-row cells for the pair sweep,
+    its terms of hpra's product, or the entries of the rows that hcn
+    gathers for its pairs.
+    """
+    block = (np.cumsum(costs) - costs) // max(1, budget)
+    bounds = np.append(np.flatnonzero(np.diff(block, prepend=-1)), len(costs))
+    # below 2^16 sources numpy's stable sort is a radix sort, which gives
+    # the same order
+    order = np.argsort(rows.astype(np.min_scalar_type(len(costs))), kind="stable")
+    cuts = np.searchsorted(rows[order], bounds[1:-1])
+    for lo, hi, at in zip(bounds[:-1].tolist(), bounds[1:].tolist(), np.split(order, cuts)):
+        if len(at):
+            yield lo, hi, at
 
 
 def _pair_sweep(p: sparse.csr_matrix, x: sparse.csr_matrix, ks: list[int],
@@ -548,26 +600,24 @@ def _pair_sweep(p: sparse.csr_matrix, x: sparse.csr_matrix, ks: list[int],
     """Entries (rows[q], cols[q]) of the sums x P + ... + x P^k of the
     power series of ``p``, one array per k of ``ks``, which ascend.
 
-    The sources, the rows of ``x``, are swept WALK_BLOCK_ENTRIES // n at a
-    time (at least one), and a block that no pair reads is skipped.  A row
-    of a sum depends only on its source, so a block's rows are those of
-    one full sweep.  Each smaller k's sum is extracted as walk rows, as
-    stored, unsorted, and gathered at the block's pairs: a gather reads
-    one stored value wherever it lies, and the extraction renormalizes by
-    column-order row sums (see :mod:`hyperwalk.localwalk`).  The sweep
-    stops one step short of the largest k, and ``finish(acc, step, r, c)``
-    gives that k's entries at the block's pairs (r, c), from the running
-    sum and the step there (see :func:`~hyperwalk.localwalk.walk_sums`).
+    The sources, the rows of ``x``, are swept in blocks of at most
+    WALK_BLOCK_ENTRIES row cells, n a source (at least one source a
+    block), and a block that no pair reads is skipped (see
+    :func:`_pair_blocks`).  A row of a sum depends only on its source, so
+    a block's rows are those of one full sweep.  Each smaller k's sum is
+    extracted as walk rows, as stored, unsorted, and gathered at the
+    block's pairs: a gather reads one stored value wherever it lies, and
+    the extraction renormalizes by column-order row sums (see
+    :mod:`hyperwalk.localwalk`).  The sweep stops one step short of the
+    largest k, and ``finish(acc, step, r, c)`` gives that k's entries at
+    the block's pairs (r, c), from the running sum and the step there (see
+    :func:`~hyperwalk.localwalk.walk_sums`).
     """
-    step = max(1, WALK_BLOCK_ENTRIES // p.shape[0])
     out = [np.zeros(len(rows)) for _ in ks]
-    order = np.argsort(rows, kind="stable")
-    bounds = np.searchsorted(rows[order], np.arange(step, x.shape[0], step))
-    for lo, at in zip(range(0, x.shape[0], step), np.split(order, bounds)):
-        if not len(at):
-            continue
+    cells = np.full(x.shape[0], p.shape[0])
+    for lo, hi, at in _pair_blocks(rows, cells, WALK_BLOCK_ENTRIES):
         r, c = rows[at] - lo, cols[at]
-        sums = localwalk.walk_sums(p, x[lo : lo + step], ks, lambda acc, s: finish(acc, s, r, c))
+        sums = localwalk.walk_sums(p, x[lo:hi], ks, lambda acc, s: finish(acc, s, r, c))
         for values, (k, s) in zip(out, sums):
             if k < ks[-1]:
                 s = localwalk.gather(localwalk.extract_rows(s, 1.0 / k), r, c)
@@ -601,13 +651,14 @@ def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]
     A family is any set of kinds that TUNED maps to one field: walk
     methods, whose grid holds walk lengths K, or hkatz, whose grid holds
     damping factors; or hcn or hpra alone, whose grid is ``[None]``.  A
-    kind given twice has one entry in the result.  Walk rows, the Katz
-    table and resource-allocation rows are computed once, for the union of
-    the edges' vertices: the walk methods share one propagation sweep up
-    to the largest K, and hkatz one table for every damping factor.  lrw
-    alone sweeps that union in blocks of sources and gathers each block's
-    walk mass before the next (see :func:`_pair_sweep`); the scores are the
-    same floats.  Every grid value of a tuned family is checked as its
+    kind given twice has one entry in the result.  Walk rows and the Katz
+    table are computed once, for the union of the edges' vertices: the
+    walk methods share one propagation sweep up to the largest K, and
+    hkatz one table for every damping factor.  lrw alone sweeps that union
+    in blocks of sources and gathers each block's walk mass before the
+    next (see :func:`_pair_sweep`), and hcn and hpra take each block's
+    pair values before the next (see :func:`_pair_blocks`); the scores are
+    the same floats.  Every grid value of a tuned family is checked as its
     :class:`MethodSpec` field, and a bad one raises ParameterError.
     """
     kinds, grid = list(kinds), list(grid)
@@ -635,12 +686,22 @@ def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]
         return {kind: [_pair_means(cands, table.values(beta, i, j)) for beta in grid]}
     if grid != [None]:
         raise ParameterError(f"{kind} has no parameter; its grid is [None], not {grid}")
+    values = np.zeros(len(i))
     if kind == HCN:
         nbrs = neighbor_sets(g)
-        values = np.asarray(nbrs[i].multiply(nbrs[j]).sum(axis=1)).ravel()
+        lens = np.diff(nbrs.indptr)
+        costs = np.bincount(ranks[1], lens[i] + lens[j], len(cands.vertices))
+        for _, _, at in _pair_blocks(ranks[1], costs, WALK_BLOCK_ENTRIES // 16):
+            values[at] = np.asarray(nbrs[i[at]].multiply(nbrs[j[at]]).sum(axis=1)).ravel()
     else:
-        table = hpra_pair_table(g, cands.vertices)  # row r is vertex cands.vertices[r]
-        values = localwalk.gather(table, ranks[1], i)
+        x = vertex_rows(cands.vertices, g.n)[1]  # row r selects cands.vertices[r]
+        w, dinv = _resource_factors(g)
+        # a row's product terms: the lengths of W's rows at its columns
+        pattern = sparse.csr_matrix((np.ones(w.nnz), w.indices, w.indptr), shape=w.shape)
+        terms = (pattern @ np.diff(w.indptr))[cands.vertices]
+        for lo, hi, at in _pair_blocks(ranks[1], terms, WALK_BLOCK_ENTRIES // 16):
+            table = _resource_rows(x[lo:hi], w, dinv)
+            values[at] = localwalk.gather(table, ranks[1][at] - lo, i[at])
     return {kind: [_pair_means(cands, values)]}
 
 

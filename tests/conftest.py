@@ -146,6 +146,16 @@ def adjacency_oracle(g: Hypergraph) -> np.ndarray:
     return a
 
 
+def pair_enumeration(edge, pair_value) -> float:
+    """Mean over the edge's vertex pairs, one scalar pair at a time."""
+    verts = sorted(edge)
+    t = len(verts)
+    total = 0.0
+    for i, j in combinations(verts, 2):
+        total += pair_value(i, j)
+    return total * 2.0 / (t * (t - 1))
+
+
 def katz_dense_oracle(a: np.ndarray, beta: float) -> np.ndarray:
     """Closed-form Katz matrix sum_{l>=1} beta^l A^l = (I - beta A)^-1 - I,
     by a dense linear solve (no eigendecomposition)."""

@@ -34,18 +34,9 @@ from conftest import (
     gjs_scalar_oracle,
     hypergraphs,
     js_scalar_oracle,
+    pair_enumeration,
     transition_oracle,
 )
-
-
-def pair_enumeration(edge, pair_value) -> float:
-    """Mean over the edge's vertex pairs, one scalar pair at a time."""
-    verts = sorted(edge)
-    t = len(verts)
-    total = 0.0
-    for i, j in combinations(verts, 2):
-        total += pair_value(i, j)
-    return total * 2.0 / (t * (t - 1))
 
 
 @st.composite

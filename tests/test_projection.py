@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from scipy import sparse
 
 from hyperwalk.errors import ContractViolation
-from hyperwalk.hypergraph import from_label_edges, largest_component
+from hyperwalk.hypergraph import Hypergraph, from_label_edges, largest_component
 from hyperwalk.localwalk import walk_matrix_rows
-from hyperwalk.projection import adjacency, transition, weighted_projection
+from hyperwalk.projection import _pair_triplets, adjacency, transition, weighted_projection
 
 from conftest import adjacency_oracle, hypergraphs, transition_oracle
 
@@ -116,3 +116,25 @@ def test_stationary_distribution_reached():
         pk = np.linalg.matrix_power(p, 64)
         assert np.abs(pk - target[None, :]).max() < 1e-6
 
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_pair_triplets_match_a_per_edge_loop(scaled):
+    # cardinalities 2-6 in mixed order; vertex 9 has no edges
+    rng = np.random.default_rng(5)
+    edges = {tuple(sorted(rng.choice(9, size=t, replace=False).tolist()))
+             for t in rng.integers(2, 7, size=40)}
+    g = Hypergraph(10, sorted(edges))
+    assert set(g.cardinalities.tolist()) == {2, 3, 4, 5, 6} and g.degrees[9] == 0
+    row_scale = np.maximum(g.degrees, 1.0) if scaled else None
+    rows, cols, vals = [], [], []
+    for e in g.edges:  # each edge's ordered pairs row-major, the diagonal dropped
+        for i in e:
+            for j in e:
+                if i != j:
+                    rows.append(i)
+                    cols.append(j)
+                    vals.append(1.0 / (len(e) - 1) / (row_scale[i] if scaled else 1.0))
+    got = _pair_triplets(g, row_scale)
+    assert [a.dtype for a in got] == [np.int64, np.int64, np.float64]
+    for a, expected in zip(got, (rows, cols, vals)):
+        assert np.array_equal(a, expected)

@@ -40,10 +40,12 @@ from hyperwalk.scoring import (
 from hyperwalk.synthetic import random_hypergraph
 
 from conftest import (
+    adjacency_oracle,
     candidate_checks_oracle,
     hypergraphs,
     katz_dense_oracle,
     katz_series_oracle,
+    pair_enumeration,
     select_top_oracle,
 )
 
@@ -421,6 +423,73 @@ def test_lrw_memory_grows_with_the_block_not_the_sources(monkeypatch):
             tracemalloc.stop()
 
     assert peak(16) < peak(g.n) / 2
+
+
+@given(g=hypergraphs(max_n=14, max_m=14), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_hcn_and_hpra_blocks_match_one_block(g, data):
+    # vertex `lone` has no edges: its rows of W and of the neighbour sets
+    # are empty, and its inverse degree is 0
+    lone = data.draw(st.integers(0, g.n))
+    g = Hypergraph(g.n + 1, [tuple(v + (v >= lone) for v in e) for e in g.edges])
+    present = np.flatnonzero(g.degrees > 0).tolist()
+    candidate = st.sets(st.sampled_from(present), min_size=2, max_size=min(5, len(present)))
+    drawn = data.draw(st.lists(candidate.map(lambda e: tuple(sorted(e))), min_size=1, max_size=12))
+    edges = drawn + data.draw(st.lists(st.sampled_from(drawn), max_size=4))  # repeated candidates
+    # the blocks partition each pair's larger vertex
+    sources = {j for e in edges for _, j in combinations(e, 2)}
+    a = adjacency_oracle(g) > 0
+    ra = hpra_pair_table(g, range(g.n)).toarray()
+    oracle = {HCN: lambda i, j: float(np.sum(a[i] & a[j])), HPRA: lambda i, j: ra[j, i]}
+    real = scoring._pair_blocks
+    for kind in (HCN, HPRA):
+        blocks = []
+
+        def counted(*args):
+            found = list(real(*args))
+            blocks.append(len(found))
+            return iter(found)
+
+        got = []
+        for entries in (1, 16 * 64, 2**62):  # one source a block, a few blocks, one block
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(scoring, "WALK_BLOCK_ENTRIES", entries)
+                mp.setattr(scoring, "_pair_blocks", counted)
+                got.append(score_grid([kind], g, edges, [None])[kind][0])
+        assert blocks[0] == len(sources) >= blocks[1] >= blocks[2] == 1
+        for scores in got:
+            assert np.array_equal(scores, got[-1])
+        assert got[-1].tolist() == [pair_enumeration(e, oracle[kind]) for e in edges]
+
+
+def test_hcn_and_hpra_memory_grow_with_the_block_not_the_sources(monkeypatch):
+    # the pair work sets the one-block peak: the neighbour rows that hcn
+    # gathers, or hpra's whole resource-allocation table, hold several times
+    # the clique expansion's triplets
+    g = random_hypergraph(400, 1600, np.random.default_rng(0), max_size=4, connected=True)
+    edges = list(g.edges)
+
+    def peak(kind, entries):
+        monkeypatch.setattr(scoring, "WALK_BLOCK_ENTRIES", entries)
+        tracemalloc.start()
+        try:
+            scores = score_grid([kind], g, edges, [None])[kind][0]
+            return scores, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    tracemalloc.start()
+    try:
+        adjacency(g)
+        clique_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for kind in (HCN, HPRA):
+        # the budget that sweeps lrw 16 sources at a time, and one block
+        (small, small_peak), (whole, whole_peak) = peak(kind, 16 * g.n), peak(kind, 2**62)
+        assert clique_peak < whole_peak / 4
+        assert np.array_equal(small, whole)
+        assert small_peak < whole_peak / 2
 
 
 def test_katz_series_memory_grows_with_the_block_not_the_table(monkeypatch):
