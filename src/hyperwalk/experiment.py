@@ -469,7 +469,8 @@ def cross_validate(
     first that fails raises CandidateError.  Each fold scores the whole
     grid with one :func:`~hyperwalk.scoring.score_grid` call.  Returns the
     grid value with the highest mean validation AUROC per method; ties go
-    to the smaller value.
+    to the smaller value.  A grid value that the methods do not take, or
+    an empty grid, raises ParameterError.
     """
     observed = g.edges
     _check_count("folds", folds, 2)
@@ -480,8 +481,7 @@ def cross_validate(
     if len(fields) != 1 or None in fields:
         raise ParameterError(f"cannot tune method kinds {kinds} together")
     cands = scoring._candidates(candidates, g)
-    # each value as the method takes it: checked, and an int k or a float beta
-    grid = sorted({methods[0].with_param(value).param for value in grid})
+    grid = sorted(set(scoring._tuned_values(kinds, grid)))
     if len(grid) == 1:
         return {k: grid[0] for k in kinds}
     if fields == {"beta"}:

@@ -90,13 +90,8 @@ class WalkRows(Mapping):
 
     def positions(self, vertices) -> np.ndarray:
         """Matrix row of each vertex; a vertex without a row is a contract violation."""
-        v = np.asarray(vertices, dtype=np.int64)
-        pos = np.searchsorted(self.sources, v)
-        found = pos < len(self.sources)
-        found[found] = self.sources[pos[found]] == v[found]
-        if not found.all():
-            raise ContractViolation(f"missing walk row for vertex {int(v[~found][0])}")
-        return pos
+        check_present(self.sources, vertices, "walk row")
+        return np.searchsorted(self.sources, vertices)
 
     def __getitem__(self, source: int) -> sparse.csr_matrix:
         r = int(np.searchsorted(self.sources, source))
@@ -109,6 +104,14 @@ class WalkRows(Mapping):
 
     def __len__(self) -> int:
         return len(self.sources)
+
+
+def check_present(ids: np.ndarray, vertices, noun: str) -> None:
+    """Raise ContractViolation unless every one of ``vertices`` is among
+    ``ids``, naming the first that is not as missing a ``noun``."""
+    missing = np.asarray(vertices)[~np.isin(vertices, ids)]
+    if len(missing):
+        raise ContractViolation(f"missing {noun} for vertex {int(missing[0])}")
 
 
 def extract_rows(mat: sparse.csr_matrix, scale: float) -> sparse.csr_matrix:

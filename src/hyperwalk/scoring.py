@@ -42,20 +42,21 @@ settle is computed whole (see :mod:`hyperwalk.localwalk`).
 lrw keeps only each pair's s_ij + s_ji, so its memory grows with the
 candidate pairs and the block; any other walk family shares one full
 sweep of sorted rows, as lrw-js and lrw-gjs need both rows of a pair at
-once.  hcn and hpra read their pairs block by block too, through the
-same partition of the sources (:func:`_pair_blocks`), each pair under
-its larger vertex.  hpra builds W and D^-1 once, then each block's rows
-of the sparse resource-allocation product, gathers them at the block's
-pairs and drops them; hcn takes the common-neighbour counts of the
-block's pairs from row products of the binary adjacency.  Their blocks
-are sized by the entries they make, against WALK_BLOCK_ENTRIES // 16,
-so their memory, too, grows with the block and the pairs.  A row of a
-sparse product or sum depends only on that row, and the counts are
-exact integers, so the scores are the floats of one block.  Each method
-computes the values of all distinct pairs: exact gathers from the
-walk-row CSR matrix (lrw), from the resource-allocation rows (hpra) or
-from the Katz table (hkatz); row products of the binary adjacency (hcn);
-or one batched divergence kernel call (lrw-js).  lrw-gjs passes each
+once.  hcn and hpra share one loop over the same partition of the
+sources (:func:`_pair_blocks`), each pair under its larger vertex: a
+pair (i, j) sums the entrywise product of row j of one matrix and row i
+of another, the binary adjacency twice for hcn's common neighbours, or
+W D^-1 and W^T for the shared-neighbour term of hpra's resource
+allocation W + W D^-1 W, to which hpra adds W's own entry.  A mat-vec
+adds each product row from 0.0 in ascending column order, as scipy's
+product adds the terms of W D^-1 W, and W^T is read because W is not
+bitwise symmetric, so each value is the float of
+:func:`hpra_pair_table`.  A block is sized by the row entries its two
+gathers copy, against WALK_BLOCK_ENTRIES // 16, so their memory, too,
+grows with the block and the pairs.  Each method computes the values of
+all distinct pairs: exact gathers from the walk-row CSR matrix (lrw) or
+from the Katz table (hkatz); sums of row products (hcn, hpra); or one
+batched divergence kernel call (lrw-js).  lrw-gjs passes each
 candidate's rows to the kernel as one group.  One helper,
 :func:`_pair_means`, then spreads the values over the candidate pairs
 and averages them per candidate, one cardinality block at a time, adding
@@ -121,11 +122,11 @@ SCORE_TOL = 1e-12
 # Smaller blocks cost lrw CPU time; with unsorted block rows, the median of
 # 11 trial-0 scores against one block was 2^21: +3%, 2^20: +14%, 2^19: +38%
 # (0.278, 0.308 and 0.372 s against 0.270 s), and 2^22 saved none measurably.
-# hcn and hpra take a sixteenth of it in entries of their own (see
-# _pair_blocks): on score-wide's trial 0 (5694 sources, about 120 hpra
-# product terms each) that makes 6 hpra blocks of about 1070 sources, and
-# cut the tracemalloc peak of a call from 13.5 to 5.4 MB (hcn: 15.2 to
-# 4.8 MB) with time flat; a sixty-fourth cost hpra about 8 ms more a call.
+# hcn and hpra take a sixteenth of it in the row entries that their
+# pairs gather (see _pair_blocks): on score-wide's trial 0 (5694 sources,
+# about 100 entries each) that makes 5 blocks of about 1140 sources, and
+# cuts the tracemalloc peak of a call from 16.6 to 6.2 MB (hpra; hcn: 15.2
+# to 4.8 MB) with time flat; a sixty-fourth costs about 1 ms more a call.
 WALK_BLOCK_ENTRIES = 2**21
 
 
@@ -464,8 +465,8 @@ class KatzSpectra:
 
     def __init__(self, g: Hypergraph, vertices):
         a = projection.adjacency(g)
-        wanted = np.zeros(g.n, dtype=bool)
-        wanted[vertex_rows(vertices, g.n)[0]] = True
+        self.verts = vertex_rows(vertices, g.n)[0]
+        wanted = np.isin(np.arange(g.n), self.verts)
         self.lambda_max = 0.0
         self._spectra: list[tuple[np.ndarray, np.ndarray]] = []
         self._part = np.full(g.n, -1, dtype=np.int64)  # spectrum of each table vertex
@@ -500,7 +501,9 @@ class KatzSpectra:
             )
 
     def values(self, beta: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """K_beta[i[k], j[k]] for pairs of table vertices."""
+        """K_beta[i[k], j[k]] for pairs of table vertices; any other
+        vertex is a contract violation."""
+        localwalk.check_present(self.verts, np.concatenate([i, j]), "Katz table row")
         self.check(beta)
         out = np.zeros(len(i))  # pairs across components keep this 0.0
         part = self._part[i]
@@ -527,8 +530,9 @@ class KatzSeries:
         self.verts, self._select = vertex_rows(vertices, g.n)
 
     def values(self, beta: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Truncated K_beta[i[k], j[k]], with every j[k] a table vertex:
-        entry i[k] of the sparse row sum_{l<=KATZ_LMAX} beta^l (A^l)[j[k], :].
+        """Truncated K_beta[i[k], j[k]], with every j[k] a table vertex
+        (any other is a contract violation): entry i[k] of the sparse row
+        sum_{l<=KATZ_LMAX} beta^l (A^l)[j[k], :].
 
         The table's rows are swept in blocks, and the last power is
         computed only at the pairs, each entry the float that the whole
@@ -539,6 +543,7 @@ class KatzSeries:
         def finish(acc, step, r, c):
             return localwalk.gather(acc, r, c) + localwalk.step_entries(step, pt, r, c)
 
+        localwalk.check_present(self.verts, j, "Katz table row")
         rows = np.searchsorted(self.verts, j)
         return _pair_sweep(damped, self._select, [KATZ_LMAX], rows, np.asarray(i), finish)[0]
 
@@ -554,22 +559,10 @@ def hpra_pair_table(g: Hypergraph, vertices) -> sparse.csr_matrix:
     """Resource-allocation rows (W + W D^-1 W)[v, :], one sparse row per
     distinct vertex of ``vertices`` in ascending order.  Raises
     ParameterError for a vertex that is not an integer id in 0..n-1."""
-    return _resource_rows(vertex_rows(vertices, g.n)[1], *_resource_factors(g))
-
-
-def _resource_factors(g: Hypergraph) -> tuple[sparse.csr_matrix, sparse.dia_matrix]:
-    """g's weighted projection W and the diagonal D^-1 of its inverse
-    vertex degrees, 0 for a vertex without edges."""
-    dinv = np.divide(1.0, g.degrees, out=np.zeros(g.n), where=g.degrees > 0)
-    return projection.weighted_projection(g), sparse.diags(dinv)
-
-
-def _resource_rows(x: sparse.csr_matrix, w, dinv) -> sparse.csr_matrix:
-    """The rows x (W + W D^-1 W) of the one-hot rows ``x``.  A row of a
-    sparse product or sum depends only on that row, so any block of
-    ``x``'s rows gives the same rows, float for float."""
-    xw = x @ w
-    return (xw + (xw @ dinv) @ w).tocsr()
+    w = projection.weighted_projection(g)
+    xw = vertex_rows(vertices, g.n)[1] @ w
+    # W has no column of a vertex without edges: 1 spares a division by 0
+    return (xw + (xw @ sparse.diags(1.0 / np.maximum(g.degrees, 1.0))) @ w).tocsr()
 
 
 def _pair_blocks(rows: np.ndarray, costs: np.ndarray, budget: int):
@@ -581,8 +574,8 @@ def _pair_blocks(rows: np.ndarray, costs: np.ndarray, budget: int):
     Blocks run over consecutive sources, and each costs at most
     ``budget``, plus its last source; ``costs`` holds the cost of each
     source, the entries it makes: its walk-row cells for the pair sweep,
-    its terms of hpra's product, or the entries of the rows that hcn
-    gathers for its pairs.
+    or the row entries that hcn and hpra gather for its pairs.  Sources
+    after the last that a pair reads may be left out.
     """
     block = (np.cumsum(costs) - costs) // max(1, budget)
     bounds = np.append(np.flatnonzero(np.diff(block, prepend=-1)), len(costs))
@@ -644,6 +637,15 @@ def _lrw_grid(p: sparse.csr_matrix, cands: _Candidates, grid: list) -> list[np.n
     return [_pair_means(cands, _walk_mass(mass[k])) for k in grid]
 
 
+def _tuned_values(kinds: list[str], grid) -> list:
+    """Each value of ``grid`` as the tuned field of ``kinds``, one family,
+    takes it: checked, and an int k or a float beta.  A bad value or an
+    empty grid raises ParameterError."""
+    if len(grid) == 0:
+        raise ParameterError(f"no {TUNED[kinds[0]]} given for {', '.join(kinds)}")
+    return [MethodSpec(kinds[0]).with_param(value).param for value in grid]
+
+
 def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]:
     """Scores of canonical candidate ``edges`` on ``g`` under each method
     of one family, one score array per value of ``grid``, in grid order.
@@ -659,15 +661,15 @@ def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]
     next (see :func:`_pair_sweep`), and hcn and hpra take each block's
     pair values before the next (see :func:`_pair_blocks`); the scores are
     the same floats.  Every grid value of a tuned family is checked as its
-    :class:`MethodSpec` field, and a bad one raises ParameterError.
+    :class:`MethodSpec` field, and a bad one, or an empty grid, raises
+    ParameterError.
     """
     kinds, grid = list(kinds), list(grid)
     fields = {TUNED.get(kind) for kind in kinds}
     if len(fields) != 1 or (len(kinds) > 1 and fields == {None}):
         raise ParameterError(f"method kinds {kinds} are not one family")
     if fields != {None}:
-        # each value as the method takes it: checked, and an int k or a float beta
-        grid = [MethodSpec(kinds[0]).with_param(value).param for value in grid]
+        grid = _tuned_values(kinds, grid)
     cands = _candidates(edges, g)
     if kinds[0] in WALK_KINDS:
         p = projection.transition(g)
@@ -686,22 +688,23 @@ def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]
         return {kind: [_pair_means(cands, table.values(beta, i, j)) for beta in grid]}
     if grid != [None]:
         raise ParameterError(f"{kind} has no parameter; its grid is [None], not {grid}")
-    values = np.zeros(len(i))
     if kind == HCN:
-        nbrs = neighbor_sets(g)
-        lens = np.diff(nbrs.indptr)
-        costs = np.bincount(ranks[1], lens[i] + lens[j], len(cands.vertices))
-        for _, _, at in _pair_blocks(ranks[1], costs, WALK_BLOCK_ENTRIES // 16):
-            values[at] = np.asarray(nbrs[i[at]].multiply(nbrs[j[at]]).sum(axis=1)).ravel()
+        left = right = neighbor_sets(g)
     else:
-        x = vertex_rows(cands.vertices, g.n)[1]  # row r selects cands.vertices[r]
-        w, dinv = _resource_factors(g)
-        # a row's product terms: the lengths of W's rows at its columns
-        pattern = sparse.csr_matrix((np.ones(w.nnz), w.indices, w.indptr), shape=w.shape)
-        terms = (pattern @ np.diff(w.indptr))[cands.vertices]
-        for lo, hi, at in _pair_blocks(ranks[1], terms, WALK_BLOCK_ENTRIES // 16):
-            table = _resource_rows(x[lo:hi], w, dinv)
-            values[at] = localwalk.gather(table, ranks[1][at] - lo, i[at])
+        w = projection.weighted_projection(g)
+        # W D^-1 with W's sorted indices, each entry the float of the
+        # product in hpra_pair_table; and W^T, as W is not bitwise symmetric
+        left = w.multiply(1.0 / np.maximum(g.degrees, 1.0)).tocsr()
+        right = w.T.tocsr()
+    # a pair (i, j) adds row j of `left` times row i of `right` from 0.0 in
+    # ascending column order, in the mat-vec, as the product adds its terms;
+    # a block costs the row entries its two gathers copy
+    costs = np.bincount(ranks[1], np.diff(left.indptr)[j] + np.diff(right.indptr)[i])
+    values = np.zeros(len(i))
+    for _, _, at in _pair_blocks(ranks[1], costs, WALK_BLOCK_ENTRIES // 16):
+        values[at] = left[j[at]].multiply(right[i[at]]) @ np.ones(g.n)
+    if kind == HPRA:
+        values += localwalk.gather(w, j, i)
     return {kind: [_pair_means(cands, values)]}
 
 

@@ -33,7 +33,7 @@ from hyperwalk.experiment import (
     split,
     trial_candidates,
 )
-from hyperwalk.hypergraph import Hypergraph, from_label_edges
+from hyperwalk.hypergraph import Hypergraph, from_label_edges, largest_component
 from hyperwalk.scoring import LRW, LRW_GJS, LRW_JS, MethodSpec
 from hyperwalk.synthetic import planted_hypergraph, random_hypergraph
 
@@ -804,6 +804,17 @@ def test_cv_rejects_mixed_families(medium):
                 [MethodSpec(kind) for kind in kinds],
                 medium, [], 2, [2, 3], np.random.default_rng(0),
             )
+
+
+@pytest.mark.parametrize("kind, field", [(LRW, "k"), ("hkatz", "beta")])
+def test_an_empty_grid_of_a_tuned_family_is_a_parameter_error(kind, field):
+    g = largest_component(planted_hypergraph(40, 120, np.random.default_rng(0)))
+    observed_g, cand = trial_candidates(g, SplitSpec(0.8, 1, 0), SamplingSpec(0.5, 3), 0)
+    message = rf"^no {field} given for {kind}$"
+    with pytest.raises(ParameterError, match=message):
+        scoring.score_grid([kind], observed_g, cand.edges, [])
+    with pytest.raises(ParameterError, match=message):
+        cross_validate([MethodSpec(kind)], observed_g, cand.edges, 3, [], np.random.default_rng(0))
 
 
 # -------------------------------------------------------------- end to end

@@ -203,6 +203,31 @@ def test_katz_series_gathers_what_its_dense_rows_hold():
     assert got[(i == 3) & (j == 0)][0] > 0.0
 
 
+def test_katz_tables_refuse_a_vertex_outside_the_table():
+    # the whole table gives the pair (1, 2) 0.0124, which a table of the
+    # vertices 0, 3 and 30 holds no row for
+    g = random_hypergraph(30, 60, np.random.default_rng(2), max_size=4, connected=True)
+    g = Hypergraph(g.n + 1, g.edges)  # vertex 30 has no edges
+    beta, verts = 0.01, [0, 3, 30]
+    spectra, series = KatzSpectra(g, verts), KatzSeries(g, verts)
+    for table, i, j, named in [(spectra, 1, 2, 1), (spectra, 0, 2, 2), (spectra, 2, 0, 2),
+                               (series, 1, 2, 2), (series, 0, 2, 2)]:
+        message = rf"^missing Katz table row for vertex {named}$"
+        with pytest.raises(ContractViolation, match=message):
+            table.values(beta, np.array([0, i]), np.array([3, j]))
+    # pairs of table vertices keep the whole table's floats, and the
+    # isolated table vertex reads 0.0
+    i, j = np.array([0, 3, 0, 30, 3]), np.array([3, 0, 0, 3, 30])
+    got = spectra.values(beta, i, j)
+    assert np.array_equal(got, KatzSpectra(g, range(g.n)).values(beta, i, j))
+    assert got[0] > 0.0 and got[3] == got[4] == 0.0
+    # a series row is read at any vertex i
+    everyone = np.tile(np.arange(g.n), 3)
+    column = np.repeat(verts, g.n)
+    whole = KatzSeries(g, range(g.n)).values(beta, everyone, column)
+    assert np.array_equal(series.values(beta, everyone, column), whole)
+
+
 @pytest.mark.parametrize("kind", [LRW, LRW_JS, LRW_GJS, HCN, HKATZ, HPRA])
 def test_each_distinct_pair_is_evaluated_once(kind, monkeypatch):
     g = from_label_edges([[0, 1, 2], [1, 3], [2, 3, 4], [0, 4]])
@@ -462,10 +487,27 @@ def test_hcn_and_hpra_blocks_match_one_block(g, data):
         assert got[-1].tolist() == [pair_enumeration(e, oracle[kind]) for e in edges]
 
 
+def test_hpra_keeps_the_floats_of_its_pair_table_where_w_is_not_symmetric():
+    # many repeated pairs: W sums each pair's triplets in another order than
+    # its mirror's, so reading W's rows for W^T, or adding a product row in
+    # any order but ascending columns, moves hpra's scores
+    g = random_hypergraph(40, 2000, np.random.default_rng(5), max_size=6, connected=True)
+    w = projection.weighted_projection(g)
+    assert (w != w.T).nnz > 0
+    rng = np.random.default_rng(6)
+    edges = list(g.edges[:200]) + [
+        tuple(sorted(rng.choice(g.n, size, replace=False).tolist()))
+        for size in rng.integers(2, 7, 200)
+    ]
+    ra = hpra_pair_table(g, range(g.n)).toarray()
+    scores = score_grid([HPRA], g, edges, [None])[HPRA][0]
+    assert scores.tolist() == [pair_enumeration(e, lambda i, j: ra[j, i]) for e in edges]
+
+
 def test_hcn_and_hpra_memory_grow_with_the_block_not_the_sources(monkeypatch):
-    # the pair work sets the one-block peak: the neighbour rows that hcn
-    # gathers, or hpra's whole resource-allocation table, hold several times
-    # the clique expansion's triplets
+    # the pair work sets the one-block peak: the neighbour rows of W D^-1
+    # and W^T, or of the neighbour sets, that hpra or hcn gathers for every
+    # pair hold several times the clique expansion's triplets
     g = random_hypergraph(400, 1600, np.random.default_rng(0), max_size=4, connected=True)
     edges = list(g.edges)
 
