@@ -13,7 +13,6 @@ import csv
 import hashlib
 import json
 import logging
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -287,10 +286,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "bench":
             return handler(**_read_flags(args, _BENCH_KEYS))
-        cfg = _config_from_args(args)
-        if cfg.threads == 0:
-            cfg = replace(cfg, threads=os.cpu_count() or 1)
-        return handler(cfg.validate())
+        return handler(_config_from_args(args).validate())
     except (HyperwalkError, OSError, UnicodeDecodeError) as exc:
         name = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
         print(f"error: {name}: {exc}", file=sys.stderr)

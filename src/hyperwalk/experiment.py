@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -347,33 +348,14 @@ def _finite_scores(scores) -> np.ndarray:
     return scores
 
 
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks along the last axis, each tie group given the mean of
-    its positions, as ``scipy.stats.rankdata(scores, "average", axis=-1)``.
-
-    Every row is sorted by one stable ``argsort``, and a tie group opens at
-    each row start and wherever sorted neighbours differ, so -0.0 ties 0.0.
-    A group spanning 0-based sorted positions first..last ranks
-    (first + last + 2) / 2, a half-integer.
-    """
-    width = scores.shape[-1]
-    rows = scores.reshape(-1, width)
-    order = np.argsort(rows, axis=-1, kind="stable")
-    ordered = np.take_along_axis(rows, order, axis=-1)
-    opens = np.ones(rows.shape, dtype=bool)
-    opens[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    first = np.nonzero(opens)[1]  # sorted position where each group opens, row by row
-    after = np.append(first[1:], 0)  # where the next group opens; 0 starts a new row
-    after[after == 0] = width
-    ranks = np.empty(rows.shape)
-    group_rank = (first + after + 1) / 2.0  # last = after - 1
-    sorted_ranks = np.repeat(group_rank, after - first).reshape(rows.shape)
-    np.put_along_axis(ranks, order, sorted_ranks, axis=-1)
-    return ranks.reshape(scores.shape)
-
-
 def auroc(scores, labels):
     """Probability a random positive outscores a random negative (ties 0.5).
+
+    This is the Mann-Whitney U over n_pos * n_neg.  Against its row's
+    sorted negatives each positive counts the negatives below it (wins)
+    and those not above it, which sum to 2 * wins + ties, twice its U.
+    The total is an integer, so U is an exact half-integer and one
+    division gives the float of the mid-rank sum formula.  -0.0 ties 0.0.
 
     ``scores`` may also be a 2-D score array, one row per scoring of the
     same labelled candidates; then one AUROC per row is returned, each the
@@ -387,9 +369,12 @@ def auroc(scores, labels):
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MetricUndefinedError("AUROC needs at least one positive and one negative")
-    # ranks are half-integers, so their sums are exact in any order
-    ranks = _average_ranks(scores)
-    values = (ranks[..., pos].sum(axis=-1) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    rows = scores.reshape(-1, len(labels))
+    twice_u = [
+        sum(int(np.searchsorted(neg, row[pos], side).sum()) for side in ("left", "right"))
+        for row, neg in zip(rows, np.sort(rows[:, ~pos], axis=-1))
+    ]
+    values = (np.array(twice_u) / 2.0 / (n_pos * n_neg)).reshape(scores.shape[:-1])
     return float(values) if scores.ndim == 1 else values
 
 
@@ -717,13 +702,15 @@ def run_experiment(
 ) -> ExperimentResult:
     """All trials of one (rho, alpha, lambda) configuration.
 
-    Trials are independent and may run in parallel processes; records come
-    back in trial order either way, so the result does not depend on the
-    worker count.  Every setting is checked before any trial runs (see
+    Trials are independent and may run in parallel processes, ``threads``
+    of them, or one per core when ``threads`` is 0; records come back in
+    trial order either way, so the result does not depend on the worker
+    count.  Every setting is checked before any trial runs (see
     :func:`check_run_settings`), whether or not a method is tuned.
     """
     methods = resolve_methods(methods)
     check_run_settings(folds, threads, k_grid, beta_grid)
+    threads = threads or os.cpu_count() or 1
     args = [
         (g, split_spec, sampling_spec, methods, t, folds, tuple(k_grid), tuple(beta_grid))
         for t in range(split_spec.trials)

@@ -666,7 +666,7 @@ def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]
     """
     kinds, grid = list(kinds), list(grid)
     fields = {TUNED.get(kind) for kind in kinds}
-    if len(fields) != 1 or (len(kinds) > 1 and fields == {None}):
+    if len(fields) != 1 or (len(set(kinds)) > 1 and fields == {None}):
         raise ParameterError(f"method kinds {kinds} are not one family")
     if fields != {None}:
         grid = _tuned_values(kinds, grid)

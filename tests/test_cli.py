@@ -254,6 +254,22 @@ def test_bad_settings_exit_1_before_running(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cv", "--methods", "hcn,hpra"], "cv needs at least one method with a tunable parameter"),
+        (["cv", "--rho", "0.6,0.8"], "cv takes a single rho"),
+        (["sweep", "--dataset", "other.txt"], "sweep takes exactly one dataset"),
+    ],
+)
+def test_subcommand_shape_errors_name_the_rule(argv, message, tmp_path, capsys):
+    golden = Path(__file__).parent / "data" / "golden" / "golden.txt"
+    assert run_cli(*argv, "--dataset", golden, "--alpha", "0.5", "--out", tmp_path / "res") == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: ParameterError: {message}\n"
+    assert captured.out == "" and not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize(
     "flags",
     [
         ["--seed", "-1"],

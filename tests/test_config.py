@@ -65,6 +65,11 @@ def test_bad_value_rejected():
         from_text("label-mode = maybe\n")
 
 
+def test_line_without_equals_rejected():
+    with pytest.raises(ParameterError, match="^config line 2: expected 'key = value'$"):
+        from_text("seed = 1\ntrials 3\n")
+
+
 def test_key_given_twice_rejected():
     with pytest.raises(ParameterError, match="lines 2 and 4 both set 'trials'"):
         from_text("seed = 1\ntrials = 3\n# again\ntrials = 5\n")

@@ -477,15 +477,6 @@ def score_arrays(draw, min_width: int = 1):
     return np.array(draw(st.lists(TIED_SCORES, min_size=size, max_size=size))).reshape(shape)
 
 
-@given(scores=score_arrays())
-@settings(max_examples=200, deadline=None)
-def test_average_ranks_equal_scipy_rankdata_bit_for_bit(scores):
-    ranks = experiment._average_ranks(scores)
-    expected = rankdata(scores, method="average", axis=-1)
-    assert ranks.dtype == expected.dtype and ranks.shape == expected.shape
-    assert ranks.tobytes() == expected.tobytes()
-
-
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_auroc_equals_the_rankdata_formula_bit_for_bit(data):
@@ -498,6 +489,20 @@ def test_auroc_equals_the_rankdata_formula_bit_for_bit(data):
     ranks = rankdata(scores, method="average", axis=-1)
     expected = (ranks[..., pos].sum(axis=-1) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     assert np.asarray(auroc(scores, labels)).tobytes() == np.asarray(expected).tobytes()
+
+
+def test_auroc_equals_the_rankdata_formula_on_200k_tied_scores():
+    # sums of ~10^5 counts and ranks: exact only if every term is a count
+    # or a half-integer, which small hypothesis rows cannot tell apart
+    rng = np.random.default_rng(0)
+    scores = rng.choice([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0], size=(3, 200_000))
+    labels = (rng.random(200_000) < 0.3).astype(int)
+    pos = labels == 1
+    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+    ranks = rankdata(scores, method="average", axis=-1)
+    expected = (ranks[..., pos].sum(axis=-1) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    assert auroc(scores, labels).tobytes() == expected.tobytes()
+    assert np.float64(auroc(scores[1], labels)).tobytes() == expected[1].tobytes()
 
 
 def test_metrics_reject_label_count_mismatch():
@@ -683,6 +688,13 @@ def test_cv_tie_breaks_to_smaller_k():
     assert chosen[LRW_JS] == 2
 
 
+def test_cv_with_every_fold_skipped_is_degenerate():
+    # each held-out edge of a matching has both vertices isolated in training
+    g = Hypergraph(6, [(0, 1), (2, 3), (4, 5)])
+    with pytest.raises(TrialDegenerateError, match="^cross-validation had no usable folds$"):
+        cross_validate([MethodSpec(LRW)], g, [(0, 2)], 3, [2, 3], np.random.default_rng(0))
+
+
 def test_cv_returns_grid_values(medium):
     observed_g, cand = trial_candidates(medium, SplitSpec(0.8, 1, 3), SamplingSpec(0.5, 2), 0)
     chosen = cross_validate(
@@ -837,6 +849,32 @@ def test_run_experiment_threads_equivalent(medium):
     serial = run_experiment(medium, SplitSpec(0.8, 3, 2), SamplingSpec(0.5, 2), methods, threads=1, **kwargs)
     parallel = run_experiment(medium, SplitSpec(0.8, 3, 2), SamplingSpec(0.5, 2), methods, threads=3, **kwargs)
     assert serial.to_json_dict() == parallel.to_json_dict()
+
+
+def test_run_experiment_threads_0_uses_every_core(monkeypatch, medium):
+    workers = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+    args = (medium, SplitSpec(0.8, 2, 2), SamplingSpec(0.5, 2), ["lrw", "hcn"])
+    every_core = run_experiment(*args, folds=3, k_grid=(2, 3), threads=0)
+    assert workers == [3]
+    serial = run_experiment(*args, folds=3, k_grid=(2, 3), threads=1)
+    assert workers == [3]
+    assert every_core.records == serial.records
 
 
 def test_planted_structure_ranks_above_fakes(monkeypatch):

@@ -150,6 +150,20 @@ def test_constructor_rejects_malformed_edges(edges):
         Hypergraph(3, edges)
 
 
+def test_constructor_names_a_vertex_beyond_int64_and_a_wrong_label_count():
+    with pytest.raises(ValueError, match=r"^hyperedge \(0, 9223372036854775808\) outside vertex range 0\.\.2$"):
+        Hypergraph(3, [(0, 2**63)])
+    with pytest.raises(ValueError, match="^1 labels for 3 vertices$"):
+        Hypergraph(3, [(0, 1)], ["a"])
+
+
+def test_component_and_stats_of_an_edgeless_hypergraph_raise():
+    with pytest.raises(EmptyHypergraphError, match="^cannot take a component of an empty hypergraph$"):
+        largest_component(Hypergraph(3, []))
+    with pytest.raises(EmptyHypergraphError, match="^stats of an empty hypergraph$"):
+        stats(Hypergraph(3, []))
+
+
 def test_degrees_and_cardinalities(t1):
     assert t1.degrees.tolist() == [1, 1, 2, 1]
     assert t1.cardinalities.tolist() == [3, 2]

@@ -622,9 +622,25 @@ def test_score_grid_rejects_mixed_families_and_grids(t1):
     with pytest.raises(ParameterError):
         score_grid([], t1, [(0, 1)], [2])
     with pytest.raises(ParameterError):
-        score_grid([HCN, HCN], t1, [(0, 1)], [None])
-    with pytest.raises(ParameterError):
         score_grid([LRW, HCN], t1, [(0, 1)], [2])
+
+
+@pytest.mark.parametrize("kind", [*WALK_KINDS, HKATZ, HCN, HPRA])
+def test_score_grid_of_a_kind_given_twice_is_that_kind_alone(kind):
+    g = random_hypergraph(20, 40, np.random.default_rng(3), max_size=4, connected=True)
+    edges = [(0, 1), (2, 5, 7), (1, 3, 4, 6)]
+    grid = {HKATZ: [0.005, 0.01], HCN: [None], HPRA: [None]}.get(kind, [2, 3])
+    twice, alone = score_grid([kind, kind], g, edges, grid), score_grid([kind], g, edges, grid)
+    assert list(twice) == [kind]
+    assert all(np.array_equal(a, b) for a, b in zip(twice[kind], alone[kind], strict=True))
+
+
+def test_score_edges_from_rows_takes_walk_kinds_and_any_number_of_edges(t1):
+    rows = walk_matrix_rows(transition(t1), [0, 1, 2, 3], 2)
+    with pytest.raises(ParameterError, match="^'hcn' is not a walk method$"):
+        score_edges_from_rows(HCN, [(0, 1)], rows)
+    for kind in WALK_KINDS:
+        assert np.array_equal(score_edges_from_rows(kind, [], rows), np.zeros(0))
 
 
 @pytest.mark.parametrize("kind, value", [(HKATZ, -0.1), (HKATZ, float("nan")), (HKATZ, True),
