@@ -449,27 +449,26 @@ def cross_validate(
     trial candidate set, so the trial's own missing edges are labelled 0
     during tuning, like its fakes.  Candidates or validation edges
     touching a vertex isolated in a fold's training edges are excluded from
-    that fold.  The candidates are checked once, as
-    :func:`~hyperwalk.scoring.score_candidates` checks them on ``g``: the
-    first that fails raises CandidateError.  Each fold scores the whole
-    grid with one :func:`~hyperwalk.scoring.score_grid` call.  Returns the
-    grid value with the highest mean validation AUROC per method; ties go
-    to the smaller value.  A grid value that the methods do not take, or
-    an empty grid, raises ParameterError.
+    that fold.  The methods and the grid are checked first, by
+    :func:`~hyperwalk.scoring._tuned_values`: kinds that do not share one
+    tuned field, an empty grid, or a value the methods do not take, None
+    among them, raises ParameterError.  The candidates are checked next,
+    once, as :func:`~hyperwalk.scoring.score_candidates` checks them on
+    ``g``: the first that fails raises CandidateError.  Each fold scores
+    the whole grid with one :func:`~hyperwalk.scoring.score_grid` call.
+    Returns the grid value with the highest mean validation AUROC per
+    method; ties go to the smaller value.
     """
     observed = g.edges
     _check_count("folds", folds, 2)
     if len(observed) < folds:
         raise ParameterError(f"{len(observed)} observed edges cannot fill {folds} folds")
     kinds = [m.kind for m in methods]
-    fields = {scoring.TUNED.get(kind) for kind in kinds}
-    if len(fields) != 1 or None in fields:
-        raise ParameterError(f"cannot tune method kinds {kinds} together")
-    cands = scoring._candidates(candidates, g)
     grid = sorted(set(scoring._tuned_values(kinds, grid)))
+    cands = scoring._candidates(candidates, g)
     if len(grid) == 1:
         return {k: grid[0] for k in kinds}
-    if fields == {"beta"}:
+    if kinds[0] == HKATZ:
         grid = scoring.converging_betas(g, grid)
 
     totals = {k: np.zeros(len(grid)) for k in kinds}
@@ -584,15 +583,15 @@ def resolve_methods(methods) -> list[MethodSpec]:
 
 def check_run_settings(folds: int, threads: int, k_grid: Sequence, beta_grid: Sequence) -> None:
     """Raise ParameterError unless ``folds`` >= 2, ``threads`` >= 0 and
-    each grid holds at least one value, each of which its methods take
-    (see :meth:`~hyperwalk.scoring.MethodSpec.with_param`)."""
+    each grid holds at least one value, each of which its methods take, as
+    cross-validation checks it (see
+    :func:`~hyperwalk.scoring._tuned_values`): a None value is refused."""
     _check_count("folds", folds, 2)
     _check_count("threads", threads, 0)
     for name, kind, grid in (("k_grid", LRW, k_grid), ("beta_grid", HKATZ, beta_grid)):
         if len(grid) == 0:
             raise ParameterError(f"{name} needs at least one value")
-        for value in grid:
-            MethodSpec(kind).with_param(value)
+        scoring._tuned_values([kind], grid)
 
 
 def trial_candidates(

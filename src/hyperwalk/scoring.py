@@ -112,8 +112,6 @@ TUNED = {LRW: "k", LRW_JS: "k", LRW_GJS: "k", HKATZ: "beta"}
 KATZ_CLOSED_MAX_N = 20_000
 # Powers of the adjacency summed by the truncated Katz series.
 KATZ_LMAX = 8
-# Eigenvector-row entries multiplied at a time for closed-form Katz pairs.
-KATZ_CHUNK_ENTRIES = 2**16
 # Walk scores within this distance of [0, 1] are rounding and get clipped.
 SCORE_TOL = 1e-12
 # Walk-row cells (sources x n) that lrw sweeps at a time when scored alone.
@@ -127,6 +125,8 @@ SCORE_TOL = 1e-12
 # about 100 entries each) that makes 5 blocks of about 1140 sources, and
 # cuts the tracemalloc peak of a call from 16.6 to 6.2 MB (hpra; hcn: 15.2
 # to 4.8 MB) with time flat; a sixty-fourth costs about 1 ms more a call.
+# Closed-form Katz sizes its chunks of pairs by the same sixteenth, at the
+# 2 n_c eigenvector-row entries a pair gathers (see KatzSpectra).
 WALK_BLOCK_ENTRIES = 2**21
 
 
@@ -136,7 +136,10 @@ class MethodSpec:
 
     ``k`` is the maximum walk length for the three walk methods; ``beta``
     the Katz damping factor.  How Katz similarities are computed follows
-    from the graph size alone (see :func:`katz_pair_table`).
+    from the graph size alone (see :func:`katz_pair_table`).  This is the
+    one check of a parameter: an integer ``k`` of any type is stored as an
+    ``int`` and a real ``beta`` as a ``float``, so results hold Python
+    numbers, and then each is checked; any other value is checked as it is.
     """
 
     kind: str
@@ -146,24 +149,20 @@ class MethodSpec:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ParameterError(f"unknown method kind {self.kind!r}; choose from {ALL_KINDS}")
+        if _is_number(self.k, numbers.Integral):
+            object.__setattr__(self, "k", operator.index(self.k))
+        if _is_number(self.beta, numbers.Real):
+            object.__setattr__(self, "beta", float(self.beta))
         if self.k is not None:
             _check_count("walk length k", self.k)
         if self.beta is not None:
             _check_positive("Katz damping beta", self.beta)
 
     def with_param(self, value) -> "MethodSpec":
-        """Copy with the method's tuned field (see TUNED) set; an untuned
-        method is returned as it is.
-
-        An integer of any type becomes an ``int`` and a real damping factor
-        a ``float``, so results hold Python numbers; any other value goes
-        to the constructor's checks as it is.
-        """
+        """Copy with the method's tuned field (see TUNED) set to ``value``,
+        normalized and checked as the constructor does; an untuned method
+        is returned as it is."""
         field = TUNED.get(self.kind)
-        if _is_number(value, numbers.Integral):
-            value = operator.index(value)
-        if field == "beta" and _is_number(value, numbers.Real):
-            value = float(value)
         return replace(self, **{field: value}) if field else self
 
     @property
@@ -457,8 +456,10 @@ class KatzSpectra:
     For a component with adjacency A_c = U diag(lam) U^T,
     K_beta[i, j] = sum_k U[i, k] U[j, k] beta lam_k / (1 - beta lam_k).
     Only the rows of U at the table's vertices are kept, and K_beta is
-    never formed: each asked-for pair is one dot product of two rows,
-    taken KATZ_CHUNK_ENTRIES row entries at a time.  Components without
+    never formed: each asked-for pair is one dot product of two rows.
+    The pairs go in chunks sized as hcn's and hpra's blocks are, by the
+    row entries that the two gathers copy, 2 n_c a pair for a component of
+    n_c vertices, against WALK_BLOCK_ENTRIES // 16.  Components without
     a table vertex contribute only their largest eigenvalue, to
     ``lambda_max``; isolated vertices contribute nothing.
     """
@@ -513,7 +514,7 @@ class KatzSpectra:
         for (lam, u), sel in zip(self._spectra, groups):
             damped = beta * lam
             scaled = u * (damped / (1.0 - damped))
-            step = max(1, KATZ_CHUNK_ENTRIES // u.shape[1])
+            step = max(1, WALK_BLOCK_ENTRIES // 16 // (2 * u.shape[1]))
             for lo in range(0, len(sel), step):
                 k = sel[lo : lo + step]
                 out[k] = np.einsum("pk,pk->p", scaled[self._row[i[k]]], u[self._row[j[k]]])
@@ -638,11 +639,19 @@ def _lrw_grid(p: sparse.csr_matrix, cands: _Candidates, grid: list) -> list[np.n
 
 
 def _tuned_values(kinds: list[str], grid) -> list:
-    """Each value of ``grid`` as the tuned field of ``kinds``, one family,
-    takes it: checked, and an int k or a float beta.  A bad value or an
-    empty grid raises ParameterError."""
+    """Each value of ``grid`` as the tuned field of ``kinds`` takes it, in
+    grid order: normalized and checked by :class:`MethodSpec`, an int k or
+    a float beta.  This is the one check of a family and its grid.  Kinds
+    that do not share one TUNED field, an empty grid, a None value or a
+    value the field refuses raise ParameterError."""
+    fields = {TUNED.get(kind) for kind in kinds}
+    if len(fields) != 1 or None in fields:
+        raise ParameterError(f"method kinds {kinds} do not share one tuned parameter")
+    field = fields.pop()
     if len(grid) == 0:
-        raise ParameterError(f"no {TUNED[kinds[0]]} given for {', '.join(kinds)}")
+        raise ParameterError(f"no {field} given for {', '.join(kinds)}")
+    if any(value is None for value in grid):
+        raise ParameterError(f"{kinds[0]} requires its parameter {field}")
     return [MethodSpec(kinds[0]).with_param(value).param for value in grid]
 
 
@@ -660,15 +669,12 @@ def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]
     in blocks of sources and gathers each block's walk mass before the
     next (see :func:`_pair_sweep`), and hcn and hpra take each block's
     pair values before the next (see :func:`_pair_blocks`); the scores are
-    the same floats.  Every grid value of a tuned family is checked as its
-    :class:`MethodSpec` field, and a bad one, or an empty grid, raises
-    ParameterError.
+    the same floats.  Anything but an untuned kind with ``[None]`` is
+    checked by :func:`_tuned_values` before the candidates: a family or a
+    grid value it refuses, or an empty grid, raises ParameterError.
     """
     kinds, grid = list(kinds), list(grid)
-    fields = {TUNED.get(kind) for kind in kinds}
-    if len(fields) != 1 or (len(set(kinds)) > 1 and fields == {None}):
-        raise ParameterError(f"method kinds {kinds} are not one family")
-    if fields != {None}:
+    if not (len(set(kinds)) == 1 and kinds[0] not in TUNED and grid == [None]):
         grid = _tuned_values(kinds, grid)
     cands = _candidates(edges, g)
     if kinds[0] in WALK_KINDS:
@@ -686,8 +692,6 @@ def score_grid(kinds, g: Hypergraph, edges, grid) -> dict[str, list[np.ndarray]]
     if kind == HKATZ:
         table = katz_pair_table(g, cands.vertices)
         return {kind: [_pair_means(cands, table.values(beta, i, j)) for beta in grid]}
-    if grid != [None]:
-        raise ParameterError(f"{kind} has no parameter; its grid is [None], not {grid}")
     if kind == HCN:
         left = right = neighbor_sets(g)
     else:
@@ -712,14 +716,13 @@ def score_candidates(method: MethodSpec, g: Hypergraph, candidates) -> list[Scor
     """Score every candidate edge; output order matches input order.
 
     The candidates are checked and put in canonical form, then scored in
-    one batch by :func:`score_grid` at the method's own parameter.  A
-    batch already checked against ``g`` is scored as it is, so a trial
-    checks its candidates once for all its methods.
+    one batch by :func:`score_grid` at the method's own parameter, which
+    a tuned method must be given (see :func:`_tuned_values`).  A batch
+    already checked against ``g`` is scored as it is, so a trial checks
+    its candidates once for all its methods.
     """
     cands = _candidates(candidates, g)
     if not len(cands):
         return []
-    if method.kind in TUNED and method.param is None:
-        raise ParameterError(f"{method.kind} requires its parameter {TUNED[method.kind]}")
     vals = score_grid([method.kind], g, cands, [method.param])[method.kind][0]
     return [ScoredEdge(e, v, method) for e, v in zip(cands, vals.tolist())]

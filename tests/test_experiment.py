@@ -1,4 +1,5 @@
 import gc
+import json
 import re
 import weakref
 from dataclasses import replace
@@ -811,7 +812,8 @@ def test_series_katz_scores_a_whole_run(monkeypatch):
 
 def test_cv_rejects_mixed_families(medium):
     for kinds in ([LRW, "hkatz"], [LRW, "hcn"], ["hcn"], []):
-        with pytest.raises(ParameterError):
+        message = rf"^method kinds {re.escape(str(kinds))} do not share one tuned parameter$"
+        with pytest.raises(ParameterError, match=message):
             cross_validate(
                 [MethodSpec(kind) for kind in kinds],
                 medium, [], 2, [2, 3], np.random.default_rng(0),
@@ -827,6 +829,15 @@ def test_an_empty_grid_of_a_tuned_family_is_a_parameter_error(kind, field):
         scoring.score_grid([kind], observed_g, cand.edges, [])
     with pytest.raises(ParameterError, match=message):
         cross_validate([MethodSpec(kind)], observed_g, cand.edges, 3, [], np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("kind, field, grid", [("hkatz", "beta", [None, 0.01]), (LRW, "k", [None])])
+def test_cv_refuses_a_none_in_its_grid(kind, field, grid):
+    g = largest_component(planted_hypergraph(40, 120, np.random.default_rng(0)))
+    observed_g, cand = trial_candidates(g, SplitSpec(0.8, 1, 0), SamplingSpec(0.5, 3), 0)
+    with pytest.raises(ParameterError, match=rf"^{kind} requires its parameter {field}$"):
+        cross_validate([MethodSpec(kind)], observed_g, cand.edges, 3, grid,
+                       np.random.default_rng(0))
 
 
 # -------------------------------------------------------------- end to end
@@ -993,6 +1004,23 @@ def test_run_specs_take_integer_counts_and_real_fractions(spec, args, name):
 def test_run_experiment_needs_a_value_in_each_grid(grids):
     with pytest.raises(ParameterError, match="needs at least one value"):
         run_experiment(*_ONE_TRIAL, ["hkatz"], 2, *grids)
+
+
+@pytest.mark.parametrize("grids, message", [(((None,), (None,)), "lrw requires its parameter k"),
+                                            (((2,), (None,)), "hkatz requires its parameter beta")],
+                         ids=["k_grid", "beta_grid"])
+def test_run_experiment_refuses_a_none_grid_value_with_every_method_pinned(grids, message):
+    # checked before any trial, though the pinned method tunes nothing
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        run_experiment(*_ONE_TRIAL, [MethodSpec(LRW, k=3)], 2, *grids)
+
+
+def test_numpy_typed_parameters_give_the_results_of_python_numbers():
+    def run(k, beta):
+        methods = [MethodSpec(LRW, k=k), MethodSpec("hkatz", beta=beta)]
+        return json.dumps(run_experiment(*_ONE_TRIAL, methods, 2).to_json_dict())
+
+    assert run(np.int64(3), np.float64(0.01)) == run(3, 0.01)
 
 
 def test_single_value_walk_grid_is_checked_not_truncated(medium):

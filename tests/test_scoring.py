@@ -290,6 +290,37 @@ def test_katz_table_matches_dense_oracle(g, data):
         assert np.array_equal(score_grid([HKATZ], g, scored, [beta])[HKATZ][0], scores)
 
 
+def test_katz_spectra_chunks_of_one_pair_match_one_chunk(monkeypatch):
+    # two components: the default budget takes all of a component's pairs
+    # in one chunk, and a budget of 1 one pair a chunk
+    first = random_hypergraph(30, 60, np.random.default_rng(4), max_size=4, connected=True)
+    second = random_hypergraph(25, 50, np.random.default_rng(5), max_size=4, connected=True)
+    g = Hypergraph(55, list(first.edges) + [tuple(v + 30 for v in e) for e in second.edges])
+    dense = adjacency(g).toarray()
+    beta = 0.5 / float(np.linalg.eigvalsh(dense)[-1])
+    i, j = np.array(list(combinations(range(g.n), 2))).T
+    comp = components(g)
+    same = (comp[i] == comp[j]).sum()
+    table = KatzSpectra(g, range(g.n))
+    chunks = []
+    einsum = np.einsum
+
+    def counted(*args):
+        chunks.append(len(args[1]))
+        return einsum(*args)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    whole = table.values(beta, i, j)
+    assert len(chunks) == 2 and sum(chunks) == same
+    monkeypatch.setattr(scoring, "WALK_BLOCK_ENTRIES", 1)
+    chunks.clear()
+    got = table.values(beta, i, j)
+    assert chunks == [1] * same
+    assert np.array_equal(got, whole)
+    oracle = katz_dense_oracle(dense, beta)[i, j]
+    assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
 def test_converging_betas_drops_divergent_factors(t1, monkeypatch):
     rho = spectral_radius(adjacency(t1).astype(float))
     betas = [0.1 / rho, 0.99 / rho, 1.0 / rho, 2.0 / rho]
@@ -777,6 +808,25 @@ def test_walk_methods_require_k(t1):
         score_candidates(MethodSpec(LRW), t1, [(0, 1)])
     with pytest.raises(ParameterError, match=r"^hkatz requires its parameter beta$"):
         score_candidates(MethodSpec(HKATZ), t1, [(0, 1)])
+
+
+@pytest.mark.parametrize("kind, field", [(LRW, "k"), (HKATZ, "beta")])
+@pytest.mark.parametrize("at", [0, 1])
+def test_score_grid_refuses_a_none_in_a_tuned_grid(t1, kind, field, at):
+    grid = [2, 3] if kind == LRW else [0.01, 0.02]
+    grid[at] = None
+    with pytest.raises(ParameterError, match=rf"^{kind} requires its parameter {field}$"):
+        score_grid([kind], t1, [(0, 1)], grid)
+
+
+def test_method_spec_stores_python_numbers():
+    for spec in (MethodSpec(LRW, k=np.int64(3)), MethodSpec(LRW).with_param(np.uint8(3))):
+        assert spec.k == 3 and type(spec.k) is int
+    for value in (np.float32(0.5), np.int64(1), 1):
+        spec = MethodSpec(HKATZ, beta=value)
+        assert spec.beta == float(value) and type(spec.beta) is float
+    with pytest.raises(ParameterError, match=r"^walk length k=0 is not an integer >= 1$"):
+        MethodSpec(LRW, k=np.int64(0))
 
 
 def test_method_spec_validation():
